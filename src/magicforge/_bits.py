@@ -19,29 +19,6 @@ def parity(arr: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(arr) & 1).astype(np.int64)
 
 
-def signs_from_parity(arr: np.ndarray) -> np.ndarray:
-    """(-1)**parity as a float array."""
-    return 1.0 - 2.0 * parity(arr)
-
-
-def submasks(x: int):
-    """Yield every submask u of x (u & ~x == 0), including 0 and x.
-
-    Standard descending submask walk; order is not part of any contract.
-    """
-    u = x
-    while True:
-        yield u
-        if u == 0:
-            return
-        u = (u - 1) & x
-
-
-def int_to_bits(v: int, n: int) -> tuple[int, ...]:
-    """Bits of v, qubit 1 first."""
-    return tuple((v >> j) & 1 for j in range(n))
-
-
 def bits_to_int(bits) -> int:
     v = 0
     for j, b in enumerate(bits):

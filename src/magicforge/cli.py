@@ -2,7 +2,7 @@
 
 Subcommands: spectrum, magic, optimize, verify, zero-magic, nogo, support.
 Every output (JSON or CSV) embeds the run manifest: tool version, command,
-input paths, seed, threads, and the effective options.  Outputs contain no
+input paths, seed, and the effective options.  Outputs contain no
 timestamps, so identical manifests produce byte-identical files.  File
 outputs are written atomically (temp file in the target directory, then
 rename).
@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -63,22 +62,13 @@ class VerificationFailure(MagicforgeError):
     """A CLI-level check did not pass; maps to exit code 1."""
 
 
-def _threads_default() -> int:
-    env = os.environ.get("MAGICFORGE_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
-def _manifest(command: str, inputs: list[str], seed: int, threads: int, options: dict) -> dict:
+def _manifest(command: str, inputs: list[str], seed: int, options: dict) -> dict:
     return {
         "tool": "magicforge",
         "version": __version__,
         "command": command,
         "inputs": inputs,
         "seed": seed,
-        "threads": threads,
         "options": options,
     }
 
@@ -164,7 +154,7 @@ def _spectrum_csv(s: PauliSpectrum, manifest: dict, comments: list[str]) -> str:
 
 def _cmd_spectrum(args) -> int:
     parsed = circuit_from_json(_load_json(args.circuit))
-    manifest = _manifest("spectrum", [args.circuit], args.seed, args.threads, {})
+    manifest = _manifest("spectrum", [args.circuit], args.seed, {})
     closed, method = _closed_form(parsed)
     oracle_spec = oracle_spectrum(_oracle_run(parsed))
     comments = [f"source: {method}"]
@@ -185,7 +175,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_magic(args) -> int:
     parsed = circuit_from_json(_load_json(args.circuit))
     alphas = sorted(set(args.alpha))
-    manifest = _manifest("magic", [args.circuit], args.seed, args.threads, {"alpha": alphas})
+    manifest = _manifest("magic", [args.circuit], args.seed, {"alpha": alphas})
     closed, method = _closed_form(parsed)
     spec = closed if closed is not None else oracle_spectrum(_oracle_run(parsed))
     results = []
@@ -221,7 +211,6 @@ def _cmd_optimize(args) -> int:
         "optimize",
         [args.tableau] + ([args.config] if args.config else []),
         args.seed,
-        args.threads,
         {"layers": args.layers, "config": cfg_dict},
     )
     results = run_pipeline(tab, args.layers, config)
@@ -254,17 +243,13 @@ def _verify_case(n: int, seed_parts: tuple) -> float:
 
 def _cmd_verify(args) -> int:
     manifest = _manifest(
-        "verify", [], args.seed, args.threads,
+        "verify", [], args.seed,
         {"n_max": args.n_max, "cases": args.cases, "tolerance": _TOLERANCE_VERIFY},
     )
-    jobs = [
-        (n, (args.seed, n, i)) for n in range(1, args.n_max + 1) for i in range(args.cases)
+    devs = [
+        _verify_case(n, (args.seed, n, i))
+        for n in range(1, args.n_max + 1) for i in range(args.cases)
     ]
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            devs = list(pool.map(lambda j: _verify_case(*j), jobs))
-    else:
-        devs = [_verify_case(*j) for j in jobs]
     worst = max(devs) if devs else 0.0
     passed = worst <= _TOLERANCE_VERIFY
     payload = {
@@ -285,7 +270,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_zero_magic(args) -> int:
     tab = StabilizerTableau.from_json(_load_json(args.tableau))
-    manifest = _manifest("zero-magic", [args.tableau], args.seed, args.threads, {"k": args.k})
+    manifest = _manifest("zero-magic", [args.tableau], args.seed, {"k": args.k})
     cert = construct_zero_magic(tab, args.k)
     payload = {
         "manifest": manifest,
@@ -304,7 +289,7 @@ def _cmd_zero_magic(args) -> int:
 def _block_from_json(obj: dict) -> LayerBlock:
     try:
         n = int(obj["n"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"block JSON needs an integer 'n': {exc}") from exc
     cliff = None
     if obj.get("clifford"):
@@ -329,7 +314,7 @@ def _block_to_json(block: LayerBlock) -> dict:
 def _cmd_nogo(args) -> int:
     block = _block_from_json(_load_json(args.block))
     manifest = _manifest(
-        "nogo", [args.block], args.seed, args.threads,
+        "nogo", [args.block], args.seed,
         {"alpha": args.alpha, "trials": args.trials},
     )
     wit = nogo_witness(block, alpha=args.alpha, trials=args.trials, seed=args.seed)
@@ -359,7 +344,7 @@ def _cmd_support(args) -> int:
     obj = _load_json(args.rotation)
     body = obj.get("sqr", obj)
     w = RotationVector.from_json(body)
-    manifest = _manifest("support", [args.rotation], args.seed, args.threads, {})
+    manifest = _manifest("support", [args.rotation], args.seed, {})
     ceiling = support_ceiling(w)
     from .spectrum import sqr_shallow_spectrum
     from .stabilizer import plus_tableau
@@ -375,6 +360,13 @@ def _cmd_support(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magicforge",
@@ -384,9 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="single seed for all randomness")
-        p.add_argument("--threads", type=int, default=_threads_default(),
-                       help="worker threads (or MAGICFORGE_THREADS)")
+        p.add_argument("--seed", type=_seed, default=0, help="single seed for all randomness")
         p.add_argument("-o", "--output", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("spectrum", help="closed-form (when applicable) and oracle spectra as CSV")
@@ -443,7 +433,7 @@ def run_command(argv=None) -> int:
     except (SearchError, VerificationFailure) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": type(exc).__name__}) + "\n")
         return 1
-    except (ValidationError, ValueError) as exc:
+    except ValidationError as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": type(exc).__name__}) + "\n")
         return 2
 

@@ -120,7 +120,7 @@ class PhasePolynomial:
                 # the JSON string puts qubit 1 leftmost
                 a = bits_to_int([int(ch) for ch in a_bits])
                 raw.append((int(t["m"]), a, int(t["c"])))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed gate JSON: {exc}") from exc
         return cls(n, raw)
 

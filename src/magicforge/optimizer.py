@@ -3,9 +3,17 @@
 The objective is f(w) = F_alpha of the spectrum after applying a rotation
 layer with angles w (in turns) to the current real signed spectrum; the
 Clifford part of a block is applied beforehand, so optimization always runs
-over R^n angles only.  The mixing here re-derives the sector sums locally
-(with their analytic gradients) rather than calling the transfer module, so
-the objective / apply_block agreement is a real cross-check.
+over R^n angles only.  The layer is `transfer.rotate_layer`, the same kernel
+`apply_block` uses.  Its derivative in w_j is 2 pi times a quarter turn of
+the output pair (p, q) on qubit j (see `transfer.xy_pair`), so one forward
+pass gives all n partials:
+
+    df/dw_j = 4 pi alpha * sum over x_j = 1 of p q (q^(2 alpha - 2) - p^(2 alpha - 2)).
+
+F_alpha and each partial are compensated sums (math.fsum).  Because the
+objective and the transfer share the kernel, their agreement is no
+cross-check; the tests compare both against the submask-sum reference in
+tests/helpers.py and against the dense oracle.
 
 Plain gradient descent with an adaptive step: halve on increase (move
 rejected), grow 1.1x on decrease.  Restarts are uniform in [0,1)^n and the
@@ -22,11 +30,18 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._bits import parity, submasks
 from .errors import CapacityError, ValidationError
 from .diagonal_gates import RotationVector
 from .spectrum import PauliSpectrum, f_alpha
-from .transfer import CliffordOp, LayerBlock, apply_block, identity_clifford, random_clifford
+from .transfer import (
+    CliffordOp,
+    LayerBlock,
+    apply_block,
+    identity_clifford,
+    random_clifford,
+    rotate_layer,
+    xy_pair,
+)
 
 if TYPE_CHECKING:
     from .stabilizer import StabilizerTableau
@@ -48,23 +63,10 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if int(self.alpha) != self.alpha or self.alpha < 2:
             raise ValidationError(f"alpha must be an integer >= 2, got {self.alpha!r}")
-        if self.restarts < 0 or self.max_iters < 1 or self.clifford_pool < 0:
-            raise ValidationError("restarts/max_iters/clifford_pool out of range")
+        if self.restarts < 0 or self.max_iters < 1 or self.clifford_pool < 0 or self.seed < 0:
+            raise ValidationError("restarts/max_iters/clifford_pool/seed out of range")
         if self.step <= 0 or self.tol <= 0:
             raise ValidationError("step and tol must be positive")
-
-
-def _gamma_table(x: int, angles: np.ndarray) -> dict[int, float]:
-    """Gamma_x(u) for every submask u, each from a fresh product over qubits."""
-    table: dict[int, float] = {}
-    for u in submasks(x):
-        g = 1.0
-        for j in range(int(x).bit_length()):
-            if (x >> j) & 1:
-                t = 2.0 * np.pi * angles[j]
-                g *= np.sin(t) if (u >> j) & 1 else np.cos(t)
-        table[u] = float(g)
-    return table
 
 
 def _objective_parts(s: PauliSpectrum, w, alpha: int, want_grad: bool):
@@ -74,38 +76,16 @@ def _objective_parts(s: PauliSpectrum, w, alpha: int, want_grad: bool):
     n = s.n
     if angles.shape != (n,):
         raise ValidationError(f"angle vector has shape {angles.shape}, expected ({n},)")
-    size = 1 << n
-    zs = np.arange(size, dtype=np.int64)
-    values = s.values
+    mixed = rotate_layer(s.values, angles)
     power = 2 * int(alpha)
-    terms: list[float] = []
-    grad_terms: list[list[float]] = [[] for _ in range(n)] if want_grad else []
-    for x in range(size):
-        sector = values[x * size:(x + 1) * size]
-        gam = _gamma_table(x, angles)
-        mixed = np.zeros(size, dtype=np.float64)
-        contribs: dict[int, np.ndarray] = {}
-        for u, g in gam.items():
-            signs = 1.0 - 2.0 * ((parity(zs & u) + (int(u).bit_count() & 1)) & 1)
-            piece = signs * sector[zs ^ u]
-            contribs[u] = piece
-            mixed += g * piece
-        terms.extend((mixed ** power).tolist())
-        if want_grad:
-            outer = power * mixed ** (power - 1)
-            for j in range(n):
-                if not (x >> j) & 1:
-                    continue
-                dmix = np.zeros(size, dtype=np.float64)
-                for u, piece in contribs.items():
-                    flip = u ^ (1 << j)
-                    dg = 2.0 * np.pi * (gam[flip] if (u >> j) & 1 else -gam[flip])
-                    dmix += dg * piece
-                grad_terms[j].extend((outer * dmix).tolist())
-    f = math.fsum(terms)
+    f = math.fsum((mixed ** power).tolist())
     if not want_grad:
         return f, None
-    grad = np.array([math.fsum(col) for col in grad_terms], dtype=np.float64)
+    grad = np.empty(n, dtype=np.float64)
+    for j in range(n):
+        p, q = xy_pair(mixed, n, j)
+        terms = p * q * (q ** (power - 2) - p ** (power - 2))
+        grad[j] = 4.0 * np.pi * alpha * math.fsum(terms.ravel().tolist())
     return f, grad
 
 
@@ -260,4 +240,7 @@ def config_from_dict(obj: dict) -> OptimizerConfig:
     extra = set(obj) - known
     if extra:
         raise ValidationError(f"unknown optimizer config keys: {sorted(extra)}")
-    return replace(OptimizerConfig(), **obj)
+    try:
+        return replace(OptimizerConfig(), **obj)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed optimizer config: {exc}") from exc

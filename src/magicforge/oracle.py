@@ -176,7 +176,8 @@ def oracle_spectrum(st: DenseState) -> "PauliSpectrum":
         raise CapacityError(f"full Pauli sweep cap is n={MAX_SWEEP_QUBITS}, got {n}")
     size = 1 << n
     idx = np.arange(size, dtype=np.int64)
-    sign_mat = 1.0 - 2.0 * _parity(idx[:, None] & idx[None, :]).astype(np.float64)  # [z, b]
+    # [z, b]; complex like u, so the product does not cast the matrix per sector
+    sign_mat = (1.0 - 2.0 * _parity(idx[:, None] & idx[None, :])).astype(np.complex128)
     psi = st.amplitudes
     values = np.empty(size * size, dtype=np.float64)
     for x in range(size):

@@ -95,7 +95,7 @@ class StabilizerTableau:
         try:
             n = int(obj["n"])
             texts = list(obj["generators"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed tableau JSON: {exc}") from exc
         rows, h = [], []
         for s in texts:

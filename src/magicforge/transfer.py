@@ -10,7 +10,18 @@ where (sgn, pre) come from conjugating P(x, z^u) by C^dagger with exact signs,
 and Gamma_x(u; w) multiplies cos(2 pi w_j) on qubits of x outside u and
 sin(2 pi w_j) on qubits inside u.  Everything is derived in the Heisenberg
 picture (conjugate the observable, keep the state), which fixes the
-(-1)^|u| sign; the same convention is used by the optimizer objective.
+(-1)^|u| sign.
+
+Gamma and the sign both factor over qubits, so the submask sum is a product
+of n commuting 2x2 rotations: qubit j maps the pair (p, q) of entries at
+(x_j, z_j) = (1, 0) and (1, 1) to (c p - s q, s p + c q), with
+c, s = cos, sin(2 pi w_j), and leaves entries with x_j = 0 alone.
+`rotate_layer` applies them as n strided updates, O(n 4**n) work, and
+`xy_pair` is the one place that knows where those pairs sit in the
+x * 2**n + z layout.  The derivative of the layer in w_j is 2 pi times a
+quarter turn of the output pair, (p', q') -> (-q', p'), which the optimizer
+uses for its gradient.  The submask sum itself is kept as a test-side
+reference, and the dense oracle checks whole circuits.
 
 Clifford conjugation comes in two forms that are tested against each other:
 a scalar exact fold over gate image tables (`conjugate_label`) and a
@@ -25,7 +36,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ._bits import parity
 from .errors import CapacityError, ValidationError
 from .pauli_core import MAX_QUBITS, PauliLabel, pauli_mul, to_index
 from .diagonal_gates import PhasePolynomial, RotationVector
@@ -43,7 +53,10 @@ def _gate_qubits(n: int, gate: tuple) -> tuple[str, list[int]]:
     name = str(gate[0]).upper()
     if name not in _CLIFFORD_GATES:
         raise ValidationError(f"unsupported Clifford gate {gate[0]!r}")
-    qs = [int(q) for q in gate[1:]]
+    try:
+        qs = [int(q) for q in gate[1:]]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"qubit indices must be integers in {gate!r}") from exc
     want = 2 if name in ("CX", "CZ") else 1
     if len(qs) != want:
         raise ValidationError(f"{name} takes {want} qubit(s), got {gate!r}")
@@ -265,49 +278,30 @@ class LayerBlock:
             raise ValidationError("block rotation is on the wrong number of qubits")
 
 
-def gamma(x: int, u: int, w: RotationVector) -> float:
-    """Mixing coefficient Gamma_x(u; w); requires u to be a submask of x."""
-    if u & ~x:
-        raise ValidationError(f"u={u:#x} is not a submask of x={x:#x}")
-    out = 1.0
-    for j, wj in enumerate(w.angles()):
-        if (x >> j) & 1:
-            t = 2.0 * np.pi * wj
-            out *= np.sin(t) if (u >> j) & 1 else np.cos(t)
-    return float(out)
+def xy_pair(values: np.ndarray, n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the x_j = 1 entries of a spectrum vector at z_j = 0 and z_j = 1.
+
+    Both views share memory with ``values``, which must be C-contiguous.
+    """
+    hi, lo = 1 << (n - 1 - j), 1 << j
+    v = values.reshape(hi, 2, lo, hi, 2, lo)
+    return v[:, 1, :, :, 0], v[:, 1, :, :, 1]
 
 
-def _gamma_vector(x: int, angles: Sequence[float]) -> dict[int, float]:
-    """Gamma over every submask u of x, built by per-qubit extension."""
-    table = {0: 1.0}
+def rotate_layer(values: np.ndarray, angles: Sequence[float]) -> np.ndarray:
+    """Spectrum after a Z-rotation layer with the given angles (in turns).
+
+    Works on any real length-4**n vector, n = len(angles); returns a new array.
+    """
+    n = len(angles)
+    out = np.array(values, dtype=np.float64)
     for j, wj in enumerate(angles):
-        if not (x >> j) & 1:
-            continue
         t = 2.0 * np.pi * wj
         c, s = np.cos(t), np.sin(t)
-        nxt: dict[int, float] = {}
-        for u, g in table.items():
-            nxt[u] = g * c
-            nxt[u | (1 << j)] = g * s
-        table = nxt
-    return table
-
-
-def _mix_sqr_raw(n: int, arr: np.ndarray, angles: Sequence[float]) -> np.ndarray:
-    """Rotation-layer mixing on a raw length-4**n vector, sector by sector."""
-    size = 1 << n
-    zs = np.arange(size, dtype=np.int64)
-    out = np.empty_like(arr)
-    for x in range(size):
-        sector = arr[x * size:(x + 1) * size]
-        gam = _gamma_vector(x, angles)
-        acc = np.zeros(size, dtype=arr.dtype)
-        for u, g in gam.items():
-            if g == 0.0:
-                continue
-            signs = 1.0 - 2.0 * ((parity(zs & u) + (u.bit_count() & 1)) & 1)
-            acc += g * signs * sector[zs ^ u]
-        out[x * size:(x + 1) * size] = acc
+        p, q = xy_pair(out, n, j)
+        p_new = c * p - s * q
+        q[...] = s * p + c * q
+        p[...] = p_new
     return out
 
 
@@ -317,7 +311,7 @@ def _apply_block_raw(arr: np.ndarray, block: LayerBlock) -> np.ndarray:
         perm, sign = block.clifford.heisenberg_table()
         out = sign * out[perm]
     if block.w is not None:
-        out = _mix_sqr_raw(block.n, out, block.w.angles())
+        out = rotate_layer(out, block.w.angles())
     return out
 
 
@@ -398,7 +392,7 @@ def circuit_from_json(obj: Mapping) -> ParsedCircuit:
 
     try:
         n = int(obj["n"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"circuit JSON needs an integer 'n': {exc}") from exc
     if "initial" in obj:
         initial = StabilizerTableau.from_json(obj["initial"])

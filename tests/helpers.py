@@ -11,6 +11,8 @@ i**phase_exp * i**(popcount(x & z)) * X^x Z^z.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from magicforge.pauli_core import PauliLabel
@@ -127,6 +129,58 @@ def rotation_matrix(w) -> np.ndarray:
         theta = sum(angles[j] for j in range(w.n) if (b >> j) & 1)
         diag[b] = np.exp(2j * np.pi * theta)
     return np.diag(diag)
+
+
+def _gamma(x: int, u: int, angles, d: int | None) -> float:
+    """Gamma_x(u; w), or its derivative in w_d when d is given."""
+    g = 1.0
+    for j, wj in enumerate(angles):
+        t = 2.0 * math.pi * wj
+        inside = (u >> j) & 1
+        if j == d:
+            if not (x >> j) & 1:
+                return 0.0
+            g *= 2.0 * math.pi * (math.cos(t) if inside else -math.sin(t))
+        elif (x >> j) & 1:
+            g *= math.sin(t) if inside else math.cos(t)
+    return g
+
+
+def submask_mix(values: np.ndarray, angles, d: int | None = None) -> np.ndarray:
+    """Rotation layer on a length-4**n spectrum vector, by the submask sum.
+
+    a'(x, z) = sum over submasks u of x of
+               Gamma_x(u; w) * (-1)^(|u| + u.z) * a(x, z ^ u),
+
+    with Gamma_x(u; w) the product over qubits j of x of sin(2 pi w_j) if j
+    is in u, else cos(2 pi w_j).  With d given, Gamma is replaced by its
+    derivative in w_d, which gives the derivative of a' in w_d.
+    """
+    n = len(angles)
+    size = 1 << n
+    zs = np.arange(size)
+    out = np.zeros(size * size)
+    for x in range(size):
+        sector = np.asarray(values[x * size:(x + 1) * size], dtype=float)
+        u = x
+        while True:
+            signs = np.array([(-1.0) ** ((u.bit_count() + (z & u).bit_count()) & 1) for z in zs])
+            out[x * size:(x + 1) * size] += _gamma(x, u, angles, d) * signs * sector[zs ^ u]
+            if u == 0:
+                break
+            u = (u - 1) & x
+    return out
+
+
+def submask_objective(values: np.ndarray, angles, alpha: int) -> tuple[float, np.ndarray]:
+    """F_alpha after a rotation layer and its gradient, from ``submask_mix``."""
+    mixed = submask_mix(values, angles)
+    power = 2 * alpha
+    grad = [
+        float(np.sum(power * mixed ** (power - 1) * submask_mix(values, angles, d)))
+        for d in range(len(angles))
+    ]
+    return float(np.sum(mixed ** power)), np.array(grad)
 
 
 def fidelity(u: np.ndarray, v: np.ndarray) -> float:

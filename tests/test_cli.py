@@ -122,6 +122,14 @@ class TestOptimize:
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "ValidationError"
 
+    @pytest.mark.parametrize("config", [{"alpha": "abc"}, {"restarts": "x"}, {"seed": -1}])
+    def test_bad_config_value_exits_2(self, config, tableau_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["optimize", tableau_file, "--layers", "1", "--config", str(cfg)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
+
 
 class TestVerify:
     def test_small_sweep_passes(self, tmp_path):
@@ -131,13 +139,6 @@ class TestVerify:
         data = json.loads(open(out).read())
         assert data["passed"] is True
         assert data["max_abs_deviation"] <= data["tolerance"]
-
-    def test_threads_agree_with_serial(self, tmp_path):
-        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        main(["verify", "--n-max", "2", "--cases", "4", "-o", a])
-        main(["verify", "--n-max", "2", "--cases", "4", "--threads", "2", "-o", b])
-        da, db = json.loads(open(a).read()), json.loads(open(b).read())
-        assert da["max_abs_deviation"] == db["max_abs_deviation"]
 
 
 class TestZeroMagic:
@@ -200,6 +201,34 @@ class TestErrors:
         path.write_text("{not json")
         assert main(["magic", str(path)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command, body", [
+        ("magic", {"n": "abc", "layers": []}),
+        ("magic", {"n": 1, "initial": {"n": "abc", "generators": ["+Z"]}, "layers": []}),
+        ("magic", {"n": 1, "layers": [{"gate": {"terms": [{"m": "x", "a": "1", "c": 1}]}}]}),
+        ("magic", {"n": 1, "layers": [{"clifford": [["H", "a"]]}]}),
+        ("nogo", {"n": "abc", "sqr": {"m": 3, "k": [1]}}),
+    ])
+    def test_non_integer_field_exits_2(self, command, body, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(body))
+        assert main([command, str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
+
+    def test_negative_seed_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "-1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_internal_value_error_is_not_bad_input(self, circuit_file, monkeypatch):
+        # a fault inside the program is a crash, not exit code 2
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr("magicforge.cli.f_alpha", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["magic", circuit_file])
 
 
 class TestEntryPoint:

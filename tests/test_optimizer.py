@@ -18,7 +18,9 @@ from magicforge.optimizer import (
 )
 from magicforge.spectrum import f_alpha
 from magicforge.stabilizer import plus_tableau, random_stabilizer, zeros_tableau
-from magicforge.transfer import LayerBlock, apply_block, initial_spectrum
+from magicforge.transfer import LayerBlock, apply_block, initial_spectrum, random_clifford
+
+from helpers import submask_objective
 
 
 class TestObjective:
@@ -33,6 +35,18 @@ class TestObjective:
                     apply_block(s, LayerBlock(n, None, RotationVector.continuous(tuple(w)))), 2
                 )
                 assert abs(objective(s, w, 2) - direct) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_submask_reference(self, n):
+        rng = np.random.default_rng(20 + n)
+        s = initial_spectrum(random_stabilizer(n, int(rng.integers(1 << 30))))
+        s = apply_block(s, LayerBlock(n, random_clifford(n, rng),
+                                      RotationVector.continuous(tuple(rng.uniform(0, 1, n)))))
+        for alpha in (2, 3):
+            w = rng.uniform(0, 1, n)
+            f_ref, g_ref = submask_objective(s.values, w, alpha)
+            assert abs(objective(s, w, alpha) - f_ref) < 1e-10
+            assert np.max(np.abs(objective_grad(s, w, alpha) - g_ref)) < 1e-9
 
     def test_zero_rotation_is_identity(self):
         s = initial_spectrum(zeros_tableau(2))

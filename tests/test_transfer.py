@@ -16,14 +16,15 @@ from magicforge.transfer import (
     circuit_from_json,
     clifford_conjugate,
     conjugate_label,
-    gamma,
     identity_clifford,
     initial_spectrum,
     random_clifford,
+    rotate_layer,
     transfer_orthogonality_check,
+    xy_pair,
 )
 
-from helpers import circuit_matrix, pauli_matrix
+from helpers import circuit_matrix, pauli_matrix, submask_mix
 
 
 GATES_1Q = [("H", 0), ("S", 0), ("X", 0), ("Z", 0)]
@@ -166,29 +167,29 @@ class TestCliffordOp:
             CliffordOp(1, (("T", 0),))
 
 
-class TestGamma:
-    def test_submask_required(self):
-        with pytest.raises(ValidationError):
-            gamma(0b01, 0b10, RotationVector.continuous((0.1, 0.2)))
+class TestRotateLayer:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_submask_reference_on_generic_vectors(self, n):
+        rng = np.random.default_rng(10 + n)
+        for _ in range(3):
+            v = rng.standard_normal(4**n)
+            w = rng.uniform(0, 1, n)
+            assert np.max(np.abs(rotate_layer(v, w) - submask_mix(v, w))) < 1e-12
 
-    def test_product_form(self):
-        w = RotationVector.continuous((0.1, 0.2, 0.3))
-        x, u = 0b101, 0b100
-        want = np.cos(2 * np.pi * 0.1) * np.sin(2 * np.pi * 0.3)
-        assert abs(gamma(x, u, w) - want) < 1e-12
+    def test_leaves_input_alone(self):
+        v = np.arange(16, dtype=float)
+        rotate_layer(v, (0.3, 0.1))
+        assert np.array_equal(v, np.arange(16, dtype=float))
 
-    def test_unit_row_norm(self):
-        # the gamma values over submasks of x form a unit vector
-        w = RotationVector.continuous((0.13, 0.74, 0.09))
-        for x in range(8):
-            total = 0.0
-            u = x
-            while True:
-                total += gamma(x, u, w) ** 2
-                if u == 0:
-                    break
-                u = (u - 1) & x
-            assert abs(total - 1.0) < 1e-12
+    def test_xy_pair_layout(self):
+        # index x * 2**n + z; the pair holds x_j = 1 with z_j = 0 and z_j = 1
+        n = 3
+        v = np.arange(4**n, dtype=float)
+        for j in range(n):
+            p, q = xy_pair(v, n, j)
+            xs_j = {i for i in range(4**n) if (i >> (n + j)) & 1}
+            assert set(p.ravel()) == {i for i in xs_j if not (i >> j) & 1}
+            assert np.array_equal(q, p + (1 << j))
 
 
 class TestInitialSpectrum:
@@ -217,9 +218,10 @@ class TestApplyBlock:
         assert np.allclose(np.abs(out.values), [1, 0, r, r], atol=1e-12)
 
     def test_three_block_circuits_vs_oracle(self):
+        # signed entries, up to the n = 8 cap
         rng = np.random.default_rng(5)
-        for n in (2, 3):
-            for _ in range(6):
+        for n, cases in ((2, 6), (3, 6), (5, 1), (6, 1), (7, 1), (8, 1)):
+            for _ in range(cases):
                 tab = random_stabilizer(n, int(rng.integers(1 << 30)))
                 s = initial_spectrum(tab)
                 st = statevector(tab)
