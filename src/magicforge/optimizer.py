@@ -70,8 +70,6 @@ class OptimizerConfig:
 
 
 def _objective_parts(s: PauliSpectrum, w, alpha: int, want_grad: bool):
-    if s.kind != "real_signed":
-        raise ValidationError("objective is defined on real signed spectra")
     angles = np.asarray(w, dtype=np.float64)
     n = s.n
     if angles.shape != (n,):
@@ -104,16 +102,18 @@ def objective_grad(s: PauliSpectrum, w, alpha: int = 2) -> np.ndarray:
 def _descend(s: PauliSpectrum, w0: np.ndarray, config: OptimizerConfig):
     w = np.asarray(w0, dtype=np.float64).copy()
     f, _ = _objective_parts(s, w, config.alpha, want_grad=False)
+    grad = None  # gradient at w; kept through rejected steps, since w has not moved
     step = config.step
     iters = 0
     for _ in range(config.max_iters):
         iters += 1
-        _, grad = _objective_parts(s, w, config.alpha, want_grad=True)
+        if grad is None:
+            _, grad = _objective_parts(s, w, config.alpha, want_grad=True)
         w_try = w - step * grad
         f_try, _ = _objective_parts(s, w_try, config.alpha, want_grad=False)
         if f_try < f:
             drop = f - f_try
-            w, f = w_try, f_try
+            w, f, grad = w_try, f_try, None
             step *= 1.1
             if drop < config.tol:
                 break
@@ -151,8 +151,6 @@ def precondition_clifford(s: PauliSpectrum, config: OptimizerConfig = OptimizerC
     pre is the Heisenberg preimage of v; the identity is always candidate 0
     and ties keep the earliest candidate.
     """
-    if s.kind != "real_signed":
-        raise ValidationError("preconditioning works on real signed spectra")
     n = s.n
     rng = np.random.default_rng([config.seed, 1, *stream])
     pool = [identity_clifford(n)]
@@ -160,7 +158,7 @@ def precondition_clifford(s: PauliSpectrum, config: OptimizerConfig = OptimizerC
     size = 1 << n
     xw = np.bitwise_count((np.arange(size * size, dtype=np.int64) >> n)).astype(np.float64)
     uniform = 2.0 ** (-n)
-    a2 = np.asarray(s.values, dtype=np.float64) ** 2
+    a2 = s.values ** 2
     best, best_score = pool[0], -np.inf
     for cand in pool:
         perm, _ = cand.heisenberg_table()
@@ -194,7 +192,7 @@ def optimize_layer(s: PauliSpectrum, config: OptimizerConfig = OptimizerConfig()
     s_after = apply_block(s, block)
     f_direct = f_alpha(s_after, config.alpha)
     if abs(f_direct - f_star) > 1e-9:
-        raise ValidationError(
+        raise RuntimeError(
             f"objective ({f_star!r}) and transfer ({f_direct!r}) disagree past 1e-9"
         )
     return LayerResult(block, f_before, f_direct, s_after, iters)

@@ -185,9 +185,9 @@ def oracle_spectrum(st: DenseState) -> "PauliSpectrum":
         row = sign_mat @ u  # sum_b (-1)^(z.b) u[b]
         row = row * (1j) ** (np.bitwise_count(np.int64(x) & idx) & 3)
         if float(np.max(np.abs(row.imag))) > 1e-10:
-            raise ValidationError(f"non-Hermitian expectation at x={x:#x}; max imag {np.max(np.abs(row.imag))}")
+            raise RuntimeError(f"non-Hermitian expectation at x={x:#x}; max imag {np.max(np.abs(row.imag))}")
         values[x * size:(x + 1) * size] = row.real
-    return PauliSpectrum(n, values, kind="real_signed")
+    return PauliSpectrum(n, values)
 
 
 def overlap2(a: DenseState, b: DenseState) -> float:

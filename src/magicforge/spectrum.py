@@ -1,30 +1,36 @@
 """Closed-form Pauli spectra of diagonal gates on stabilizer states, and the
 magic functionals evaluated on spectra.
 
-For a stabilizer input with canonical data (r, pure-Z rows z_i, signs h'_i,
-coset references x -> (z_ref, s0)) and a diagonal gate with phase function
-theta, the output expectation at label (x, z) is
+A spectrum entry is a(x, z) = <psi| P(x, z) |psi> with the Hermitian label
+P(x, z) = i^(x.z) X^x Z^z, so every entry of every spectrum is real.
+
+Take a stabilizer input with canonical data: r pure-Z rows z_i with signs
+h'_i, and for each x in the X-part row space a group element
+(-1)^s0 P(x, z_ref).  The input amplitudes have modulus 2^(-(n-r)/2) on the
+support (the b with b.z_i = h'_i for every pure-Z row) and vanish off it.
+The group element fixes the input, which ties psi(b^x) to psi(b) by a known
+sign and power of i.  Substituting that relation into the expectation after
+a diagonal gate with phase function theta gives, exactly,
 
     a(x, z) = i^(x.z) * (2^r / 2^n) * (-1)^s0 * i^(x.z_ref) * (-1)^(z_ref.x)
               * sum over support b of
-                    e^(2 pi i (theta(b) - theta(b^x))) (-1)^(z_ref.b) (-1)^(z.b)
+                    e^(2 pi i (theta(b) - theta(b^x))) (-1)^(z_ref.b) (-1)^(z.b).
 
-where the support is the set of b with b.z_i = h'_i for every pure-Z row.
-Labels with x outside the X-part row space are zero; equivalently some
-x.z_i is odd there, which is the only place the integer obstruction
-k_i = (x.z_i mod 4)/2 matters.  The z sum over each x sector is a plain
-Walsh-Hadamard transform of the masked phase vector.
-
-Only magnitudes are gauge independent: (z_ref, s0) are a fixed choice of
-coset representative (smallest z index), and different choices rotate each
-x sector by a phase.  Entries at x = 0 carry no gauge and reproduce the
-tableau expectations exactly.
+(z_ref, s0) is a real group element with its true sign, not a choice of
+phase: any other element of the same coset differs from it by a signed
+pure-Z element, which acts as +1 on the support and leaves the sum
+unchanged.  So the formula is exact and real.  It is evaluated in complex
+arithmetic, and the evaluator checks that the imaginary parts vanish to
+1e-12.  Labels with x outside the X-part row space are zero.  For each x
+sector the z sum is a Walsh-Hadamard transform of the masked phase vector,
+and all sectors go through one batched transform.
 
 Dense enumeration is capped at n = 8 (4**n = 65536 entries).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -32,7 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._bits import parity, popcount
-from .diagonal_gates import PhasePolynomial, RotationVector, theta_diff
+from .diagonal_gates import PhasePolynomial, RotationVector, value_numerators
 from .errors import CapacityError, ValidationError
 
 if TYPE_CHECKING:
@@ -40,30 +46,26 @@ if TYPE_CHECKING:
 
 MAX_SPECTRUM_QUBITS = 8
 
-_KINDS = ("real_signed", "complex_gauged")
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 @dataclass(frozen=True)
 class PauliSpectrum:
-    """All 4**n Pauli expectations of a pure state, indexed x * 2**n + z.
+    """All 4**n real Pauli expectations of a pure state, indexed x * 2**n + z.
 
-    real_signed spectra are float valued (stabilizer states, transfer
-    outputs); complex_gauged spectra carry per-sector phases fixed by the
-    evaluator's coset gauge.  Both satisfy sum |a|^2 = 2**n and a = 1 at the
-    identity label, checked on construction to 1e-9.
+    Values are stored as float64; complex input is rejected.  Construction
+    checks sum a^2 = 2**n and a = 1 at the identity label, to 1e-9.
     """
 
     n: int
     values: np.ndarray
-    kind: str
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_SPECTRUM_QUBITS:
             raise CapacityError(f"spectra support 1..{MAX_SPECTRUM_QUBITS} qubits, got {self.n}")
-        if self.kind not in _KINDS:
-            raise ValidationError(f"unknown spectrum kind {self.kind!r}")
-        dtype = np.float64 if self.kind == "real_signed" else np.complex128
-        vals = np.asarray(self.values, dtype=dtype)
+        if np.iscomplexobj(self.values):
+            raise ValidationError("spectrum entries are real; got a complex array")
+        vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (1 << (2 * self.n),):
             raise ValidationError(
                 f"spectrum has shape {vals.shape}, expected ({1 << (2 * self.n)},)"
@@ -71,49 +73,46 @@ class PauliSpectrum:
         total = math.fsum(np.abs(vals) ** 2)
         if abs(total - float(1 << self.n)) > 1e-9:
             raise ValidationError(f"spectrum norm {total!r} != 2**n")
-        if abs(complex(vals[0]) - 1.0) > 1e-9:
+        if abs(vals[0] - 1.0) > 1e-9:
             raise ValidationError(f"identity entry is {vals[0]!r}, expected 1")
         object.__setattr__(self, "values", vals)
 
     def abs2(self) -> np.ndarray:
-        a = np.abs(self.values)
-        return a * a
+        return self.values * self.values
 
-    def entry(self, x: int, z: int):
+    def entry(self, x: int, z: int) -> float:
         return self.values[(x << self.n) | z]
 
 
-def _fwht(vec: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform, out[z] = sum_b vec[b] (-1)^(z.b)."""
-    out = vec.copy()
-    h = 1
-    while h < out.size:
-        for start in range(0, out.size, 2 * h):
-            a = out[start:start + h]
-            b = out[start + h:start + 2 * h]
-            a, b = a + b, a - b
-            out[start:start + h] = a
-            out[start + h:start + 2 * h] = b
-        h *= 2
-    return out
+def _closed_form(c: "CanonicalTableau", phase_turns) -> PauliSpectrum:
+    """The module formula for every sector at once.
 
-
-def _sector_gauge(c: "CanonicalTableau", x: int) -> tuple[int, int, complex]:
-    """(z_ref, s0, scalar) for one x sector; scalar collects all b-independent
-    factors except i^(x.z)."""
-    z_ref, s0 = c.cosets[x]
-    scale = float(1 << c.r) / float(1 << c.n)
-    phase = (1j) ** ((x & z_ref).bit_count() & 3)
-    sign = -1.0 if s0 else 1.0
-    ref_sign = -1.0 if (z_ref & x).bit_count() & 1 else 1.0
-    return z_ref, s0, scale * sign * phase * ref_sign
-
-
-def _finish_sector(n: int, x: int, row: np.ndarray, scalar: complex, out: np.ndarray) -> None:
+    ``phase_turns(xs, supp)[k, i]`` is theta(supp[i]) - theta(supp[i] ^ xs[k])
+    in turns, for the sectors xs and the support states supp.
+    """
+    n = c.n
     size = 1 << n
-    zs = np.arange(size, dtype=np.int64)
-    ixz = (1j) ** (popcount(np.int64(x) & zs) & 3)
-    out[x * size:(x + 1) * size] = ixz * scalar * row
+    xs = np.fromiter(c.cosets, dtype=np.int64, count=len(c.cosets))
+    z_ref, s0 = np.array(list(c.cosets.values()), dtype=np.int64).reshape(-1, 2).T
+    if c.z_pure and np.any(parity(xs[:, None] & np.array(c.z_pure, dtype=np.int64))):
+        raise ValidationError("coset element with odd pure-Z overlap")
+    supp = np.asarray(c.support_states(), dtype=np.int64)
+    v = np.zeros((len(xs), size), dtype=np.complex128)
+    ref_signs = 1 - 2 * parity(supp & z_ref[:, None])
+    v[:, supp] = np.exp(2j * np.pi * phase_turns(xs, supp)) * ref_signs
+    for j in range(n):  # Walsh-Hadamard butterflies on bit j of every row
+        v = v.reshape(len(xs), -1, 2, 1 << j)
+        v = np.stack((v[:, :, 0] + v[:, :, 1], v[:, :, 0] - v[:, :, 1]), axis=2)
+    ref = popcount(xs & z_ref).astype(np.int64)
+    scalar = (float(1 << c.r) / size) * (1 - 2 * (s0 ^ (ref & 1))) * _I_POWERS[ref & 3]
+    ixz = _I_POWERS[popcount(xs[:, None] & np.arange(size, dtype=np.int64)) & 3]
+    rows = ixz * scalar[:, None] * v.reshape(len(xs), size)
+    worst = float(np.max(np.abs(rows.imag)))
+    if worst > 1e-12:
+        raise RuntimeError(f"closed form has an imaginary part {worst!r} > 1e-12")
+    out = np.zeros((size, size), dtype=np.float64)
+    out[xs] = rows.real
+    return PauliSpectrum(n, out.reshape(-1))
 
 
 def shallow_spectrum(c: "CanonicalTableau", f: PhasePolynomial) -> PauliSpectrum:
@@ -123,23 +122,12 @@ def shallow_spectrum(c: "CanonicalTableau", f: PhasePolynomial) -> PauliSpectrum
         raise CapacityError(f"shallow_spectrum cap is n={MAX_SPECTRUM_QUBITS}, got {n}")
     if f.n != n:
         raise ValidationError(f"gate on {f.n} qubits, state on {n}")
-    size = 1 << n
-    supp = c.support_states()
-    out = np.zeros(size * size, dtype=np.complex128)
-    for x in c.cosets:
-        for z_i in c.z_pure:
-            if (x & z_i).bit_count() & 1:
-                raise ValidationError("coset element with odd pure-Z overlap")
-        z_ref, _, scalar = _sector_gauge(c, x)
-        v = np.zeros(size, dtype=np.complex128)
-        for b in supp:
-            turn = theta_diff(f, b, x)
-            amp = np.exp(2j * np.pi * float(turn)) if turn else 1.0
-            if (z_ref & b).bit_count() & 1:
-                amp = -amp
-            v[b] = amp
-        _finish_sector(n, x, _fwht(v), scalar, out)
-    return PauliSpectrum(n, out, kind="complex_gauged")
+    vals, m = value_numerators(f)
+
+    def phase_turns(xs, supp):
+        return ((vals[supp] - vals[supp ^ xs[:, None]]) & ((1 << m) - 1)) / float(1 << m)
+
+    return _closed_form(c, phase_turns)
 
 
 def sqr_shallow_spectrum(c: "CanonicalTableau", w: RotationVector) -> PauliSpectrum:
@@ -155,21 +143,15 @@ def sqr_shallow_spectrum(c: "CanonicalTableau", w: RotationVector) -> PauliSpect
         raise CapacityError(f"sqr_shallow_spectrum cap is n={MAX_SPECTRUM_QUBITS}, got {n}")
     if w.n != n:
         raise ValidationError(f"rotation on {w.n} qubits, state on {n}")
-    size = 1 << n
-    supp = np.asarray(c.support_states(), dtype=np.int64)
+    qubits = np.arange(n)
     angles = np.asarray(w.angles(), dtype=np.float64)
-    bits = ((supp[:, None] >> np.arange(n)) & 1).astype(np.float64)  # [b, j]
-    out = np.zeros(size * size, dtype=np.complex128)
-    for x in c.cosets:
-        z_ref, _, scalar = _sector_gauge(c, x)
-        wx = np.where((x >> np.arange(n)) & 1 == 1, angles, 0.0)
-        turns = 2.0 * (bits @ wx) - float(np.sum(wx))
-        amps = np.exp(2j * np.pi * turns)
-        amps *= 1.0 - 2.0 * parity(supp & z_ref)
-        v = np.zeros(size, dtype=np.complex128)
-        v[supp] = amps
-        _finish_sector(n, x, _fwht(v), scalar, out)
-    return PauliSpectrum(n, out, kind="complex_gauged")
+
+    def phase_turns(xs, supp):
+        bits = ((supp[:, None] >> qubits) & 1).astype(np.float64)  # [b, j]
+        wx = ((xs[:, None] >> qubits) & 1) * angles  # [x, j]
+        return 2.0 * (wx @ bits.T) - np.sum(wx, axis=1)[:, None]
+
+    return _closed_form(c, phase_turns)
 
 
 def f_alpha(s: PauliSpectrum, alpha: int = 2) -> float:
@@ -214,19 +196,12 @@ def stabilizer_max(n: int) -> float:
 
 
 def spectrum_csv_rows(s: PauliSpectrum) -> list[tuple[str, str, float, float, float]]:
-    """Rows (x_bits, z_bits, re, im, abs2) with qubit 1 leftmost in the strings."""
-    rows = []
-    size = 1 << s.n
-    for v in range(size * size):
-        x, z = v >> s.n, v & (size - 1)
-        val = complex(s.values[v])
-        rows.append(
-            (
-                format(x, f"0{s.n}b")[::-1],
-                format(z, f"0{s.n}b")[::-1],
-                val.real,
-                val.imag,
-                abs(val) ** 2,
-            )
-        )
-    return rows
+    """Rows (x_bits, z_bits, re, im, abs2) with qubit 1 leftmost in the strings.
+
+    Entries are real, so ``im`` is always 0.0.
+    """
+    labels = [format(v, f"0{s.n}b")[::-1] for v in range(1 << s.n)]
+    return [
+        (x, z, a, 0.0, abs(a) ** 2)
+        for (x, z), a in zip(itertools.product(labels, repeat=2), s.values.tolist())
+    ]

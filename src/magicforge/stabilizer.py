@@ -10,9 +10,10 @@ Canonical form: generators are re-chosen (row operations only, same group) so
 the x-parts of the mixed rows are in reduced row echelon form with pivots in
 ascending qubit order, followed by r pure-Z rows whose z-parts are in RREF.
 On top of the block shape we store, for every x in the X-part row space, the
-group element with the smallest z index: the pair (z_ref, s0).  Those
-references fix the gauge used by the closed-form spectrum evaluator; only
-entry magnitudes are gauge independent.
+group element with the smallest z index: the pair (z_ref, s0).  Each is a
+real group element with its true sign, and the closed-form spectrum
+evaluator uses it as the coset reference; any element of the same coset
+gives the same, exact, signed spectrum.
 
 The canonical coset table enumerates all 2**n group elements, so
 canonicalization is capped at n = 16.  Plain tableau construction and row
@@ -137,7 +138,7 @@ def product_tableau(n: int, frozen: Mapping[int, int]) -> StabilizerTableau:
 
 @dataclass(frozen=True)
 class CanonicalTableau:
-    """Canonicalized tableau plus the gauge references used by the evaluator.
+    """Canonicalized tableau plus the coset references used by the evaluator.
 
     rows/h: the re-chosen generators, mixed block first (x-parts in RREF),
     then r pure-Z rows (z-parts in RREF).  cosets maps each x in the X-part
@@ -218,7 +219,7 @@ def _rref_rows(work: list[PauliLabel], n: int, start: int, part: str) -> int:
 
 
 def canonicalize(t: StabilizerTableau) -> CanonicalTableau:
-    """Block-canonical generators plus the per-x gauge reference table."""
+    """Block-canonical generators plus the per-x coset reference table."""
     if t.n > MAX_CANONICAL_QUBITS:
         raise CapacityError(f"canonicalize cap is n={MAX_CANONICAL_QUBITS}, got {t.n}")
     work = t.signed_rows()

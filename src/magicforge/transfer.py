@@ -50,6 +50,8 @@ _CLIFFORD_GATES = ("H", "S", "X", "Z", "CX", "CZ")
 
 
 def _gate_qubits(n: int, gate: tuple) -> tuple[str, list[int]]:
+    if not isinstance(gate, (list, tuple)) or not gate:
+        raise ValidationError(f"a Clifford gate is a list [name, qubit, ...], got {gate!r}")
     name = str(gate[0]).upper()
     if name not in _CLIFFORD_GATES:
         raise ValidationError(f"unsupported Clifford gate {gate[0]!r}")
@@ -182,9 +184,11 @@ class CliffordOp:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValidationError(f"n={self.n} outside 1..{MAX_QUBITS}")
+        if not isinstance(self.gates, (list, tuple)):
+            raise ValidationError(f"a Clifford circuit is a list of gates, got {self.gates!r}")
         gates = []
         for gate in self.gates:
-            name, qs = _gate_qubits(self.n, tuple(gate))
+            name, qs = _gate_qubits(self.n, gate)
             gates.append((name, *qs))
         self.gates = tuple(gates)
 
@@ -224,7 +228,7 @@ class CliffordOp:
         for gate in self.inverse().gates:
             _conjugate_arrays(n, gate, X, Z, PH)
         if np.any(PH % 2 != 0):
-            raise ValidationError("Clifford conjugation produced imaginary phases")
+            raise RuntimeError("Clifford conjugation produced imaginary phases")
         perm = (X << n) | Z
         sign = np.where(PH == 0, 1.0, -1.0)
         self._tables["heis"] = (perm, sign)
@@ -325,21 +329,18 @@ def initial_spectrum(t: "StabilizerTableau") -> "PauliSpectrum":
     values = np.zeros(1 << (2 * t.n), dtype=np.float64)
     for elem in group_elements(canonicalize(t)):
         if elem.phase_exp % 2 != 0:
-            raise ValidationError("group walk produced a non-Hermitian element")
+            raise RuntimeError("group walk produced a non-Hermitian element")
         values[to_index(PauliLabel(t.n, elem.x, elem.z))] = 1.0 if elem.phase_exp == 0 else -1.0
-    return PauliSpectrum(t.n, values, kind="real_signed")
+    return PauliSpectrum(t.n, values)
 
 
 def apply_block(s: "PauliSpectrum", block: LayerBlock) -> "PauliSpectrum":
-    """Push a real signed spectrum through one Clifford + rotation block."""
+    """Push a spectrum through one Clifford + rotation block."""
     from .spectrum import PauliSpectrum
 
-    if s.kind != "real_signed":
-        raise ValidationError("transfer blocks act on real signed spectra only")
     if block.n != s.n:
         raise ValidationError(f"block on {block.n} qubits, spectrum on {s.n}")
-    values = _apply_block_raw(np.asarray(s.values, dtype=np.float64), block)
-    return PauliSpectrum(s.n, values, kind="real_signed")
+    return PauliSpectrum(s.n, _apply_block_raw(s.values, block))
 
 
 def transfer_orthogonality_check(block: LayerBlock, trials: int, seed: int = 0) -> float:
@@ -348,6 +349,8 @@ def transfer_orthogonality_check(block: LayerBlock, trials: int, seed: int = 0) 
     The vectors are generic, not physical spectra; the map must still be an
     isometry of R^(4**n).
     """
+    if block.n > MAX_BLOCK_QUBITS:
+        raise CapacityError(f"transfer cap is n={MAX_BLOCK_QUBITS}, got {block.n}")
     rng = np.random.default_rng(seed)
     size = 1 << (2 * block.n)
     worst = 0.0
@@ -400,19 +403,24 @@ def circuit_from_json(obj: Mapping) -> ParsedCircuit:
             raise ValidationError("initial tableau size disagrees with circuit n")
     else:
         initial = plus_tableau(n)
+    raw_layers = obj.get("layers", [])
+    if not isinstance(raw_layers, list):
+        raise ValidationError(f"circuit 'layers' must be a list, got {raw_layers!r}")
     layers: list[tuple] = []
-    for i, layer in enumerate(obj.get("layers", [])):
+    for i, layer in enumerate(raw_layers):
         if not isinstance(layer, Mapping) or len(layer) != 1:
             raise ValidationError(f"layer {i} must be a single-key object")
         (kind, body), = layer.items()
         if kind == "clifford":
-            layers.append(("clifford", CliffordOp(n, tuple(tuple(g) for g in body))))
+            layers.append(("clifford", CliffordOp(n, body)))
         elif kind == "sqr":
             w = RotationVector.from_json(body)
             if w.n != n:
                 raise ValidationError(f"layer {i} rotation has {w.n} angles, circuit has n={n}")
             layers.append(("sqr", w))
         elif kind == "gate":
+            if not isinstance(body, Mapping):
+                raise ValidationError(f"layer {i} gate must be an object, got {body!r}")
             f = PhasePolynomial.from_json({"n": n, **body} if "terms" in body or "sqr" in body else body)
             if f.n != n:
                 raise ValidationError(f"layer {i} gate is on {f.n} qubits, circuit has n={n}")

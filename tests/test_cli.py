@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from magicforge.cli import main
@@ -215,6 +216,19 @@ class TestErrors:
         assert main([command, str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
 
+    @pytest.mark.parametrize("body", [
+        {"n": 1, "layers": 5},
+        {"n": 1, "layers": [{"clifford": 5}]},
+        {"n": 1, "layers": [{"clifford": [5]}]},
+        {"n": 1, "layers": [{"clifford": [[]]}]},
+        {"n": 1, "layers": [{"gate": 5}]},
+    ])
+    def test_malformed_circuit_exits_2(self, body, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(body))
+        assert main(["magic", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
+
     def test_negative_seed_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--seed", "-1"])
@@ -229,6 +243,15 @@ class TestErrors:
         monkeypatch.setattr("magicforge.cli.f_alpha", broken)
         with pytest.raises(ValueError, match="internal fault"):
             main(["magic", circuit_file])
+
+    def test_objective_transfer_mismatch_is_not_bad_input(self, tableau_file, monkeypatch):
+        # the optimizer's claimed minimum disagrees with the transfer: a program fault
+        def wrong_minimum(s, config, stream=(0,)):
+            return np.zeros(s.n), -1.0, 0
+
+        monkeypatch.setattr("magicforge.optimizer._optimize_angles_full", wrong_minimum)
+        with pytest.raises(RuntimeError, match="disagree"):
+            main(["optimize", tableau_file, "--layers", "1"])
 
 
 class TestEntryPoint:

@@ -42,27 +42,37 @@ def closed(tab, f):
 
 class TestContainer:
     def test_norm_enforced(self):
-        vals = np.zeros(4, dtype=complex)
+        vals = np.zeros(4)
         vals[0] = 1.0
         with pytest.raises(ValidationError):
-            PauliSpectrum(1, vals * 0.5, "complex_gauged")
+            PauliSpectrum(1, vals * 0.5)
 
     def test_identity_entry_enforced(self):
-        vals = np.zeros(4, dtype=complex)
+        vals = np.zeros(4)
         vals[1] = np.sqrt(2.0)
         with pytest.raises(ValidationError):
-            PauliSpectrum(1, vals, "complex_gauged")
+            PauliSpectrum(1, vals)
+
+    def test_complex_input_rejected(self):
+        # entries are expectations of Hermitian operators; complex input is an error, not a cast
+        vals = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex)
+        with pytest.raises(ValidationError):
+            PauliSpectrum(1, vals)
+
+    def test_values_are_float64(self):
+        s = PauliSpectrum(1, [1, 1, 0, 0])
+        assert s.values.dtype == np.float64
+        assert closed(plus_tableau(1), make_gate("T", [1], 1)).values.dtype == np.float64
 
     def test_entry_accessor(self):
         s = closed(plus_tableau(1), make_gate("T", [1], 1))
-        assert abs(s.entry(1, 0) - complex(np.sqrt(0.5))) < 1e-12
+        assert abs(s.entry(1, 0) - np.sqrt(0.5)) < 1e-12
 
 
 class TestGoldens:
     def test_t_on_plus(self):
         s = closed(plus_tableau(1), make_gate("T", [1], 1))
-        mags = np.abs(s.values)
-        assert np.allclose(mags, [1, 0, np.sqrt(0.5), np.sqrt(0.5)], atol=1e-12)
+        assert np.allclose(s.values, [1, 0, np.sqrt(0.5), np.sqrt(0.5)], rtol=0, atol=1e-12)
         assert abs(f_alpha(s, 2) - 1.5) < 1e-12
         assert abs(sre(s, 2) - math.log2(4.0 / 3.0)) < 1e-12
 
@@ -82,17 +92,14 @@ class TestGoldens:
         tab = StabilizerTableau.from_json({"n": 2, "generators": ["+YX", "+ZZ"]})
         s = closed(tab, make_gate("CZ", [1, 2], 2))  # any Clifford diagonal keeps structure
         o = oracle_spectrum(apply_diagonal(statevector(tab), make_gate("CZ", [1, 2], 2)))
-        assert np.max(np.abs(np.abs(s.values) - np.abs(o.values))) < 1e-12
-        # without any gate: YX and XY entries are +1, YY vanishes
-        bare = closed(tab, make_gate("CZ", [1, 2], 2))
-        del bare
+        assert np.max(np.abs(s.values - o.values)) < 1e-12
         s0 = shallow_spectrum(canonicalize(tab), make_gate("Z", [1], 2))
         o0 = oracle_spectrum(apply_diagonal(statevector(tab), make_gate("Z", [1], 2)))
-        assert np.max(np.abs(np.abs(s0.values) - np.abs(o0.values))) < 1e-12
+        assert np.max(np.abs(s0.values - o0.values)) < 1e-12
 
 
 class TestClosedFormVsOracle:
-    def test_random_magnitude_sweep(self):
+    def test_random_signed_sweep(self):
         rng = np.random.default_rng(10)
         for n in (1, 2, 3, 4):
             for _ in range(15):
@@ -100,7 +107,22 @@ class TestClosedFormVsOracle:
                 f = random_polynomial(n, rng)
                 s = closed(tab, f)
                 o = oracle_spectrum(apply_diagonal(statevector(tab), f))
-                assert np.max(np.abs(np.abs(s.values) - np.abs(o.values))) < 1e-10
+                assert np.max(np.abs(s.values - o.values)) < 1e-10
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_signed_sweep_up_to_cap(self, n):
+        # both closed forms, entry for entry with sign, up to the n = 8 cap
+        rng = np.random.default_rng([16, n])
+        for _ in range(3):
+            tab = random_stabilizer(n, int(rng.integers(1 << 30)))
+            st = statevector(tab)
+            f = random_polynomial(n, rng)
+            o = oracle_spectrum(apply_diagonal(st, f))
+            assert np.max(np.abs(closed(tab, f).values - o.values)) < 1e-10
+            w = RotationVector.continuous(tuple(rng.uniform(0, 1, n)))
+            o = oracle_spectrum(apply_rotation(st, w))
+            s = sqr_shallow_spectrum(canonicalize(tab), w)
+            assert np.max(np.abs(s.values - o.values)) < 1e-10
 
     def test_norm_identity(self):
         rng = np.random.default_rng(11)
@@ -116,12 +138,9 @@ class TestClosedFormVsOracle:
             tab = random_stabilizer(3, int(rng.integers(1 << 30)))
             f = random_polynomial(3, rng)
             s = closed(tab, f)
-            bare = closed(tab, make_gate("Z", [1], 3))
             plain = oracle_spectrum(statevector(tab))
-            for z in range(8):
-                idx = z  # x = 0 block
-                assert abs(abs(s.values[idx]) - abs(plain.values[idx])) < 1e-12
-            del bare
+            # the x = 0 block is the first 2**n entries
+            assert np.max(np.abs(s.values[:8] - plain.values[:8])) < 1e-12
 
 
 class TestSqrPath:
@@ -143,7 +162,7 @@ class TestSqrPath:
                 w = RotationVector.continuous(tuple(rng.uniform(0, 1, n)))
                 s = sqr_shallow_spectrum(canonicalize(tab), w)
                 o = oracle_spectrum(apply_rotation(statevector(tab), w))
-                assert np.max(np.abs(np.abs(s.values) - np.abs(o.values))) < 1e-10
+                assert np.max(np.abs(s.values - o.values)) < 1e-10
 
     def test_product_state_per_qubit_structure(self):
         # on |+>^n each qubit contributes (1, cos, sin, 0) independently
@@ -152,8 +171,8 @@ class TestSqrPath:
         for j, wj in enumerate(w.values):
             x = 1 << j
             c, sn = np.cos(2 * np.pi * wj), np.sin(2 * np.pi * wj)
-            assert abs(abs(s.entry(x, 0)) - abs(c)) < 1e-12
-            assert abs(abs(s.entry(x, x)) - abs(sn)) < 1e-12
+            assert abs(s.entry(x, 0) - c) < 1e-12
+            assert abs(s.entry(x, x) - sn) < 1e-12
             assert abs(s.entry(0, x)) < 1e-12
 
 

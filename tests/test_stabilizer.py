@@ -100,7 +100,7 @@ class TestCanonicalize:
             assert sorted(c.support_states()) == dense_supp
 
     def test_coset_gauge_is_minimal_z(self):
-        # per x-coset the gauge is the group element with the smallest z-part
+        # per x-coset the reference is the group element with the smallest z-part
         for tab in random_cases(per_n=5):
             c = canonicalize(tab)
             by_x = {}

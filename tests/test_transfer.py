@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from magicforge.diagonal_gates import RotationVector
-from magicforge.errors import ValidationError
+from magicforge.errors import CapacityError, ValidationError
 from magicforge.oracle import apply_gates, apply_rotation, oracle_spectrum, statevector
 from magicforge.pauli_core import PauliLabel, from_index, pauli_to_text, to_index
 from magicforge.spectrum import f_alpha
@@ -273,6 +273,11 @@ class TestOrthogonality:
                 RotationVector.continuous(tuple(rng.uniform(0, 1, n))),
             )
             assert transfer_orthogonality_check(block, trials=30, seed=0) < 1e-9
+
+    def test_cap_checked_before_drawing_vectors(self):
+        block = LayerBlock(9, None, RotationVector.continuous((0.1,) * 9))
+        with pytest.raises(CapacityError):
+            transfer_orthogonality_check(block, trials=1)
 
 
 class TestCircuitJson:
