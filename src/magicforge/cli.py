@@ -25,10 +25,11 @@ import numpy as np
 
 from . import __version__
 from .diagonal_gates import PhasePolynomial, RotationVector, random_polynomial
-from .errors import MagicforgeError, SearchError, ValidationError
+from .errors import CapacityError, MagicforgeError, SearchError, ValidationError
 from .oracle import apply_diagonal, apply_gates, apply_rotation, oracle_spectrum, statevector
 from .optimizer import OptimizerConfig, config_from_dict, run_pipeline
 from .spectrum import (
+    MAX_SPECTRUM_QUBITS,
     PauliSpectrum,
     f_alpha,
     flat_bound,
@@ -108,13 +109,17 @@ def _csv_text(manifest: dict, header: list[str], rows, extra_comments: list[str]
 
 
 def _load_json(path: str) -> dict:
+    """Read a JSON input file; every command takes an object at the top level."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path} must hold a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _oracle_run(parsed: ParsedCircuit):
@@ -242,6 +247,8 @@ def _verify_case(n: int, seed_parts: tuple) -> float:
 
 
 def _cmd_verify(args) -> int:
+    if args.n_max > MAX_SPECTRUM_QUBITS:
+        raise CapacityError(f"verify cap is n={MAX_SPECTRUM_QUBITS}, got --n-max {args.n_max}")
     manifest = _manifest(
         "verify", [], args.seed,
         {"n_max": args.n_max, "cases": args.cases, "tolerance": _TOLERANCE_VERIFY},

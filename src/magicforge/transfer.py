@@ -23,10 +23,13 @@ quarter turn of the output pair, (p', q') -> (-q', p'), which the optimizer
 uses for its gradient.  The submask sum itself is kept as a test-side
 reference, and the dense oracle checks whole circuits.
 
-Clifford conjugation comes in two forms that are tested against each other:
-a scalar exact fold over gate image tables (`conjugate_label`) and a
-vectorized whole-register update used to build lookup tables for all 4**n
-labels at once.
+Clifford conjugation comes in two forms that are tested against each other.
+The scalar exact fold over gate image tables (`conjugate_label`,
+`CliffordOp.conjugate`) is the reference.  `CliffordOp.heisenberg_table`
+builds the lookup table for all 4**n labels: it conjugates only the 2n
+generators Z_k and X_j, as a bit-sliced 2n-row stabilizer tableau
+(Aaronson & Gottesman, quant-ph/0406196), and then fills in every label by
+doubling over the 2n index bits, one group multiplication per new entry.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ def conjugate_label(gate: tuple, p: PauliLabel) -> PauliLabel:
 
     Splits the label into i^phase * X^x Z^z, replaces the factors on the
     gate's qubits by their images, and remultiplies with pauli_mul.  Slow and
-    trustworthy; the vectorized path is checked against this.
+    trustworthy; `CliffordOp.heisenberg_table` is checked against this.
     """
     n = p.n
     name, qs = _gate_qubits(n, gate)
@@ -132,45 +135,48 @@ def conjugate_label(gate: tuple, p: PauliLabel) -> PauliLabel:
     return acc
 
 
-def _conjugate_arrays(n: int, gate: tuple, X: np.ndarray, Z: np.ndarray, PH: np.ndarray) -> None:
-    """In-place u (.) u^dagger on parallel label arrays (closed-form updates)."""
-    name, qs = _gate_qubits(n, gate)
-    if name == "H":
-        (j,) = qs
-        xj, zj = (X >> j) & 1, (Z >> j) & 1
-        PH += 2 * (xj & zj)
-        diff = (xj ^ zj) << j
-        X ^= diff
-        Z ^= diff
-    elif name == "S":
-        (j,) = qs
-        xj, zj = (X >> j) & 1, (Z >> j) & 1
-        PH += 2 * (xj & zj)
-        Z ^= xj << j
-    elif name == "X":
-        (j,) = qs
-        PH += 2 * ((Z >> j) & 1)
-    elif name == "Z":
-        (j,) = qs
-        PH += 2 * ((X >> j) & 1)
-    elif name == "CX":
-        c, t = qs
-        xc, zc = (X >> c) & 1, (Z >> c) & 1
-        xt, zt = (X >> t) & 1, (Z >> t) & 1
-        zc2 = zc ^ zt
-        xt2 = xt ^ xc
-        PH += (xc & zc) + (xt & zt) - (xc & zc2) - (xt2 & zt)
-        X ^= (xt ^ xt2) << t
-        Z ^= (zc ^ zc2) << c
-    else:  # CZ
-        a, b = qs
-        xa, za = (X >> a) & 1, (Z >> a) & 1
-        xb, zb = (X >> b) & 1, (Z >> b) & 1
-        za2 = za ^ xb
-        zb2 = zb ^ xa
-        PH += (xa & za) + (xb & zb) - (xa & za2) - (xb & zb2) + 2 * (xa & xb)
-        Z ^= ((za ^ za2) << a) | ((zb ^ zb2) << b)
-    PH &= 3
+def _heisenberg_generators(n: int, gates: tuple[tuple, ...]) -> list[tuple[int, int]]:
+    """Images of the 2n generators under C^dagger (.) C, as (x << n | z, p) pairs.
+
+    Row k < n of the tableau is Z_k and row n + j is X_j.  The rows are
+    bit-sliced: bit k of xs[j] (zs[j]) is the x (z) bit of row k on qubit j,
+    and bit k of r is its sign.  Walking the gates backwards with S replaced
+    by S^dagger applies C^dagger (.) C; each gate is the Aaronson-Gottesman
+    update, a few integer operations on all rows at once.  The returned p is
+    the phase of the image in the bare form i**p X^x Z^z.
+    """
+    xs = [1 << (n + j) for j in range(n)]
+    zs = [1 << k for k in range(n)]
+    r = 0
+    for name, *qs in reversed(gates):
+        if name == "H":
+            (j,) = qs
+            r ^= xs[j] & zs[j]
+            xs[j], zs[j] = zs[j], xs[j]
+        elif name == "S":  # S^dagger: X -> -Y, Y -> X
+            (j,) = qs
+            r ^= xs[j] & ~zs[j]
+            zs[j] ^= xs[j]
+        elif name == "X":
+            r ^= zs[qs[0]]
+        elif name == "Z":
+            r ^= xs[qs[0]]
+        elif name == "CX":
+            c, t = qs
+            r ^= xs[c] & zs[t] & ~(xs[t] ^ zs[c])
+            xs[t] ^= xs[c]
+            zs[c] ^= zs[t]
+        else:  # CZ
+            a, b = qs
+            r ^= xs[a] & xs[b] & (zs[a] ^ zs[b])
+            zs[a] ^= xs[b]
+            zs[b] ^= xs[a]
+    images = []
+    for k in range(2 * n):
+        x = sum(((xs[j] >> k) & 1) << j for j in range(n))
+        z = sum(((zs[j] >> k) & 1) << j for j in range(n))
+        images.append(((x << n) | z, 2 * ((r >> k) & 1) + (x & z).bit_count()))
+    return images
 
 
 @dataclass
@@ -213,24 +219,37 @@ class CliffordOp:
     def heisenberg_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(perm, sign) with C^dagger P(v) C = sign[v] * P(perm[v]) for all labels.
 
-        Cached on the instance; needs 4**n entries.
+        Conjugates the 2n generators only (O(gates * n) integer work), then
+        fills all 4**n labels by doubling over the index bits (O(4**n) numpy
+        work).  Cached on the instance.
         """
         if "heis" in self._tables:
             return self._tables["heis"]
         n = self.n
         if n > MAX_BLOCK_QUBITS:
             raise CapacityError(f"label tables cap is n={MAX_BLOCK_QUBITS}, got {n}")
-        size = 1 << n
-        v = np.arange(size * size, dtype=np.int64)
-        X = v >> n
-        Z = v & (size - 1)
-        PH = np.zeros(size * size, dtype=np.int64)
-        for gate in self.inverse().gates:
-            _conjugate_arrays(n, gate, X, Z, PH)
-        if np.any(PH % 2 != 0):
+        size = 1 << (2 * n)
+        # Entry v = x << n | z holds the image of the bare X^x Z^z as
+        # i**ph[v] X^a Z^b with perm[v] = a << n | b.  Since
+        # (X^a Z^b)(X^c Z^d) = (-1)^(b.c) X^(a^c) Z^(b^d), setting z bit k
+        # right-multiplies by the Z_k image (sign from b & c), and setting
+        # x bit j left-multiplies by the X_j image (sign from d & a).
+        perm = np.zeros(size, dtype=np.int64)
+        ph = np.zeros(size, dtype=np.int64)
+        for k, (g, q) in enumerate(_heisenberg_generators(n, self.gates)):
+            half = 1 << k
+            m = g >> n if k < n else (g & ((1 << n) - 1)) << n
+            done = perm[:half]
+            perm[half:2 * half] = done ^ g
+            ph[half:2 * half] = ph[:half] + q + 2 * np.bitwise_count(done & m).astype(np.int64)
+        # back to the Hermitian P(x, z) = i**(x.z) X^x Z^z on both sides
+        v = np.arange(size, dtype=np.int64)
+        ph += np.bitwise_count((v >> n) & v).astype(np.int64)
+        ph -= np.bitwise_count((perm >> n) & perm).astype(np.int64)
+        ph &= 3
+        if np.any(ph % 2 != 0):
             raise RuntimeError("Clifford conjugation produced imaginary phases")
-        perm = (X << n) | Z
-        sign = np.where(PH == 0, 1.0, -1.0)
+        sign = np.where(ph == 0, 1.0, -1.0)
         self._tables["heis"] = (perm, sign)
         return perm, sign
 

@@ -141,6 +141,14 @@ class TestVerify:
         assert data["passed"] is True
         assert data["max_abs_deviation"] <= data["tolerance"]
 
+    def test_cap_checked_before_any_case(self, monkeypatch, capsys):
+        def no_case(*args, **kwargs):
+            raise AssertionError("a case ran before the cap check")
+
+        monkeypatch.setattr("magicforge.cli._verify_case", no_case)
+        assert main(["verify", "--n-max", "9", "--cases", "1"]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "CapacityError"
+
 
 class TestZeroMagic:
     def test_certificate_payload(self, tmp_path):
@@ -227,6 +235,17 @@ class TestErrors:
         path = tmp_path / "in.json"
         path.write_text(json.dumps(body))
         assert main(["magic", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
+
+    @pytest.mark.parametrize("command", ["support", "optimize"])
+    def test_non_object_json_exits_2(self, command, tableau_file, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        argv = {
+            "support": ["support", str(path)],
+            "optimize": ["optimize", tableau_file, "--layers", "1", "--config", str(path)],
+        }[command]
+        assert main(argv) == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
 
     def test_negative_seed_exits_2(self, capsys):

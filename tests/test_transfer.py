@@ -123,16 +123,35 @@ class TestCliffordOp:
                 assert np.allclose(got, want)
 
     def test_heisenberg_table_matches_scalar_inverse(self):
+        # every n up to the cap; all labels up to n = 4, then 256 sampled
+        # labels plus the 2n generators and the all-ones labels
         rng = np.random.default_rng(3)
-        for n in (2, 3):
-            c = random_clifford(n, rng)
-            perm, sign = c.heisenberg_table()
-            inv = c.inverse()
-            for v in range(1 << (2 * n)):
-                q = inv.conjugate(from_index(v, n))
-                assert to_index(q) == perm[v]
-                assert q.phase_exp in (0, 2)
-                assert sign[v] == (1 if q.phase_exp == 0 else -1)
+        for n in range(1, 9):
+            full = (1 << n) - 1
+            circuits = [
+                random_clifford(n, rng, length=int(rng.integers(3 * n * n + 2 * n + 1))),
+                random_clifford(n, rng, length=0),
+                # S is the gate the table's fold replaces by S^dagger
+                CliffordOp(n, tuple(("S", int(q)) for q in rng.integers(n, size=2 * n))),
+            ]
+            if n <= 4:
+                labels = range(1 << (2 * n))
+            else:
+                labels = {int(v) for v in rng.integers(1 << (2 * n), size=256)}
+                labels |= {1 << k for k in range(2 * n)}
+                labels |= {full, full << n, (full << n) | full}
+            for c in circuits:
+                perm, sign = c.heisenberg_table()
+                inv = c.inverse()
+                for v in labels:
+                    q = inv.conjugate(from_index(v, n))
+                    assert to_index(q) == perm[v], (n, c.gates, v)
+                    assert q.phase_exp in (0, 2)
+                    assert sign[v] == (1 if q.phase_exp == 0 else -1), (n, c.gates, v)
+
+    def test_heisenberg_table_cap(self):
+        with pytest.raises(CapacityError):
+            CliffordOp(9, ()).heisenberg_table()
 
     def test_vectorized_matches_scalar_per_gate(self):
         # same single gate through both code paths, all labels
