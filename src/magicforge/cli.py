@@ -14,8 +14,6 @@ error.  Failures print a machine-readable JSON object on standard error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -96,16 +94,11 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_text(manifest: dict, header: list[str], rows, extra_comments: list[str] = ()) -> str:
-    buf = io.StringIO()
-    buf.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
-    for line in extra_comments:
-        buf.write("# " + line + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+def _csv_text(manifest: dict, header: list[str], body: str, extra_comments: list[str] = ()) -> str:
+    """Comment lines, header, then ``body``; no field holds a comma, quote or newline."""
+    comments = "".join("# " + line + "\n" for line in extra_comments)
+    manifest_line = "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n"
+    return manifest_line + comments + ",".join(header) + "\n" + body
 
 
 def _load_json(path: str) -> dict:
@@ -172,10 +165,8 @@ def _cmd_spectrum(args) -> int:
     else:
         primary = oracle_spec
     _atomic_write(args.output, _spectrum_csv(primary, manifest, comments))
-    if args.output is not None:
-        _atomic_write(args.output + ".oracle.csv", _spectrum_csv(oracle_spec, manifest, ["source: oracle"]))
-    else:
-        _atomic_write(None, _spectrum_csv(oracle_spec, manifest, ["source: oracle"]))
+    oracle_path = None if args.output is None else args.output + ".oracle.csv"
+    _atomic_write(oracle_path, _spectrum_csv(oracle_spec, manifest, ["source: oracle"]))
     return 0
 
 
@@ -221,18 +212,13 @@ def _cmd_optimize(args) -> int:
         {"layers": args.layers, "config": cfg_dict},
     )
     results = run_pipeline(tab, args.layers, config)
-    rows = []
-    for i, res in enumerate(results):
-        rows.append(
-            (
-                i,
-                repr(res.f_before),
-                repr(res.f_after),
-                support_size(res.spectrum_after),
-                repr(nullity(res.spectrum_after)),
-            )
-        )
-    text = _csv_text(manifest, ["layer", "f_before", "f_after", "support", "nullity"], rows)
+    rows = [
+        (i, repr(res.f_before), repr(res.f_after),
+         support_size(res.spectrum_after), repr(nullity(res.spectrum_after)))
+        for i, res in enumerate(results)
+    ]
+    body = "".join(",".join(map(str, row)) + "\n" for row in rows)
+    text = _csv_text(manifest, ["layer", "f_before", "f_after", "support", "nullity"], body)
     _atomic_write(args.output, text)
     return 0
 
@@ -257,7 +243,7 @@ def _cmd_verify(args) -> int:
         _verify_case(n, (args.seed, n, i))
         for n in range(1, args.n_max + 1) for i in range(args.cases)
     ]
-    worst = max(devs) if devs else 0.0
+    worst = max(devs)
     passed = worst <= _TOLERANCE_VERIFY
     payload = {
         "manifest": manifest,
@@ -371,6 +357,13 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magicforge",
@@ -402,8 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("verify", help="random closed-form vs oracle sweep")
-    p.add_argument("--n-max", type=int, default=5, dest="n_max")
-    p.add_argument("--cases", type=int, default=200, help="cases per qubit count")
+    p.add_argument("--n-max", type=_positive_int, default=5, dest="n_max")
+    p.add_argument("--cases", type=_positive_int, default=200, help="cases per qubit count")
     common(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -416,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nogo", help="witness that one block both raises and lowers F_alpha")
     p.add_argument("block", help="block JSON path ({'n', 'clifford', 'sqr'})")
     p.add_argument("--alpha", type=int, default=2)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     common(p)
     p.set_defaults(func=_cmd_nogo)
 

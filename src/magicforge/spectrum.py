@@ -195,13 +195,17 @@ def stabilizer_max(n: int) -> float:
     return float(1 << n)
 
 
-def spectrum_csv_rows(s: PauliSpectrum) -> list[tuple[str, str, float, float, float]]:
-    """Rows (x_bits, z_bits, re, im, abs2) with qubit 1 leftmost in the strings.
+def spectrum_csv_rows(s: PauliSpectrum) -> str:
+    """CSV body, one line ``x_bits,z_bits,re,im,abs2`` per label, x-major.
 
-    Entries are real, so ``im`` is always 0.0.
+    Qubit 1 is leftmost in the bit strings; entries are real, so ``im`` is
+    always 0.0.  Each distinct value (keyed by its bits, so -0.0 stays apart
+    from 0.0) is formatted once; ``abs(a) ** 2`` is kept as the abs2 formula
+    because ``a * a`` can differ from it in the last bit.
     """
-    labels = [format(v, f"0{s.n}b")[::-1] for v in range(1 << s.n)]
-    return [
-        (x, z, a, 0.0, abs(a) ** 2)
-        for (x, z), a in zip(itertools.product(labels, repeat=2), s.values.tolist())
-    ]
+    labels = [format(v, f"0{s.n}b")[::-1] + "," for v in range(1 << s.n)]
+    _, first, inv = np.unique(s.values.view(np.int64), return_index=True, return_inverse=True)
+    tails = [f"{a!r},0.0,{abs(a) ** 2!r}\n" for a in s.values[first].tolist()]
+    return "".join(
+        [x + z + tails[k] for (x, z), k in zip(itertools.product(labels, repeat=2), inv.tolist())]
+    )

@@ -11,6 +11,8 @@ i**phase_exp * i**(popcount(x & z)) * X^x Z^z.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -185,3 +187,21 @@ def submask_objective(values: np.ndarray, angles, alpha: int) -> tuple[float, np
 
 def fidelity(u: np.ndarray, v: np.ndarray) -> float:
     return abs(np.vdot(u, v)) ** 2
+
+
+def csv_writer_text(rows) -> str:
+    """Rows as the standard csv.writer writes them, each line ending in \\n."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def spectrum_csv_reference(n: int, values) -> str:
+    """Spectrum CSV body through csv.writer: (x_bits, z_bits, a, 0.0, abs(a) ** 2)
+    per label, x-major, with qubit 1 as the leftmost bit character."""
+    size = 1 << n
+    labels = ["".join(str((v >> j) & 1) for j in range(n)) for v in range(size)]
+    return csv_writer_text(
+        (labels[i // size], labels[i % size], a, 0.0, abs(a) ** 2)
+        for i, a in enumerate(np.asarray(values).tolist())
+    )

@@ -4,11 +4,18 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magicforge
 from magicforge.cli import main
+from magicforge.optimizer import config_from_dict, run_pipeline
+from magicforge.spectrum import nullity, support_size
+from magicforge.stabilizer import StabilizerTableau
+
+from helpers import csv_writer_text
 
 
 @pytest.fixture
@@ -114,6 +121,20 @@ class TestOptimize:
         first = lines[1].split(",")
         assert float(first[1]) == 2.0
         assert float(first[2]) <= 1.5 + 1e-6
+
+    def test_trajectory_bytes_match_csv_writer(self, tableau_file, tmp_path):
+        out = str(tmp_path / "traj.csv")
+        assert main(["optimize", tableau_file, "--layers", "2", "--seed", "3", "-o", out]) == 0
+        tab = StabilizerTableau.from_json(json.loads(open(tableau_file).read()))
+        results = run_pipeline(tab, 2, config_from_dict({"seed": 3}))
+        rows = [["layer", "f_before", "f_after", "support", "nullity"]] + [
+            (i, repr(r.f_before), repr(r.f_after), support_size(r.spectrum_after),
+             repr(nullity(r.spectrum_after)))
+            for i, r in enumerate(results)
+        ]
+        manifest_line, body = open(out).read().split("\n", 1)
+        assert manifest_line.startswith("# manifest: ")
+        assert body == csv_writer_text(rows)
 
     def test_bad_config_key_exits_2(self, tableau_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -248,6 +269,17 @@ class TestErrors:
         assert main(argv) == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n-max", "0"],
+        ["verify", "--cases", "-2"],
+        ["nogo", "BLOCK", "--trials", "0"],
+    ])
+    def test_non_positive_count_exits_2(self, argv, block_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([block_file if arg == "BLOCK" else arg for arg in argv])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
     def test_negative_seed_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--seed", "-1"])
@@ -275,9 +307,10 @@ class TestErrors:
 
 class TestEntryPoint:
     def test_console_script(self):
+        # run from the directory holding the imported package, so the child finds it too
         proc = subprocess.run(
             [sys.executable, "-m", "magicforge.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, cwd=Path(magicforge.__file__).parents[1],
         )
         assert proc.returncode == 0
         assert "magicforge" in proc.stdout

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from magicforge.stabilizer import (
     plus_tableau,
     random_stabilizer,
 )
+
+from helpers import spectrum_csv_reference
 
 
 def closed(tab, f):
@@ -255,15 +258,33 @@ class TestFunctionals:
 class TestCsvRows:
     def test_layout(self):
         s = closed(plus_tableau(1), make_gate("T", [1], 1))
-        rows = spectrum_csv_rows(s)
-        assert len(rows) == 4
-        assert rows[0][:2] == ("0", "0")
-        assert abs(rows[0][2] - 1.0) < 1e-12
+        lines = spectrum_csv_rows(s).splitlines()
+        assert len(lines) == 4
+        fields = lines[0].split(",")
+        assert fields[:2] == ["0", "0"] and fields[3] == "0.0"
+        assert abs(float(fields[2]) - 1.0) < 1e-12
 
     def test_bit_string_orientation(self):
         tab = plus_tableau(2)
         s = closed(tab, make_gate("Z", [1], 2))
-        rows = spectrum_csv_rows(s)
+        lines = spectrum_csv_rows(s).splitlines()
         # index x=1 means X on qubit 1: leftmost character set
-        row = rows[(1 << 2) | 0]
-        assert row[0] == "10" and row[1] == "00"
+        assert lines[(1 << 2) | 0].startswith("10,00,")
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bytes_match_csv_writer(self, n):
+        rng = np.random.default_rng([n, 31])
+        tab = random_stabilizer(n, int(rng.integers(1 << 30)))
+        f = random_polynomial(n, rng)
+        for s in (closed(tab, f), oracle_spectrum(apply_diagonal(statevector(tab), f))):
+            assert spectrum_csv_rows(s) == spectrum_csv_reference(n, s.values)
+
+    def test_edge_values_match_csv_writer(self):
+        # a stand-in skips the norm check; 0.0 precedes -0.0 so merging them by value shows,
+        # and abs(a) ** 2 differs from a * a in the last bit at 0.09375000000000001
+        vals = np.zeros(16)
+        vals[:8] = [1.0, 0.0, -0.0, 5e-324, -5e-324, 1e-05, 0.09375000000000001, -0.09375000000000001]
+        s = SimpleNamespace(n=2, values=vals)
+        text = spectrum_csv_rows(s)
+        assert text == spectrum_csv_reference(2, vals)
+        assert text.splitlines()[2] == "00,01,-0.0,0.0,0.0"
