@@ -165,8 +165,9 @@ def _cmd_spectrum(args) -> int:
     else:
         primary = oracle_spec
     _atomic_write(args.output, _spectrum_csv(primary, manifest, comments))
-    oracle_path = None if args.output is None else args.output + ".oracle.csv"
-    _atomic_write(oracle_path, _spectrum_csv(oracle_spec, manifest, ["source: oracle"]))
+    if args.output is not None:
+        oracle_csv = _spectrum_csv(oracle_spec, manifest, ["source: oracle"])
+        _atomic_write(args.output + ".oracle.csv", oracle_csv)
     return 0
 
 
@@ -337,6 +338,8 @@ def _cmd_support(args) -> int:
     obj = _load_json(args.rotation)
     body = obj.get("sqr", obj)
     w = RotationVector.from_json(body)
+    if w.n > MAX_SPECTRUM_QUBITS:
+        raise CapacityError(f"support cap is n={MAX_SPECTRUM_QUBITS}, got n={w.n}")
     manifest = _manifest("support", [args.rotation], args.seed, {})
     ceiling = support_ceiling(w)
     counted = support_size(sqr_shallow_spectrum(canonicalize(plus_tableau(w.n)), w))

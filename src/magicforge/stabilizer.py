@@ -23,7 +23,9 @@ validation work to the 32-qubit mask cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
+
+import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .pauli_core import (
@@ -33,6 +35,7 @@ from .pauli_core import (
     pauli_mul,
     pauli_to_text,
 )
+from .transfer import CliffordOp, _fold, random_clifford
 
 MAX_CANONICAL_QUBITS = 16
 
@@ -334,15 +337,6 @@ def tableau_expectation(t: StabilizerTableau, p: PauliLabel) -> int:
     return 1 if diff == 0 else -1
 
 
-def _conjugate_rows(rows: list[PauliLabel], gates: Sequence[tuple]) -> list[PauliLabel]:
-    from .transfer import conjugate_label  # deferred: transfer imports this module
-
-    out = list(rows)
-    for gate in gates:
-        out = [conjugate_label(gate, p) for p in out]
-    return out
-
-
 def canonical_frame(t: StabilizerTableau):
     """Clifford u_c (gates in application order) mapping the state to the
     frozen product form |0>^r tensor |+>^(n-r), plus that target tableau.
@@ -350,8 +344,6 @@ def canonical_frame(t: StabilizerTableau):
     Uses only CX, CZ, S, Z, X gates, so the induced basis-state map is affine.
     Returns (CliffordOp, StabilizerTableau).
     """
-    from .transfer import CliffordOp
-
     c = canonicalize(t)
     n, r = c.n, c.r
     work = [PauliLabel(n, row.x, row.z, 2 * hb) for row, hb in zip(c.rows, c.h)]
@@ -361,7 +353,8 @@ def canonical_frame(t: StabilizerTableau):
     def emit(*gs: tuple) -> None:
         nonlocal work
         gates.extend(gs)
-        work = _conjugate_rows(work, gs)
+        rows = _fold(n, [(p.x, p.z, p.phase_exp >> 1) for p in work], gs)
+        work = [PauliLabel(n, x, z, 2 * h) for x, z, h in rows]
 
     # 1) keep only the pivot column in each mixed row's x-part
     pivots = [(row.x & -row.x).bit_length() - 1 for row in work[:n_mixed]]
@@ -417,35 +410,17 @@ def canonical_frame(t: StabilizerTableau):
     return CliffordOp(n, tuple(gates)), target
 
 
-def apply_clifford(t: StabilizerTableau, c) -> StabilizerTableau:
+def apply_clifford(t: StabilizerTableau, c: CliffordOp) -> StabilizerTableau:
     """Tableau of (circuit c)|state>: conjugate each generator forward."""
     if c.n != t.n:
         raise ValidationError(f"circuit on {c.n} qubits, tableau on {t.n}")
-    rows = _conjugate_rows(t.signed_rows(), c.gates)
-    out_rows, out_h = [], []
-    for row in rows:
-        if row.phase_exp % 2 != 0:
-            raise ValidationError("conjugation produced a non-Hermitian row")
-        out_rows.append(PauliLabel(t.n, row.x, row.z, 0))
-        out_h.append(row.phase_exp // 2)
-    return StabilizerTableau(t.n, tuple(out_rows), tuple(out_h))
+    rows = _fold(t.n, [(row.x, row.z, hb) for row, hb in zip(t.rows, t.h)], c.gates)
+    labels = tuple(PauliLabel(t.n, x, z) for x, z, _ in rows)
+    return StabilizerTableau(t.n, labels, tuple(h for _, _, h in rows))
 
 
 def random_stabilizer(n: int, seed: int) -> StabilizerTableau:
     """Random stabilizer state, built by conjugating |0...0> through a random
     Clifford circuit of 3n^2 + 2n gates.  Deterministic in the seed."""
-    import numpy as np
-
-    from .transfer import random_clifford
-
-    rng = np.random.default_rng(seed)
-    circ = random_clifford(n, rng, length=3 * n * n + 2 * n)
-    rows = [PauliLabel(n, 0, 1 << j, 0) for j in range(n)]
-    rows = _conjugate_rows(rows, circ.gates)
-    out_rows, out_h = [], []
-    for row in rows:
-        if row.phase_exp % 2 != 0:
-            raise ValidationError("random conjugation produced a non-Hermitian row")
-        out_rows.append(PauliLabel(n, row.x, row.z, 0))
-        out_h.append(row.phase_exp // 2)
-    return StabilizerTableau(n, tuple(out_rows), tuple(out_h))
+    circ = random_clifford(n, np.random.default_rng(seed), length=3 * n * n + 2 * n)
+    return apply_clifford(zeros_tableau(n), circ)

@@ -23,13 +23,16 @@ quarter turn of the output pair, (p', q') -> (-q', p'), which the optimizer
 uses for its gradient.  The submask sum itself is kept as a test-side
 reference, and the dense oracle checks whole circuits.
 
-Clifford conjugation comes in two forms that are tested against each other.
-The scalar exact fold over gate image tables (`conjugate_label`,
-`CliffordOp.conjugate`) is the reference.  `CliffordOp.heisenberg_table`
-builds the lookup table for all 4**n labels: it conjugates only the 2n
-generators Z_k and X_j, as a bit-sliced 2n-row stabilizer tableau
-(Aaronson & Gottesman, quant-ph/0406196), and then fills in every label by
-doubling over the 2n index bits, one group multiplication per new entry.
+Every Clifford conjugation goes through one kernel, `_fold`: it pushes
+signed Hermitian rows (-1)^h P(x, z) forward, C (.) C^dagger, as a
+bit-sliced stabilizer tableau with the Aaronson-Gottesman update per gate
+(quant-ph/0406196).  `CliffordOp.conjugate` folds one label, and
+`stabilizer.apply_clifford` and `canonical_frame` fold tableau rows.
+`CliffordOp.heisenberg_table` builds the lookup table for all 4**n labels:
+it folds only the 2n generators Z_k and X_j through the inverse gate list,
+and then fills in every label by doubling over the 2n index bits, one group
+multiplication per new entry.  The per-gate image fold lives on as a
+test-side reference.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .pauli_core import MAX_QUBITS, PauliLabel, pauli_mul, to_index
+from .pauli_core import MAX_QUBITS, PauliLabel, to_index
 from .diagonal_gates import PhasePolynomial, RotationVector
 
 if TYPE_CHECKING:
@@ -73,110 +76,69 @@ def _gate_qubits(n: int, gate: tuple) -> tuple[str, list[int]]:
     return name, qs
 
 
-def _gate_images(n: int, name: str, qs: list[int]) -> dict[tuple[str, int], PauliLabel]:
-    """Images of the single-qubit basis labels under u (.) u^dagger."""
-    e = lambda j: 1 << j
-    if name == "H":
-        (j,) = qs
-        return {("X", j): PauliLabel(n, 0, e(j)), ("Z", j): PauliLabel(n, e(j), 0)}
-    if name == "S":
-        (j,) = qs
-        return {("X", j): PauliLabel(n, e(j), e(j)), ("Z", j): PauliLabel(n, 0, e(j))}
-    if name == "X":
-        (j,) = qs
-        return {("X", j): PauliLabel(n, e(j), 0), ("Z", j): PauliLabel(n, 0, e(j), 2)}
-    if name == "Z":
-        (j,) = qs
-        return {("X", j): PauliLabel(n, e(j), 0, 2), ("Z", j): PauliLabel(n, 0, e(j))}
-    if name == "CX":
-        c, t = qs
-        return {
-            ("X", c): PauliLabel(n, e(c) | e(t), 0),
-            ("X", t): PauliLabel(n, e(t), 0),
-            ("Z", c): PauliLabel(n, 0, e(c)),
-            ("Z", t): PauliLabel(n, 0, e(c) | e(t)),
-        }
-    # CZ
-    a, b = qs
-    return {
-        ("X", a): PauliLabel(n, e(a), e(b)),
-        ("X", b): PauliLabel(n, e(b), e(a)),
-        ("Z", a): PauliLabel(n, 0, e(a)),
-        ("Z", b): PauliLabel(n, 0, e(b)),
-    }
+def _fold(
+    n: int, rows: Sequence[tuple[int, int, int]], gates: Sequence[tuple]
+) -> list[tuple[int, int, int]]:
+    """Forward images C (.) C^dagger of signed Hermitian rows (-1)^h P(x, z).
 
-
-def conjugate_label(gate: tuple, p: PauliLabel) -> PauliLabel:
-    """u p u^dagger for one gate, exact phase included.
-
-    Splits the label into i^phase * X^x Z^z, replaces the factors on the
-    gate's qubits by their images, and remultiplies with pauli_mul.  Slow and
-    trustworthy; `CliffordOp.heisenberg_table` is checked against this.
+    ``rows`` is a sequence of (x, z, h) triples and so is the result.  The
+    rows are bit-sliced: bit k of xs[j] (zs[j]) is the x (z) bit of row k on
+    qubit j, and bit k of r is its sign.  Slicing in and out walks only the
+    set bits of each mask.  Each gate is then the Aaronson-Gottesman update,
+    a few integer operations on all rows at once.
     """
-    n = p.n
-    name, qs = _gate_qubits(n, gate)
-    images = _gate_images(n, name, qs)
-    qmask = 0
-    for q in qs:
-        qmask |= 1 << q
-    x_rest, z_rest = p.x & ~qmask, p.z & ~qmask
-    phase = (
-        p.phase_exp
-        + (p.x & p.z).bit_count()
-        - (x_rest & z_rest).bit_count()
-    ) & 3
-    acc = PauliLabel(n, x_rest, z_rest, phase)
-    for q in qs:
-        if (p.x >> q) & 1:
-            acc = pauli_mul(acc, images[("X", q)])
-    for q in qs:
-        if (p.z >> q) & 1:
-            acc = pauli_mul(acc, images[("Z", q)])
-    return acc
-
-
-def _heisenberg_generators(n: int, gates: tuple[tuple, ...]) -> list[tuple[int, int]]:
-    """Images of the 2n generators under C^dagger (.) C, as (x << n | z, p) pairs.
-
-    Row k < n of the tableau is Z_k and row n + j is X_j.  The rows are
-    bit-sliced: bit k of xs[j] (zs[j]) is the x (z) bit of row k on qubit j,
-    and bit k of r is its sign.  Walking the gates backwards with S replaced
-    by S^dagger applies C^dagger (.) C; each gate is the Aaronson-Gottesman
-    update, a few integer operations on all rows at once.  The returned p is
-    the phase of the image in the bare form i**p X^x Z^z.
-    """
-    xs = [1 << (n + j) for j in range(n)]
-    zs = [1 << k for k in range(n)]
-    r = 0
-    for name, *qs in reversed(gates):
-        if name == "H":
-            (j,) = qs
-            r ^= xs[j] & zs[j]
-            xs[j], zs[j] = zs[j], xs[j]
-        elif name == "S":  # S^dagger: X -> -Y, Y -> X
-            (j,) = qs
-            r ^= xs[j] & ~zs[j]
-            zs[j] ^= xs[j]
-        elif name == "X":
-            r ^= zs[qs[0]]
-        elif name == "Z":
-            r ^= xs[qs[0]]
-        elif name == "CX":
-            c, t = qs
-            r ^= xs[c] & zs[t] & ~(xs[t] ^ zs[c])
-            xs[t] ^= xs[c]
-            zs[c] ^= zs[t]
-        else:  # CZ
-            a, b = qs
+    xs, zs, r = [0] * n, [0] * n, 0
+    for k, (x, z, h) in enumerate(rows):
+        bit = 1 << k
+        for mask, planes in ((x, xs), (z, zs)):
+            while mask:
+                low = mask & -mask
+                planes[low.bit_length() - 1] |= bit
+                mask ^= low
+        r |= h << k
+    for gate in gates:
+        name, a = gate[0], gate[1]
+        if name == "CX":  # control a, target b
+            b = gate[2]
+            r ^= xs[a] & zs[b] & ~(xs[b] ^ zs[a])
+            xs[b] ^= xs[a]
+            zs[a] ^= zs[b]
+        elif name == "CZ":
+            b = gate[2]
             r ^= xs[a] & xs[b] & (zs[a] ^ zs[b])
             zs[a] ^= xs[b]
             zs[b] ^= xs[a]
-    images = []
-    for k in range(2 * n):
-        x = sum(((xs[j] >> k) & 1) << j for j in range(n))
-        z = sum(((zs[j] >> k) & 1) << j for j in range(n))
-        images.append(((x << n) | z, 2 * ((r >> k) & 1) + (x & z).bit_count()))
-    return images
+        elif name == "S":  # X -> Y, Y -> -X
+            r ^= xs[a] & zs[a]
+            zs[a] ^= xs[a]
+        elif name == "H":
+            r ^= xs[a] & zs[a]
+            xs[a], zs[a] = zs[a], xs[a]
+        elif name == "X":
+            r ^= zs[a]
+        else:  # Z
+            r ^= xs[a]
+    out_x, out_z = [0] * len(rows), [0] * len(rows)
+    for j in range(n):
+        for plane, out in ((xs[j], out_x), (zs[j], out_z)):
+            while plane:
+                low = plane & -plane
+                out[low.bit_length() - 1] |= 1 << j
+                plane ^= low
+    return [(x, z, (r >> k) & 1) for k, (x, z) in enumerate(zip(out_x, out_z))]
+
+
+def _inverse_gates(gates: tuple[tuple, ...]) -> tuple[tuple, ...]:
+    """Gate list of C^dagger: reversed, with S^dagger written as S S S."""
+    inv: list[tuple] = []
+    for gate in reversed(gates):
+        inv += [gate] * (3 if gate[0] == "S" else 1)
+    return tuple(inv)
+
+
+def conjugate_label(gate: tuple, p: PauliLabel) -> PauliLabel:
+    """u p u^dagger for one gate, exact phase included."""
+    return CliffordOp(p.n, (gate,)).conjugate(p)
 
 
 @dataclass
@@ -199,22 +161,18 @@ class CliffordOp:
         self.gates = tuple(gates)
 
     def inverse(self) -> "CliffordOp":
-        inv: list[tuple] = []
-        for gate in reversed(self.gates):
-            if gate[0] == "S":
-                inv += [gate, gate, gate]
-            else:
-                inv.append(gate)
-        return CliffordOp(self.n, tuple(inv))
+        return CliffordOp(self.n, _inverse_gates(self.gates))
 
     def conjugate(self, p: PauliLabel) -> PauliLabel:
-        """C p C^dagger with exact phase, by folding over the gates in order."""
+        """C p C^dagger with exact phase.
+
+        Writes p = i^o (-1)^h P(x, z) with o = phase_exp & 1 and folds the
+        Hermitian row (x, z, h); the factor i^o passes through unchanged.
+        """
         if p.n != self.n:
             raise ValidationError(f"label on {p.n} qubits, circuit on {self.n}")
-        out = p
-        for gate in self.gates:
-            out = conjugate_label(gate, out)
-        return out
+        ((x, z, h),) = _fold(self.n, [(p.x, p.z, p.phase_exp >> 1)], self.gates)
+        return PauliLabel(self.n, x, z, 2 * h + (p.phase_exp & 1))
 
     def heisenberg_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(perm, sign) with C^dagger P(v) C = sign[v] * P(perm[v]) for all labels.
@@ -236,9 +194,12 @@ class CliffordOp:
         # x bit j left-multiplies by the X_j image (sign from d & a).
         perm = np.zeros(size, dtype=np.int64)
         ph = np.zeros(size, dtype=np.int64)
-        for k, (g, q) in enumerate(_heisenberg_generators(n, self.gates)):
+        # row k < n is Z_k and row n + j is X_j, pulled back by C^dagger (.) C
+        gens = [(0, 1 << k, 0) for k in range(n)] + [(1 << j, 0, 0) for j in range(n)]
+        for k, (x, z, h) in enumerate(_fold(n, gens, _inverse_gates(self.gates))):
+            g, q = (x << n) | z, 2 * h + (x & z).bit_count()
             half = 1 << k
-            m = g >> n if k < n else (g & ((1 << n) - 1)) << n
+            m = x if k < n else z << n
             done = perm[:half]
             perm[half:2 * half] = done ^ g
             ph[half:2 * half] = ph[:half] + q + 2 * np.bitwise_count(done & m).astype(np.int64)

@@ -185,6 +185,75 @@ def submask_objective(values: np.ndarray, angles, alpha: int) -> tuple[float, np
     return float(np.sum(mixed ** power)), np.array(grad)
 
 
+def _label_mul(p: PauliLabel, q: PauliLabel) -> PauliLabel:
+    """Exact product of two labels, from (X^a Z^b)(X^c Z^d) = (-1)^(b.c) X^(a^c) Z^(b^d)."""
+    x, z = p.x ^ q.x, p.z ^ q.z
+    phase = (
+        p.phase_exp + q.phase_exp
+        + (p.x & p.z).bit_count() + (q.x & q.z).bit_count()
+        + 2 * (p.z & q.x).bit_count() - (x & z).bit_count()
+    )
+    return PauliLabel(p.n, x, z, phase & 3)
+
+
+def _gate_images(n: int, gate: tuple) -> dict[tuple[str, int], PauliLabel]:
+    """Images of the single-qubit X and Z labels under u (.) u^dagger."""
+    name, *qs = gate
+    e = lambda j: 1 << j
+    if name == "H":
+        (j,) = qs
+        return {("X", j): PauliLabel(n, 0, e(j)), ("Z", j): PauliLabel(n, e(j), 0)}
+    if name == "S":
+        (j,) = qs
+        return {("X", j): PauliLabel(n, e(j), e(j)), ("Z", j): PauliLabel(n, 0, e(j))}
+    if name == "X":
+        (j,) = qs
+        return {("X", j): PauliLabel(n, e(j), 0), ("Z", j): PauliLabel(n, 0, e(j), 2)}
+    if name == "Z":
+        (j,) = qs
+        return {("X", j): PauliLabel(n, e(j), 0, 2), ("Z", j): PauliLabel(n, 0, e(j))}
+    if name == "CX":
+        c, t = qs
+        return {
+            ("X", c): PauliLabel(n, e(c) | e(t), 0),
+            ("X", t): PauliLabel(n, e(t), 0),
+            ("Z", c): PauliLabel(n, 0, e(c)),
+            ("Z", t): PauliLabel(n, 0, e(c) | e(t)),
+        }
+    if name == "CZ":
+        a, b = qs
+        return {
+            ("X", a): PauliLabel(n, e(a), e(b)),
+            ("X", b): PauliLabel(n, e(b), e(a)),
+            ("Z", a): PauliLabel(n, 0, e(a)),
+            ("Z", b): PauliLabel(n, 0, e(b)),
+        }
+    raise ValueError(f"unknown gate {name!r}")
+
+
+def conjugate_reference(gates, p: PauliLabel) -> PauliLabel:
+    """C p C^dagger for the gate list C (in application order), exact phase.
+
+    Per gate: split the label into i^phase X^x Z^z, replace the factors on
+    the gate's qubits by their images, and remultiply.  One label at a time,
+    slow and written from the single-gate images alone.
+    """
+    n = p.n
+    for gate in gates:
+        images = _gate_images(n, gate)
+        qs = gate[1:]
+        qmask = sum(1 << q for q in qs)
+        x_rest, z_rest = p.x & ~qmask, p.z & ~qmask
+        phase = p.phase_exp + (p.x & p.z).bit_count() - (x_rest & z_rest).bit_count()
+        acc = PauliLabel(n, x_rest, z_rest, phase & 3)
+        for letter, mask in (("X", p.x), ("Z", p.z)):
+            for q in qs:
+                if (mask >> q) & 1:
+                    acc = _label_mul(acc, images[(letter, q)])
+        p = acc
+    return p
+
+
 def fidelity(u: np.ndarray, v: np.ndarray) -> float:
     return abs(np.vdot(u, v)) ** 2
 

@@ -84,6 +84,22 @@ class TestSpectrum:
         assert main(["spectrum", str(path), "-o", out]) == 0
         assert "source: oracle" in open(out).read()
 
+    def test_stdout_is_one_csv(self, tmp_path, capsys):
+        # without -o only the primary CSV is written; the oracle check stays a comment
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "n": 2,
+            "layers": [{"gate": {"n": 2, "terms": [{"m": 3, "a": "11", "c": 1}]}}],
+        }))
+        assert main(["spectrum", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("# manifest: ") for line in lines) == 1
+        assert "# source: shallow" in lines
+        assert any(line.startswith("# max_abs_deviation_vs_oracle: ") for line in lines)
+        rows = [line for line in lines if not line.startswith("#")]
+        assert rows[0] == "x_bits,z_bits,re,im,abs2"
+        assert len(rows) == 1 + 4**2
+
 
 class TestMagic:
     def test_json_payload(self, circuit_file, tmp_path):
@@ -218,6 +234,18 @@ class TestSupport:
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"m": 2, "k": [0, 1]}))
         assert main(["support", str(path)]) == 0
+
+    @pytest.mark.parametrize("n", [9, 16, 20])
+    def test_cap_checked_before_canonicalize(self, n, monkeypatch, tmp_path, capsys):
+        def no_canonicalize(*args, **kwargs):
+            raise AssertionError("canonicalize ran before the cap check")
+
+        monkeypatch.setattr("magicforge.cli.canonicalize", no_canonicalize)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"m": 3, "k": [1] * n}))
+        assert main(["support", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "CapacityError" and err["error"].startswith("support cap")
 
 
 class TestErrors:

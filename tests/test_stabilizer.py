@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from magicforge.errors import ValidationError
+from magicforge.oracle import apply_gates, overlap2, statevector
 from magicforge.pauli_core import PauliLabel, commutes, pauli_mul
 from magicforge.stabilizer import (
     StabilizerTableau,
@@ -21,7 +22,13 @@ from magicforge.stabilizer import (
 )
 from magicforge.transfer import CliffordOp, random_clifford
 
-from helpers import circuit_matrix, fidelity, pauli_matrix, stabilizer_dense
+from helpers import (
+    circuit_matrix,
+    conjugate_reference,
+    fidelity,
+    pauli_matrix,
+    stabilizer_dense,
+)
 
 
 def random_cases(ns=(1, 2, 3, 4), per_n=10, seed=0):
@@ -191,6 +198,12 @@ class TestCanonicalFrame:
             moved = circuit_matrix(tab.n, frame.gates) @ stabilizer_dense(tab)
             assert fidelity(moved, stabilizer_dense(target)) > 1 - 1e-10
 
+    def test_oracle_sweep_to_cap(self):
+        for tab in random_cases(ns=range(1, 9), per_n=3, seed=7):
+            frame, target = canonical_frame(tab)
+            moved = apply_gates(statevector(tab), frame.gates)
+            assert overlap2(moved, statevector(target)) > 1 - 1e-10, tab.to_json()
+
     def test_no_hadamards(self):
         for tab in random_cases(per_n=4, seed=4):
             frame, _ = canonical_frame(tab)
@@ -219,6 +232,14 @@ class TestApplyClifford:
             want = circuit_matrix(tab.n, c.gates) @ stabilizer_dense(tab)
             assert fidelity(got, want) > 1 - 1e-10
 
+    def test_oracle_sweep_to_cap(self):
+        rng = np.random.default_rng(18)
+        for tab in random_cases(ns=range(1, 9), per_n=3, seed=8):
+            c = random_clifford(tab.n, rng)
+            got = statevector(apply_clifford(tab, c))
+            want = apply_gates(statevector(tab), c.gates)
+            assert overlap2(got, want) > 1 - 1e-10, (tab.to_json(), c.gates)
+
     def test_size_mismatch(self):
         with pytest.raises(ValidationError):
             apply_clifford(zeros_tableau(2), CliffordOp(1, (("H", 0),)))
@@ -236,6 +257,17 @@ class TestRandomStabilizer:
         # both full-rank-x and deficient cases should appear
         ranks = {canonicalize(random_stabilizer(3, s)).r for s in range(40)}
         assert 0 in ranks and len(ranks) >= 2
+
+    def test_matches_reference_fold(self):
+        # Z_j rows of |0...0> pushed through the same gate string, one label at a time
+        for n in range(1, 9):
+            for seed in (0, 1, 7, 12345):
+                circ = random_clifford(n, np.random.default_rng(seed), length=3 * n * n + 2 * n)
+                want = [conjugate_reference(circ.gates, PauliLabel(n, 0, 1 << j)) for j in range(n)]
+                tab = random_stabilizer(n, seed)
+                assert [PauliLabel(n, p.x, p.z) for p in want] == list(tab.rows), (n, seed)
+                assert [p.phase_exp // 2 for p in want] == list(tab.h), (n, seed)
+                assert all(p.phase_exp in (0, 2) for p in want)
 
     def test_rows_commute(self):
         tab = random_stabilizer(5, 23)

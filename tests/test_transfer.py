@@ -24,7 +24,7 @@ from magicforge.transfer import (
     xy_pair,
 )
 
-from helpers import circuit_matrix, pauli_matrix, submask_mix
+from helpers import circuit_matrix, conjugate_reference, pauli_matrix, submask_mix
 
 
 GATES_1Q = [("H", 0), ("S", 0), ("X", 0), ("Z", 0)]
@@ -131,7 +131,7 @@ class TestCliffordOp:
             circuits = [
                 random_clifford(n, rng, length=int(rng.integers(3 * n * n + 2 * n + 1))),
                 random_clifford(n, rng, length=0),
-                # S is the gate the table's fold replaces by S^dagger
+                # S is the one gate that is not its own inverse
                 CliffordOp(n, tuple(("S", int(q)) for q in rng.integers(n, size=2 * n))),
             ]
             if n <= 4:
@@ -142,19 +142,31 @@ class TestCliffordOp:
                 labels |= {full, full << n, (full << n) | full}
             for c in circuits:
                 perm, sign = c.heisenberg_table()
-                inv = c.inverse()
+                inv = [g for gate in reversed(c.gates)
+                       for g in [gate] * (3 if gate[0] == "S" else 1)]
                 for v in labels:
-                    q = inv.conjugate(from_index(v, n))
+                    q = conjugate_reference(inv, from_index(v, n))
                     assert to_index(q) == perm[v], (n, c.gates, v)
                     assert q.phase_exp in (0, 2)
                     assert sign[v] == (1 if q.phase_exp == 0 else -1), (n, c.gates, v)
+
+    def test_conjugate_matches_reference_to_cap(self):
+        # dense checks stop at n = 4; above it, labels with all four phases
+        rng = np.random.default_rng(8)
+        for n in range(5, 9):
+            for _ in range(3):
+                c = random_clifford(n, rng)
+                for _ in range(40):
+                    p = PauliLabel(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)),
+                                   int(rng.integers(4)))
+                    assert c.conjugate(p) == conjugate_reference(c.gates, p), (n, c.gates, p)
 
     def test_heisenberg_table_cap(self):
         with pytest.raises(CapacityError):
             CliffordOp(9, ()).heisenberg_table()
 
     def test_vectorized_matches_scalar_per_gate(self):
-        # same single gate through both code paths, all labels
+        # one gate's table against the reference image fold, all labels
         rng = np.random.default_rng(4)
         for n in (2, 3):
             for _ in range(15):
@@ -166,7 +178,7 @@ class TestCliffordOp:
                     fwd = CliffordOp(n, (gate,))
                 perm, sign = fwd.heisenberg_table()
                 for v in range(1 << (2 * n)):
-                    q = conjugate_label(gate, from_index(v, n))
+                    q = conjugate_reference([gate], from_index(v, n))
                     assert to_index(q) == perm[v]
                     assert sign[v] == (1 if q.phase_exp == 0 else -1)
 
