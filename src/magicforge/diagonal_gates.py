@@ -27,7 +27,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._bits import bits_to_int
 from .errors import CapacityError, ValidationError
 
 MAX_RESOLUTION = 30
@@ -118,7 +117,7 @@ class PhasePolynomial:
                 if len(a_bits) != n or set(a_bits) - {"0", "1"}:
                     raise ValidationError(f"bad monomial string {t['a']!r} for n={n}")
                 # the JSON string puts qubit 1 leftmost
-                a = bits_to_int([int(ch) for ch in a_bits])
+                a = int(a_bits[::-1], 2)
                 raw.append((int(t["m"]), a, int(t["c"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed gate JSON: {exc}") from exc

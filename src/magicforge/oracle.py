@@ -83,7 +83,7 @@ def statevector(t: "StabilizerTableau") -> DenseState:
         norm = float(np.linalg.norm(v))
         if norm > 1e-6:
             return DenseState(n, v / norm)
-    raise ValidationError("projector product annihilated every basis state; tableau is inconsistent")
+    raise RuntimeError("projector product annihilated every basis state; tableau is inconsistent")
 
 
 def apply_diagonal(st: DenseState, f: "PhasePolynomial") -> DenseState:

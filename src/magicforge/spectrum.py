@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._bits import parity, popcount
 from .diagonal_gates import PhasePolynomial, RotationVector, value_numerators
 from .errors import CapacityError, ValidationError
 
@@ -94,18 +93,18 @@ def _closed_form(c: "CanonicalTableau", phase_turns) -> PauliSpectrum:
     size = 1 << n
     xs = np.fromiter(c.cosets, dtype=np.int64, count=len(c.cosets))
     z_ref, s0 = np.array(list(c.cosets.values()), dtype=np.int64).reshape(-1, 2).T
-    if c.z_pure and np.any(parity(xs[:, None] & np.array(c.z_pure, dtype=np.int64))):
-        raise ValidationError("coset element with odd pure-Z overlap")
+    if c.z_pure and np.any(np.bitwise_count(xs[:, None] & np.array(c.z_pure, dtype=np.int64)) & 1):
+        raise RuntimeError("coset element with odd pure-Z overlap")
     supp = np.asarray(c.support_states(), dtype=np.int64)
     v = np.zeros((len(xs), size), dtype=np.complex128)
-    ref_signs = 1 - 2 * parity(supp & z_ref[:, None])
+    ref_signs = 1 - 2 * (np.bitwise_count(supp & z_ref[:, None]) & 1).astype(np.int64)
     v[:, supp] = np.exp(2j * np.pi * phase_turns(xs, supp)) * ref_signs
     for j in range(n):  # Walsh-Hadamard butterflies on bit j of every row
         v = v.reshape(len(xs), -1, 2, 1 << j)
         v = np.stack((v[:, :, 0] + v[:, :, 1], v[:, :, 0] - v[:, :, 1]), axis=2)
-    ref = popcount(xs & z_ref).astype(np.int64)
+    ref = np.bitwise_count(xs & z_ref).astype(np.int64)
     scalar = (float(1 << c.r) / size) * (1 - 2 * (s0 ^ (ref & 1))) * _I_POWERS[ref & 3]
-    ixz = _I_POWERS[popcount(xs[:, None] & np.arange(size, dtype=np.int64)) & 3]
+    ixz = _I_POWERS[np.bitwise_count(xs[:, None] & np.arange(size, dtype=np.int64)) & 3]
     rows = ixz * scalar[:, None] * v.reshape(len(xs), size)
     worst = float(np.max(np.abs(rows.imag)))
     if worst > 1e-12:
@@ -173,7 +172,7 @@ def nullity(s: PauliSpectrum) -> float:
     """n - log2 of the number of unit-magnitude entries (|a| within 1e-9 of 1)."""
     count = int(np.count_nonzero(np.abs(np.abs(s.values) - 1.0) <= 1e-9))
     if count < 1:
-        raise ValidationError("no unit entries; identity entry should always qualify")
+        raise RuntimeError("no unit entries; identity entry should always qualify")
     return s.n - math.log2(count)
 
 

@@ -15,9 +15,10 @@ real group element with its true sign, and the closed-form spectrum
 evaluator uses it as the coset reference; any element of the same coset
 gives the same, exact, signed spectrum.
 
-The canonical coset table enumerates all 2**n group elements, so
-canonicalization is capped at n = 16.  Plain tableau construction and row
-validation work to the 32-qubit mask cap.
+The coset table and `tableau_expectation` read the whole group, all 2**n
+products of the rows from `transfer._group`, so both are capped at
+n = 16.  Plain tableau construction and row validation work to the 32-qubit
+mask cap.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from .pauli_core import (
     pauli_from_text,
     pauli_mul,
     pauli_to_text,
+    to_index,
 )
-from .transfer import CliffordOp, _fold, random_clifford
+from .transfer import CliffordOp, _fold, _group, random_clifford
 
 MAX_CANONICAL_QUBITS = 16
 
@@ -161,16 +163,8 @@ class CanonicalTableau:
         return tuple(row.x for row in self.rows[: self.n - self.r])
 
     @property
-    def z_mixed(self) -> tuple[int, ...]:
-        return tuple(row.z for row in self.rows[: self.n - self.r])
-
-    @property
     def z_pure(self) -> tuple[int, ...]:
         return tuple(row.z for row in self.rows[self.n - self.r:])
-
-    @property
-    def h_mixed(self) -> tuple[int, ...]:
-        return self.h[: self.n - self.r]
 
     @property
     def h_prime(self) -> tuple[int, ...]:
@@ -185,17 +179,6 @@ class CanonicalTableau:
             if all((b & z).bit_count() & 1 == hb for z, hb in zip(zs, hp)):
                 out.append(b)
         return out
-
-
-def group_elements(c: CanonicalTableau) -> list[PauliLabel]:
-    """All 2**n signed group elements as phase-absorbed labels."""
-    signed = [
-        PauliLabel(c.n, row.x, row.z, 2 * hb) for row, hb in zip(c.rows, c.h)
-    ]
-    elems = [PauliLabel(c.n, 0, 0, 0)]
-    for row in signed:
-        elems += [pauli_mul(e, row) for e in elems]
-    return elems
 
 
 def _rref_rows(work: list[PauliLabel], n: int, start: int, part: str) -> int:
@@ -230,36 +213,26 @@ def canonicalize(t: StabilizerTableau) -> CanonicalTableau:
     n_mixed = _rref_rows(work, n, 0, "x")
     for row in work[n_mixed:]:
         if row.x:
-            raise ValidationError("x elimination left a mixed row below the block")
+            raise RuntimeError("x elimination left a mixed row below the block")
     _rref_rows(work, n, n_mixed, "z")
     r = n - n_mixed
 
     rows, h = [], []
     for row in work:
         if row.phase_exp % 2 != 0:
-            raise ValidationError("canonicalization produced a non-Hermitian row")
+            raise RuntimeError("canonicalization produced a non-Hermitian row")
         rows.append(PauliLabel(n, row.x, row.z, 0))
         h.append(row.phase_exp // 2)
 
-    # Enumerate the full group once: per x-coset keep the smallest-z element.
-    ident = PauliLabel(n, 0, 0, 0)
-    pure_elems = [ident]
-    for row in work[n_mixed:]:
-        pure_elems += [pauli_mul(e, row) for e in pure_elems]
-    cosets: dict[int, tuple[int, int]] = {}
-    mixed_elems = [ident]
-    for row in work[:n_mixed]:
-        mixed_elems += [pauli_mul(e, row) for e in mixed_elems]
-    for elem in mixed_elems:
-        best: tuple[int, int] | None = None
-        for q in pure_elems:
-            prod = pauli_mul(elem, q)
-            if prod.phase_exp % 2 != 0:
-                raise ValidationError("group element with imaginary sign; tableau invalid")
-            cand = (prod.z, prod.phase_exp // 2)
-            if best is None or cand[0] < best[0]:
-                best = cand
-        cosets[elem.x] = best
+    # The pure-Z rows come last, so column m of the (2**r, 2**(n-r)) group
+    # table is the x-coset of mixed subset m; keep its smallest-z element.
+    label, sign = _group(n, rows, h)
+    z = label & ((1 << n) - 1)
+    best = z.reshape(1 << r, -1).argmin(axis=0) << n_mixed | np.arange(1 << n_mixed)
+    cosets = {
+        x: (zr, s0)
+        for x, zr, s0 in zip((label[best] >> n).tolist(), z[best].tolist(), sign[best].tolist())
+    }
 
     return CanonicalTableau(t, n, r, tuple(rows), tuple(h), cosets)
 
@@ -309,32 +282,13 @@ def tableau_expectation(t: StabilizerTableau, p: PauliLabel) -> int:
         raise ValidationError(f"label on {p.n} qubits, tableau on {t.n}")
     if p.phase_exp % 2 != 0:
         raise ValidationError("expectation of a non-Hermitian label is not a sign")
-    c = canonicalize(t)
-    work_rows = [
-        PauliLabel(t.n, row.x, row.z, 2 * hb) for row, hb in zip(c.rows, c.h)
-    ]
-    elem = PauliLabel(t.n, 0, 0, 0)
-    xw = p.x
-    for row in work_rows[: t.n - c.r]:
-        pivot = row.x & -row.x
-        lead = pivot.bit_length() - 1
-        if (xw >> lead) & 1:
-            elem = pauli_mul(elem, row)
-            xw ^= row.x
-    if xw:
+    if t.n > MAX_CANONICAL_QUBITS:
+        raise CapacityError(f"tableau_expectation cap is n={MAX_CANONICAL_QUBITS}, got {t.n}")
+    label, sign = _group(t.n, t.rows, t.h)
+    hit = np.flatnonzero(label == to_index(p))
+    if not hit.size:
         return 0
-    zw = p.z ^ elem.z
-    for row in work_rows[t.n - c.r:]:
-        lead = (row.z & -row.z).bit_length() - 1
-        if (zw >> lead) & 1:
-            elem = pauli_mul(elem, row)
-            zw ^= row.z
-    if zw or elem.x != p.x or elem.z != p.z:
-        return 0
-    diff = (elem.phase_exp - p.phase_exp) & 3
-    if diff % 2 != 0:
-        raise ValidationError("phase bookkeeping broke; group element differs by i")
-    return 1 if diff == 0 else -1
+    return -1 if sign[hit[0]] ^ (p.phase_exp >> 1) else 1
 
 
 def canonical_frame(t: StabilizerTableau):
@@ -400,11 +354,11 @@ def canonical_frame(t: StabilizerTableau):
 
     for i in range(n_mixed):
         if work[i] != PauliLabel(n, 1 << (r + i), 0, 0):
-            raise ValidationError("frame reduction failed on a mixed row")
+            raise RuntimeError("frame reduction failed on a mixed row")
     for j in range(n_mixed, n):
         expect_z = 1 << (j - n_mixed)
         if work[j] != PauliLabel(n, 0, expect_z, 0):
-            raise ValidationError("frame reduction failed on a pure row")
+            raise RuntimeError("frame reduction failed on a pure row")
 
     target = product_tableau(n, {q: 0 for q in range(1, r + 1)})
     return CliffordOp(n, tuple(gates)), target

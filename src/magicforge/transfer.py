@@ -29,10 +29,20 @@ bit-sliced stabilizer tableau with the Aaronson-Gottesman update per gate
 (quant-ph/0406196).  `CliffordOp.conjugate` folds one label, and
 `stabilizer.apply_clifford` and `canonical_frame` fold tableau rows.
 `CliffordOp.heisenberg_table` builds the lookup table for all 4**n labels:
-it folds only the 2n generators Z_k and X_j through the inverse gate list,
-and then fills in every label by doubling over the 2n index bits, one group
-multiplication per new entry.  The per-gate image fold lives on as a
-test-side reference.
+it folds only the 2n generators Z_k and X_j through the inverse gate list
+and hands their images to the product kernel.  The per-gate image fold
+lives on as a test-side reference.
+
+Every product over all subsets of a row list goes through one kernel,
+`_products`: entry s is the product of the rows whose bits are set in s,
+filled by doubling, one multiplication per new entry.  Its phase is a GF(2)
+quadratic form (Dehaene and De Moor, PRA 68, 042318, 2003): each new row g
+adds its own phase plus a cross term 2 z_g.x from the entry it multiplies.
+The Heisenberg table is the kernel on the 2n generator images, and a
+stabilizer group is the kernel on its n tableau rows (`_group`), which is
+how `initial_spectrum`, `stabilizer.canonicalize` and `tableau_expectation`
+read the group.  The label-by-label group walk lives on as a test-side
+reference.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .pauli_core import MAX_QUBITS, PauliLabel, to_index
+from .pauli_core import MAX_QUBITS, PauliLabel
 from .diagonal_gates import PhasePolynomial, RotationVector
 
 if TYPE_CHECKING:
@@ -128,6 +138,36 @@ def _fold(
     return [(x, z, (r >> k) & 1) for k, (x, z) in enumerate(zip(out_x, out_z))]
 
 
+def _products(n: int, rows: Sequence[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(label, ph): the product of every subset s of signed Hermitian rows
+    (-1)^h P(x, z), higher rows on the left, is i**ph[s] P(label[s]) with the
+    flat label x << n | z and ph in 0..3.
+
+    Doubling works in the bare form X^x Z^z, where a new row g multiplies
+    each earlier entry X^a Z^b from the left with sign (-1)^(z_g.a); the
+    Hermitian factor i**(x.z) comes off the whole table at the end.
+    """
+    label = np.zeros(1 << len(rows), dtype=np.int64)
+    ph = np.zeros(1 << len(rows), dtype=np.uint8)
+    for k, (x, z, h) in enumerate(rows):
+        half = 1 << k
+        done = label[:half]
+        label[half:2 * half] = done ^ ((x << n) | z)
+        cross = 2 * np.bitwise_count(done & (z << n))
+        ph[half:2 * half] = ph[:half] + (2 * h + (x & z).bit_count()) + cross
+    ph -= np.bitwise_count((label >> n) & label)
+    return label, ph & 3
+
+
+def _group(n: int, rows: Sequence[PauliLabel], h: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(label, s): the group element of subset k of the commuting signed rows
+    (-1)^h P(x, z) is (-1)^s[k] P(label[k]), as laid out by `_products`."""
+    label, ph = _products(n, [(row.x, row.z, hb) for row, hb in zip(rows, h)])
+    if np.any(ph & 1):
+        raise RuntimeError("stabilizer group product with an imaginary phase")
+    return label, ph >> 1
+
+
 def _inverse_gates(gates: tuple[tuple, ...]) -> tuple[tuple, ...]:
     """Gate list of C^dagger: reversed, with S^dagger written as S S S."""
     inv: list[tuple] = []
@@ -178,7 +218,7 @@ class CliffordOp:
         """(perm, sign) with C^dagger P(v) C = sign[v] * P(perm[v]) for all labels.
 
         Conjugates the 2n generators only (O(gates * n) integer work), then
-        fills all 4**n labels by doubling over the index bits (O(4**n) numpy
+        multiplies out all 4**n labels with `_products` (O(4**n) numpy
         work).  Cached on the instance.
         """
         if "heis" in self._tables:
@@ -186,31 +226,16 @@ class CliffordOp:
         n = self.n
         if n > MAX_BLOCK_QUBITS:
             raise CapacityError(f"label tables cap is n={MAX_BLOCK_QUBITS}, got {n}")
-        size = 1 << (2 * n)
-        # Entry v = x << n | z holds the image of the bare X^x Z^z as
-        # i**ph[v] X^a Z^b with perm[v] = a << n | b.  Since
-        # (X^a Z^b)(X^c Z^d) = (-1)^(b.c) X^(a^c) Z^(b^d), setting z bit k
-        # right-multiplies by the Z_k image (sign from b & c), and setting
-        # x bit j left-multiplies by the X_j image (sign from d & a).
-        perm = np.zeros(size, dtype=np.int64)
-        ph = np.zeros(size, dtype=np.int64)
-        # row k < n is Z_k and row n + j is X_j, pulled back by C^dagger (.) C
+        # row k < n is Z_k and row n + j is X_j, pulled back by C^dagger (.) C;
+        # subset v = x << n | z of them multiplies out to the bare X^x Z^z
         gens = [(0, 1 << k, 0) for k in range(n)] + [(1 << j, 0, 0) for j in range(n)]
-        for k, (x, z, h) in enumerate(_fold(n, gens, _inverse_gates(self.gates))):
-            g, q = (x << n) | z, 2 * h + (x & z).bit_count()
-            half = 1 << k
-            m = x if k < n else z << n
-            done = perm[:half]
-            perm[half:2 * half] = done ^ g
-            ph[half:2 * half] = ph[:half] + q + 2 * np.bitwise_count(done & m).astype(np.int64)
-        # back to the Hermitian P(x, z) = i**(x.z) X^x Z^z on both sides
-        v = np.arange(size, dtype=np.int64)
-        ph += np.bitwise_count((v >> n) & v).astype(np.int64)
-        ph -= np.bitwise_count((perm >> n) & perm).astype(np.int64)
-        ph &= 3
-        if np.any(ph % 2 != 0):
+        perm, ph = _products(n, _fold(n, gens, _inverse_gates(self.gates)))
+        # P(v) = i**(x.z) X^x Z^z on the input side
+        v = np.arange(1 << (2 * n), dtype=np.int64)
+        ph = (ph + np.bitwise_count((v >> n) & v)) & 3
+        if np.any(ph & 1):
             raise RuntimeError("Clifford conjugation produced imaginary phases")
-        sign = np.where(ph == 0, 1.0, -1.0)
+        sign = 1.0 - ph  # ph is 0 or 2
         self._tables["heis"] = (perm, sign)
         return perm, sign
 
@@ -302,15 +327,12 @@ def _apply_block_raw(arr: np.ndarray, block: LayerBlock) -> np.ndarray:
 def initial_spectrum(t: "StabilizerTableau") -> "PauliSpectrum":
     """Exact signed spectrum of a stabilizer state: +-1 on the group, 0 off it."""
     from .spectrum import PauliSpectrum
-    from .stabilizer import canonicalize, group_elements
 
     if t.n > MAX_BLOCK_QUBITS:
         raise CapacityError(f"spectrum cap is n={MAX_BLOCK_QUBITS}, got {t.n}")
+    label, sign = _group(t.n, t.rows, t.h)
     values = np.zeros(1 << (2 * t.n), dtype=np.float64)
-    for elem in group_elements(canonicalize(t)):
-        if elem.phase_exp % 2 != 0:
-            raise RuntimeError("group walk produced a non-Hermitian element")
-        values[to_index(PauliLabel(t.n, elem.x, elem.z))] = 1.0 if elem.phase_exp == 0 else -1.0
+    values[label] = 1.0 - 2.0 * sign
     return PauliSpectrum(t.n, values)
 
 

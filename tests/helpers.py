@@ -254,6 +254,20 @@ def conjugate_reference(gates, p: PauliLabel) -> PauliLabel:
     return p
 
 
+def group_reference(t) -> list[PauliLabel]:
+    """All 2**n signed elements of a stabilizer group with rows (-1)^h P(x, z).
+
+    Element k is the product of the rows whose bits are set in k, higher rows
+    on the left, with the sign in phase_exp: a walk of one label product per
+    element over any object with ``n``, ``rows`` and ``h``.
+    """
+    elems = [PauliLabel(t.n, 0, 0, 0)]
+    for row, hb in zip(t.rows, t.h):
+        signed = PauliLabel(t.n, row.x, row.z, 2 * hb)
+        elems += [_label_mul(signed, e) for e in elems]
+    return elems
+
+
 def fidelity(u: np.ndarray, v: np.ndarray) -> float:
     return abs(np.vdot(u, v)) ** 2
 

@@ -13,7 +13,7 @@ import magicforge
 from magicforge.cli import main
 from magicforge.optimizer import config_from_dict, run_pipeline
 from magicforge.spectrum import nullity, support_size
-from magicforge.stabilizer import StabilizerTableau
+from magicforge.stabilizer import StabilizerTableau, pure_z_rank, random_stabilizer
 
 from helpers import csv_writer_text
 
@@ -331,6 +331,16 @@ class TestErrors:
         monkeypatch.setattr("magicforge.optimizer._optimize_angles_full", wrong_minimum)
         with pytest.raises(RuntimeError, match="disagree"):
             main(["optimize", tableau_file, "--layers", "1"])
+
+    def test_frame_reduction_fault_is_not_bad_input(self, tmp_path, monkeypatch):
+        # a frame fold that moves nothing leaves the rows unreduced: a program fault
+        tab = random_stabilizer(4, 0)
+        assert pure_z_rank(tab) == 2
+        path = tmp_path / "tab4.json"
+        path.write_text(json.dumps(tab.to_json()))
+        monkeypatch.setattr("magicforge.stabilizer._fold", lambda n, rows, gates: list(rows))
+        with pytest.raises(RuntimeError, match="frame reduction failed"):
+            main(["zero-magic", str(path), "--k", "3", "-o", str(tmp_path / "out.json")])
 
 
 class TestEntryPoint:

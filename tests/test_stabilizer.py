@@ -1,17 +1,16 @@
-"""Tableau handling: canonical form, group walk, frames, expectations."""
+"""Tableau handling: canonical form, group table, frames, expectations."""
 
 import numpy as np
 import pytest
 
-from magicforge.errors import ValidationError
-from magicforge.oracle import apply_gates, overlap2, statevector
+from magicforge.errors import CapacityError, ValidationError
+from magicforge.oracle import apply_gates, oracle_spectrum, overlap2, statevector
 from magicforge.pauli_core import PauliLabel, commutes, pauli_mul
 from magicforge.stabilizer import (
     StabilizerTableau,
     apply_clifford,
     canonical_frame,
     canonicalize,
-    group_elements,
     is_graph_type,
     plus_tableau,
     product_tableau,
@@ -20,12 +19,13 @@ from magicforge.stabilizer import (
     tableau_expectation,
     zeros_tableau,
 )
-from magicforge.transfer import CliffordOp, random_clifford
+from magicforge.transfer import CliffordOp, _products, random_clifford
 
 from helpers import (
     circuit_matrix,
     conjugate_reference,
     fidelity,
+    group_reference,
     pauli_matrix,
     stabilizer_dense,
 )
@@ -36,6 +36,13 @@ def random_cases(ns=(1, 2, 3, 4), per_n=10, seed=0):
     for n in ns:
         for _ in range(per_n):
             yield random_stabilizer(n, int(rng.integers(1 << 30)))
+
+
+def group_table(t) -> list[PauliLabel]:
+    """The product kernel on the tableau rows, as one label per group element."""
+    label, ph = _products(t.n, [(row.x, row.z, hb) for row, hb in zip(t.rows, t.h)])
+    return [PauliLabel(t.n, int(v) >> t.n, int(v) & ((1 << t.n) - 1), int(p))
+            for v, p in zip(label, ph)]
 
 
 class TestTableauBasics:
@@ -111,7 +118,7 @@ class TestCanonicalize:
         for tab in random_cases(per_n=5):
             c = canonicalize(tab)
             by_x = {}
-            for e in group_elements(c):
+            for e in group_reference(c):
                 cur = by_x.get(e.x)
                 if cur is None or e.z < cur.z:
                     by_x[e.x] = e
@@ -127,25 +134,36 @@ class TestCanonicalize:
 
 
 class TestGroupElements:
+    # the subset-product kernel on a tableau's rows gives its stabilizer group
+
     def test_full_group(self):
         for tab in random_cases(per_n=5):
-            c = canonicalize(tab)
-            els = group_elements(c)
+            els = group_table(tab)
             assert len(els) == 1 << tab.n
             assert len({(e.x, e.z) for e in els}) == 1 << tab.n
-            for e in els[:8]:
+            for e in els:
                 assert e.phase_exp % 2 == 0
 
     def test_all_elements_stabilize(self):
         for tab in random_cases(ns=(2, 3), per_n=4):
             psi = stabilizer_dense(tab)
-            for e in group_elements(canonicalize(tab)):
+            for e in group_table(tab):
                 m = pauli_matrix(e)
                 assert np.allclose(m @ psi, psi)
 
+    def test_matches_reference_to_cap(self):
+        # element by element, sign included; pure-Z rows (r > 0) at every n
+        rng = np.random.default_rng(21)
+        for n in range(1, 9):
+            tabs = [random_stabilizer(n, int(rng.integers(1 << 30))) for _ in range(4)]
+            tabs += [product_tableau(n, {1: 1, n: 0}), zeros_tableau(n)]
+            assert any(pure_z_rank(tab) > 0 for tab in tabs)
+            for tab in tabs:
+                assert group_table(tab) == group_reference(tab), n
+
     def test_closed_under_product(self):
         tab = random_stabilizer(3, 5)
-        els = group_elements(canonicalize(tab))
+        els = group_table(tab)
         keyed = {(e.x, e.z): e for e in els}
         rng = np.random.default_rng(0)
         for _ in range(30):
@@ -165,9 +183,32 @@ class TestExpectation:
                 want = np.vdot(psi, pauli_matrix(p) @ psi).real
                 assert abs(tableau_expectation(tab, p) - want) < 1e-9
 
+    def test_matches_oracle_to_cap(self):
+        # every group label and random labels, both signs, against the dense spectrum
+        rng = np.random.default_rng(14)
+        for n in range(1, 9):
+            for tab in [random_stabilizer(n, int(rng.integers(1 << 30))) for _ in range(3)] \
+                    + [product_tableau(n, {1: 1})]:
+                values = oracle_spectrum(statevector(tab)).values
+                picks = np.flatnonzero(np.abs(values) > 0.5).tolist()
+                picks += rng.integers(1 << (2 * n), size=20).tolist()
+                for v in picks:
+                    p = PauliLabel(n, v >> n, v & ((1 << n) - 1))
+                    want = round(values[v])
+                    assert tableau_expectation(tab, p) == want, (n, v)
+                    assert tableau_expectation(tab, PauliLabel(n, p.x, p.z, 2)) == -want
+
     def test_nonhermitian_rejected(self):
         with pytest.raises(ValidationError):
             tableau_expectation(zeros_tableau(1), PauliLabel(1, 1, 0, 1))
+
+    def test_cap_checked_before_group(self, monkeypatch):
+        def no_group(*args):
+            raise AssertionError("group table built past the cap")
+
+        monkeypatch.setattr("magicforge.stabilizer._group", no_group)
+        with pytest.raises(CapacityError):
+            tableau_expectation(zeros_tableau(17), PauliLabel(17, 0, 1))
 
 
 class TestGraphType:

@@ -225,8 +225,9 @@ class TestRotateLayer:
 
 class TestInitialSpectrum:
     def test_matches_oracle(self):
+        # signed entries, up to the n = 8 cap
         rng = np.random.default_rng(4)
-        for n in (1, 2, 3, 4):
+        for n in range(1, 9):
             for _ in range(8):
                 tab = random_stabilizer(n, int(rng.integers(1 << 30)))
                 s = initial_spectrum(tab)
