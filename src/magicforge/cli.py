@@ -22,10 +22,10 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .diagonal_gates import PhasePolynomial, RotationVector, random_polynomial
+from .diagonal_gates import RotationVector, random_polynomial
 from .errors import CapacityError, MagicforgeError, SearchError, ValidationError
 from .oracle import apply_diagonal, apply_gates, apply_rotation, oracle_spectrum, statevector
-from .optimizer import OptimizerConfig, config_from_dict, run_pipeline
+from .optimizer import config_from_dict, run_pipeline
 from .spectrum import (
     MAX_SPECTRUM_QUBITS,
     PauliSpectrum,
@@ -34,7 +34,6 @@ from .spectrum import (
     nullity,
     shallow_spectrum,
     spectrum_csv_rows,
-    sqr_shallow_spectrum,
     sre,
     stabilizer_max,
     support_size,
@@ -342,7 +341,8 @@ def _cmd_support(args) -> int:
         raise CapacityError(f"support cap is n={MAX_SPECTRUM_QUBITS}, got n={w.n}")
     manifest = _manifest("support", [args.rotation], args.seed, {})
     ceiling = support_ceiling(w)
-    counted = support_size(sqr_shallow_spectrum(canonicalize(plus_tableau(w.n)), w))
+    layer = LayerBlock(w.n, None, w)
+    counted = support_size(apply_block(initial_spectrum(plus_tableau(w.n)), layer))
     payload = {
         "manifest": manifest,
         "n": w.n,

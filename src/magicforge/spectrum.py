@@ -1,29 +1,16 @@
-"""Closed-form Pauli spectra of diagonal gates on stabilizer states, and the
+"""Exact Pauli spectra of diagonal gates on stabilizer states, and the
 magic functionals evaluated on spectra.
 
 A spectrum entry is a(x, z) = <psi| P(x, z) |psi> with the Hermitian label
 P(x, z) = i^(x.z) X^x Z^z, so every entry of every spectrum is real.
 
-Take a stabilizer input with canonical data: r pure-Z rows z_i with signs
-h'_i, and for each x in the X-part row space a group element
-(-1)^s0 P(x, z_ref).  The input amplitudes have modulus 2^(-(n-r)/2) on the
-support (the b with b.z_i = h'_i for every pure-Z row) and vanish off it.
-The group element fixes the input, which ties psi(b^x) to psi(b) by a known
-sign and power of i.  Substituting that relation into the expectation after
-a diagonal gate with phase function theta gives, exactly,
-
-    a(x, z) = i^(x.z) * (2^r / 2^n) * (-1)^s0 * i^(x.z_ref) * (-1)^(z_ref.x)
-              * sum over support b of
-                    e^(2 pi i (theta(b) - theta(b^x))) (-1)^(z_ref.b) (-1)^(z.b).
-
-(z_ref, s0) is a real group element with its true sign, not a choice of
-phase: any other element of the same coset differs from it by a signed
-pure-Z element, which acts as +1 on the support and leaves the sum
-unchanged.  So the formula is exact and real.  It is evaluated in complex
-arithmetic, and the evaluator checks that the imaginary parts vanish to
-1e-12.  Labels with x outside the X-part row space are zero.  For each x
-sector the z sum is a Walsh-Hadamard transform of the masked phase vector,
-and all sectors go through one batched transform.
+`shallow_spectrum` is the paper's ansatz 1, a stabilizer state followed by
+one diagonal gate.  It starts from the state's exact spectrum, +-1 on its
+2**n group elements and 0 elsewhere, and pushes it through the gate with
+`transfer.phase_layer`: in each x sector a Walsh-Hadamard transform over z,
+the gate's phase differences e^(2 pi i (theta(b) - theta(b^x))), and the
+transform back, all sectors in one batch.  The result is checked to be real
+to 1e-12.
 
 Dense enumeration is capped at n = 8 (4**n = 65536 entries).
 """
@@ -37,15 +24,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .diagonal_gates import PhasePolynomial, RotationVector, value_numerators
+from .diagonal_gates import PhasePolynomial
 from .errors import CapacityError, ValidationError
+from .transfer import _group_values, phase_layer
 
 if TYPE_CHECKING:
     from .stabilizer import CanonicalTableau
 
 MAX_SPECTRUM_QUBITS = 8
-
-_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 @dataclass(frozen=True)
@@ -83,37 +69,6 @@ class PauliSpectrum:
         return self.values[(x << self.n) | z]
 
 
-def _closed_form(c: "CanonicalTableau", phase_turns) -> PauliSpectrum:
-    """The module formula for every sector at once.
-
-    ``phase_turns(xs, supp)[k, i]`` is theta(supp[i]) - theta(supp[i] ^ xs[k])
-    in turns, for the sectors xs and the support states supp.
-    """
-    n = c.n
-    size = 1 << n
-    xs = np.fromiter(c.cosets, dtype=np.int64, count=len(c.cosets))
-    z_ref, s0 = np.array(list(c.cosets.values()), dtype=np.int64).reshape(-1, 2).T
-    if c.z_pure and np.any(np.bitwise_count(xs[:, None] & np.array(c.z_pure, dtype=np.int64)) & 1):
-        raise RuntimeError("coset element with odd pure-Z overlap")
-    supp = np.asarray(c.support_states(), dtype=np.int64)
-    v = np.zeros((len(xs), size), dtype=np.complex128)
-    ref_signs = 1 - 2 * (np.bitwise_count(supp & z_ref[:, None]) & 1).astype(np.int64)
-    v[:, supp] = np.exp(2j * np.pi * phase_turns(xs, supp)) * ref_signs
-    for j in range(n):  # Walsh-Hadamard butterflies on bit j of every row
-        v = v.reshape(len(xs), -1, 2, 1 << j)
-        v = np.stack((v[:, :, 0] + v[:, :, 1], v[:, :, 0] - v[:, :, 1]), axis=2)
-    ref = np.bitwise_count(xs & z_ref).astype(np.int64)
-    scalar = (float(1 << c.r) / size) * (1 - 2 * (s0 ^ (ref & 1))) * _I_POWERS[ref & 3]
-    ixz = _I_POWERS[np.bitwise_count(xs[:, None] & np.arange(size, dtype=np.int64)) & 3]
-    rows = ixz * scalar[:, None] * v.reshape(len(xs), size)
-    worst = float(np.max(np.abs(rows.imag)))
-    if worst > 1e-12:
-        raise RuntimeError(f"closed form has an imaginary part {worst!r} > 1e-12")
-    out = np.zeros((size, size), dtype=np.float64)
-    out[xs] = rows.real
-    return PauliSpectrum(n, out.reshape(-1))
-
-
 def shallow_spectrum(c: "CanonicalTableau", f: PhasePolynomial) -> PauliSpectrum:
     """Exact spectrum of (diagonal gate) applied to the canonicalized state."""
     n = c.n
@@ -121,36 +76,7 @@ def shallow_spectrum(c: "CanonicalTableau", f: PhasePolynomial) -> PauliSpectrum
         raise CapacityError(f"shallow_spectrum cap is n={MAX_SPECTRUM_QUBITS}, got {n}")
     if f.n != n:
         raise ValidationError(f"gate on {f.n} qubits, state on {n}")
-    vals, m = value_numerators(f)
-
-    def phase_turns(xs, supp):
-        return ((vals[supp] - vals[supp ^ xs[:, None]]) & ((1 << m) - 1)) / float(1 << m)
-
-    return _closed_form(c, phase_turns)
-
-
-def sqr_shallow_spectrum(c: "CanonicalTableau", w: RotationVector) -> PauliSpectrum:
-    """Same spectrum for a single-qubit-rotation layer, no polynomial needed.
-
-    Here theta(b) - theta(b^x) is linear: 2*(w on x).b - (w on x).1, so the
-    masked phase vector is assembled directly from the angles.  Works for
-    continuous angles; for dyadic angles it must agree with shallow_spectrum
-    of the equivalent polynomial to near machine precision.
-    """
-    n = c.n
-    if n > MAX_SPECTRUM_QUBITS:
-        raise CapacityError(f"sqr_shallow_spectrum cap is n={MAX_SPECTRUM_QUBITS}, got {n}")
-    if w.n != n:
-        raise ValidationError(f"rotation on {w.n} qubits, state on {n}")
-    qubits = np.arange(n)
-    angles = np.asarray(w.angles(), dtype=np.float64)
-
-    def phase_turns(xs, supp):
-        bits = ((supp[:, None] >> qubits) & 1).astype(np.float64)  # [b, j]
-        wx = ((xs[:, None] >> qubits) & 1) * angles  # [x, j]
-        return 2.0 * (wx @ bits.T) - np.sum(wx, axis=1)[:, None]
-
-    return _closed_form(c, phase_turns)
+    return PauliSpectrum(n, phase_layer(_group_values(c), f))
 
 
 def f_alpha(s: PauliSpectrum, alpha: int = 2) -> float:

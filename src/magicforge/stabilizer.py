@@ -9,16 +9,15 @@ composes rows exactly.
 Canonical form: generators are re-chosen (row operations only, same group) so
 the x-parts of the mixed rows are in reduced row echelon form with pivots in
 ascending qubit order, followed by r pure-Z rows whose z-parts are in RREF.
-On top of the block shape we store, for every x in the X-part row space, the
-group element with the smallest z index: the pair (z_ref, s0).  Each is a
-real group element with its true sign, and the closed-form spectrum
-evaluator uses it as the coset reference; any element of the same coset
-gives the same, exact, signed spectrum.
+r is the pure-Z rank; the state's support has 2**(n - r) basis states.
 
-The coset table and `tableau_expectation` read the whole group, all 2**n
-products of the rows from `transfer._group`, so both are capped at
-n = 16.  Plain tableau construction and row validation work to the 32-qubit
-mask cap.
+`tableau_expectation` reads the whole group, all 2**n products of the rows
+from `transfer._group`, so it is capped at n = 16.  `canonicalize` no
+longer reads the group (it only row-reduces, O(n**2) label products), but
+it keeps the same n = 16 cap: every consumer of a canonical tableau stops
+at or below it (the spectra at n = 8), so a higher cap would widen the
+documented limit for no caller.  Plain tableau construction and row
+validation work to the 32-qubit mask cap.
 """
 
 from __future__ import annotations
@@ -143,42 +142,13 @@ def product_tableau(n: int, frozen: Mapping[int, int]) -> StabilizerTableau:
 
 @dataclass(frozen=True)
 class CanonicalTableau:
-    """Canonicalized tableau plus the coset references used by the evaluator.
+    """Canonicalized tableau: the re-chosen generators, mixed block first
+    (x-parts in RREF), then r pure-Z rows (z-parts in RREF)."""
 
-    rows/h: the re-chosen generators, mixed block first (x-parts in RREF),
-    then r pure-Z rows (z-parts in RREF).  cosets maps each x in the X-part
-    row space to (z_ref, s0): the group element with x-part x and smallest
-    z index, with its sign bit.
-    """
-
-    base: StabilizerTableau
     n: int
     r: int
     rows: tuple[PauliLabel, ...]
     h: tuple[int, ...]
-    cosets: Mapping[int, tuple[int, int]]
-
-    @property
-    def x_mixed(self) -> tuple[int, ...]:
-        return tuple(row.x for row in self.rows[: self.n - self.r])
-
-    @property
-    def z_pure(self) -> tuple[int, ...]:
-        return tuple(row.z for row in self.rows[self.n - self.r:])
-
-    @property
-    def h_prime(self) -> tuple[int, ...]:
-        return self.h[self.n - self.r:]
-
-    def support_states(self) -> list[int]:
-        """Basis states b with b.z_i = h'_i for every pure-Z row (2**(n-r) many)."""
-        out = []
-        zs = self.z_pure
-        hp = self.h_prime
-        for b in range(1 << self.n):
-            if all((b & z).bit_count() & 1 == hb for z, hb in zip(zs, hp)):
-                out.append(b)
-        return out
 
 
 def _rref_rows(work: list[PauliLabel], n: int, start: int, part: str) -> int:
@@ -205,7 +175,7 @@ def _rref_rows(work: list[PauliLabel], n: int, start: int, part: str) -> int:
 
 
 def canonicalize(t: StabilizerTableau) -> CanonicalTableau:
-    """Block-canonical generators plus the per-x coset reference table."""
+    """Block-canonical generators of the same group, with the pure-Z rank."""
     if t.n > MAX_CANONICAL_QUBITS:
         raise CapacityError(f"canonicalize cap is n={MAX_CANONICAL_QUBITS}, got {t.n}")
     work = t.signed_rows()
@@ -224,17 +194,7 @@ def canonicalize(t: StabilizerTableau) -> CanonicalTableau:
         rows.append(PauliLabel(n, row.x, row.z, 0))
         h.append(row.phase_exp // 2)
 
-    # The pure-Z rows come last, so column m of the (2**r, 2**(n-r)) group
-    # table is the x-coset of mixed subset m; keep its smallest-z element.
-    label, sign = _group(n, rows, h)
-    z = label & ((1 << n) - 1)
-    best = z.reshape(1 << r, -1).argmin(axis=0) << n_mixed | np.arange(1 << n_mixed)
-    cosets = {
-        x: (zr, s0)
-        for x, zr, s0 in zip((label[best] >> n).tolist(), z[best].tolist(), sign[best].tolist())
-    }
-
-    return CanonicalTableau(t, n, r, tuple(rows), tuple(h), cosets)
+    return CanonicalTableau(n, r, tuple(rows), tuple(h))
 
 
 def pure_z_rank(t: StabilizerTableau) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -123,7 +122,7 @@ def construct_zero_magic(t: StabilizerTableau, k: int) -> ZeroMagicCertificate:
     gate = conjugate_diagonal_by_frame(flip, frame)
     level = hierarchy_level(gate)
     if level != k:
-        raise ValidationError(f"conjugated gate has level {level}, expected exactly {k}")
+        raise RuntimeError(f"conjugated gate has level {level}, expected exactly {k}")
 
     st = statevector(t)
     out = apply_diagonal(st, gate)
@@ -134,7 +133,7 @@ def construct_zero_magic(t: StabilizerTableau, k: int) -> ZeroMagicCertificate:
         abs(values[2] - float(1 << n)) <= 1e-9 and nul <= 1e-9
     )
     if not confirmed:
-        raise ValidationError("oracle rejected the certificate; construction is broken")
+        raise RuntimeError("oracle rejected the certificate; construction is broken")
     return ZeroMagicCertificate(t, k, gate, level, values, nul, confirmed)
 
 
@@ -171,7 +170,7 @@ def zero_magic_state_for_gate(f: PhasePolynomial) -> StabilizerTableau:
                     )
                     out = apply_diagonal(statevector(tab), f)
                     if nullity(oracle_spectrum(out)) > 1e-9:
-                        raise ValidationError("restriction said Clifford but oracle disagrees")
+                        raise RuntimeError("restriction said Clifford but oracle disagrees")
                     return tab
     raise SearchError(
         f"no frozen product state tames this level-{k} gate; "
@@ -331,7 +330,7 @@ def no_ordering_witness(n: int, k: int) -> NoOrderingWitness:
         gate_zero = PhasePolynomial(n, [(k, 1, 1)])  # dyadic rotation on frozen qubit 1
     level_zero = hierarchy_level(gate_zero)
     if level_zero != k:
-        raise ValidationError(f"zero-side gate has level {level_zero}, wanted {k}")
+        raise RuntimeError(f"zero-side gate has level {level_zero}, wanted {k}")
     free = list(range(r, n))
     want_level = k - 1 if k > 3 else 3
     if len(free) == 1 and want_level >= 4:
@@ -345,9 +344,9 @@ def no_ordering_witness(n: int, k: int) -> NoOrderingWitness:
     m2_zero = sre(oracle_spectrum(apply_diagonal(st, gate_zero)))
     m2_comp = sre(oracle_spectrum(apply_diagonal(st, comparator)))
     if abs(m2_zero) > 1e-9:
-        raise ValidationError("high-level gate failed to preserve the stabilizer state")
+        raise RuntimeError("high-level gate failed to preserve the stabilizer state")
     if m2_comp <= 1e-6:
-        raise ValidationError("comparator gate produced no magic; witness is vacuous")
+        raise RuntimeError("comparator gate produced no magic; witness is vacuous")
 
     reversed_pair = None
     if k >= 4:

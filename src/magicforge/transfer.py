@@ -1,4 +1,5 @@
-"""Heisenberg transfer of Pauli spectra through Clifford + rotation blocks.
+"""Transfer of Pauli spectra through Clifford + rotation blocks and
+diagonal gates.
 
 A block is a Clifford circuit C followed by a layer of single-qubit Z
 rotations U_w.  For the output state the spectrum entry at label (x, z) is
@@ -23,6 +24,15 @@ quarter turn of the output pair, (p', q') -> (-q', p'), which the optimizer
 uses for its gradient.  The submask sum itself is kept as a test-side
 reference, and the dense oracle checks whole circuits.
 
+A diagonal gate with phase function theta goes through `phase_layer`.  In
+sector x the spectrum is i^(x.z) times the Walsh-Hadamard transform over z
+of u_x[b] = conj(psi[b^x]) psi[b], and the gate multiplies u_x[b] by
+e^(2 pi i (theta(b) - theta(b^x))): one batched in-place transform
+(`_fwht`) there, the phase table, and one back, O(n 4**n) work on any real
+vector.  Rotation layers keep the real `rotate_layer`, which carries the
+gradient; on dyadic angles the two kernels agree.  The i^(x.z) exponents
+of all 4**n labels (`_xz_phase`) are built once per n.
+
 Every Clifford conjugation goes through one kernel, `_fold`: it pushes
 signed Hermitian rows (-1)^h P(x, z) forward, C (.) C^dagger, as a
 bit-sliced stabilizer tableau with the Aaronson-Gottesman update per gate
@@ -40,13 +50,14 @@ quadratic form (Dehaene and De Moor, PRA 68, 042318, 2003): each new row g
 adds its own phase plus a cross term 2 z_g.x from the entry it multiplies.
 The Heisenberg table is the kernel on the 2n generator images, and a
 stabilizer group is the kernel on its n tableau rows (`_group`), which is
-how `initial_spectrum`, `stabilizer.canonicalize` and `tableau_expectation`
+how `initial_spectrum`, `spectrum.shallow_spectrum` and `tableau_expectation`
 read the group.  The label-by-label group walk lives on as a test-side
 reference.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -54,7 +65,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .pauli_core import MAX_QUBITS, PauliLabel
-from .diagonal_gates import PhasePolynomial, RotationVector
+from .diagonal_gates import PhasePolynomial, RotationVector, value_numerators
 
 if TYPE_CHECKING:
     from .stabilizer import StabilizerTableau
@@ -63,6 +74,18 @@ if TYPE_CHECKING:
 MAX_BLOCK_QUBITS = 8
 
 _CLIFFORD_GATES = ("H", "S", "X", "Z", "CX", "CZ")
+
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+@functools.cache
+def _xz_phase(n: int) -> np.ndarray:
+    """popcount(x & z) & 3 at every flat label x << n | z: the power of i in
+    P(x, z) = i**(x.z) X^x Z^z.  Built once per n and read-only."""
+    v = np.arange(1 << (2 * n), dtype=np.int64)
+    table = np.bitwise_count((v >> n) & v) & 3
+    table.flags.writeable = False
+    return table
 
 
 def _gate_qubits(n: int, gate: tuple) -> tuple[str, list[int]]:
@@ -231,8 +254,7 @@ class CliffordOp:
         gens = [(0, 1 << k, 0) for k in range(n)] + [(1 << j, 0, 0) for j in range(n)]
         perm, ph = _products(n, _fold(n, gens, _inverse_gates(self.gates)))
         # P(v) = i**(x.z) X^x Z^z on the input side
-        v = np.arange(1 << (2 * n), dtype=np.int64)
-        ph = (ph + np.bitwise_count((v >> n) & v)) & 3
+        ph = (ph + _xz_phase(n)) & 3
         if np.any(ph & 1):
             raise RuntimeError("Clifford conjugation produced imaginary phases")
         sign = 1.0 - ph  # ph is 0 or 2
@@ -314,6 +336,53 @@ def rotate_layer(values: np.ndarray, angles: Sequence[float]) -> np.ndarray:
     return out
 
 
+def _fwht(v: np.ndarray) -> None:
+    """Walsh-Hadamard transform of every column of a C-contiguous 2-D array,
+    in place; each butterfly forms p + q and p - q from the same pair of
+    whole rows."""
+    half = 1
+    while half < len(v):
+        pairs = v.reshape(len(v) // (2 * half), 2, half, v.shape[1])
+        p, q = pairs[:, 0], pairs[:, 1]
+        diff = p - q
+        p += q
+        q[...] = diff
+        half <<= 1
+
+
+def phase_layer(values: np.ndarray, f: PhasePolynomial) -> np.ndarray:
+    """Spectrum after the diagonal gate f, for any real length-4**n vector.
+
+    Undo the i^(x.z) of every label, transform each x sector over z to
+    2**n u_x, multiply by the phase table, transform back and restore
+    i^(x.z) / 2**n.  The gate maps each sector to itself, so all-zero
+    sectors (all x outside the X-part row space of a stabilizer input) are
+    skipped.  The work array is indexed [z, x] (or [b, x]) over the other
+    sectors, so the transforms run down its columns.  Returns a new float64
+    array.
+    """
+    n = f.n
+    size = 1 << n
+    sectors = values.reshape(size, size)
+    live = np.flatnonzero(sectors.any(axis=1))
+    xz = _xz_phase(n).reshape(size, size)[live].T
+    v = np.multiply(_I_POWERS.conj()[xz], sectors[live].T, order="C")
+    _fwht(v)
+    vals, m = value_numerators(f)
+    turns = vals[np.arange(size)[:, None] ^ live]  # theta(b ^ x) numerators, [b, x]
+    np.subtract(vals[:, None], turns, out=turns)
+    turns &= (1 << m) - 1
+    v *= np.exp(2j * np.pi * (turns / float(1 << m)))
+    _fwht(v)
+    v *= _I_POWERS[xz] / size
+    worst = float(np.max(np.abs(v.imag), initial=0.0))
+    if worst > 1e-12:
+        raise RuntimeError(f"phase layer has an imaginary part {worst!r} > 1e-12")
+    out = np.zeros((size, size))
+    out[live] = v.real.T
+    return out.reshape(-1)
+
+
 def _apply_block_raw(arr: np.ndarray, block: LayerBlock) -> np.ndarray:
     out = arr
     if block.clifford is not None:
@@ -324,16 +393,22 @@ def _apply_block_raw(arr: np.ndarray, block: LayerBlock) -> np.ndarray:
     return out
 
 
+def _group_values(t) -> np.ndarray:
+    """Spectrum vector of the stabilizer state with rows (-1)^h P(x, z): +-1
+    on the group, 0 off it.  Takes any object with ``n``, ``rows`` and ``h``."""
+    label, sign = _group(t.n, t.rows, t.h)
+    values = np.zeros(1 << (2 * t.n), dtype=np.float64)
+    values[label] = 1.0 - 2.0 * sign
+    return values
+
+
 def initial_spectrum(t: "StabilizerTableau") -> "PauliSpectrum":
     """Exact signed spectrum of a stabilizer state: +-1 on the group, 0 off it."""
     from .spectrum import PauliSpectrum
 
     if t.n > MAX_BLOCK_QUBITS:
         raise CapacityError(f"spectrum cap is n={MAX_BLOCK_QUBITS}, got {t.n}")
-    label, sign = _group(t.n, t.rows, t.h)
-    values = np.zeros(1 << (2 * t.n), dtype=np.float64)
-    values[label] = 1.0 - 2.0 * sign
-    return PauliSpectrum(t.n, values)
+    return PauliSpectrum(t.n, _group_values(t))
 
 
 def apply_block(s: "PauliSpectrum", block: LayerBlock) -> "PauliSpectrum":

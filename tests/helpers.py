@@ -268,6 +268,26 @@ def group_reference(t) -> list[PauliLabel]:
     return elems
 
 
+def coset_reference(t) -> tuple[list[int], dict[int, PauliLabel]]:
+    """(support, cosets) of a stabilizer state, read off `group_reference`.
+
+    support lists the basis states b on which every pure-Z group element
+    (-1)^s Z^z acts as +1, i.e. b.z = s mod 2.  cosets maps each x-part of
+    the group to its element with the smallest z-part, sign included.
+    """
+    elems = group_reference(t)
+    pure = [e for e in elems if e.x == 0]
+    support = [
+        b for b in range(1 << t.n)
+        if all(((b & e.z).bit_count() + e.phase_exp // 2) % 2 == 0 for e in pure)
+    ]
+    cosets: dict[int, PauliLabel] = {}
+    for e in elems:
+        if e.x not in cosets or e.z < cosets[e.x].z:
+            cosets[e.x] = e
+    return support, cosets
+
+
 def fidelity(u: np.ndarray, v: np.ndarray) -> float:
     return abs(np.vdot(u, v)) ** 2
 

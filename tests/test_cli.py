@@ -240,7 +240,8 @@ class TestSupport:
         def no_canonicalize(*args, **kwargs):
             raise AssertionError("canonicalize ran before the cap check")
 
-        monkeypatch.setattr("magicforge.cli.canonicalize", no_canonicalize)
+        for name in ("canonicalize", "initial_spectrum"):
+            monkeypatch.setattr(f"magicforge.cli.{name}", no_canonicalize)
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"m": 3, "k": [1] * n}))
         assert main(["support", str(path)]) == 2
@@ -340,6 +341,19 @@ class TestErrors:
         path.write_text(json.dumps(tab.to_json()))
         monkeypatch.setattr("magicforge.stabilizer._fold", lambda n, rows, gates: list(rows))
         with pytest.raises(RuntimeError, match="frame reduction failed"):
+            main(["zero-magic", str(path), "--k", "3", "-o", str(tmp_path / "out.json")])
+
+    @pytest.mark.parametrize("attr, stand_in, message", [
+        ("hierarchy_level", lambda f: 2, "conjugated gate has level"),
+        ("nullity", lambda s: 1.0, "oracle rejected the certificate"),
+    ], ids=["level", "oracle"])
+    def test_certificate_fault_is_not_bad_input(self, attr, stand_in, message, tmp_path,
+                                                monkeypatch):
+        # a zero-magic construction that fails its own checks is a program fault
+        path = tmp_path / "tab4.json"
+        path.write_text(json.dumps(random_stabilizer(4, 0).to_json()))
+        monkeypatch.setattr(f"magicforge.theorems.{attr}", stand_in)
+        with pytest.raises(RuntimeError, match=message):
             main(["zero-magic", str(path), "--k", "3", "-o", str(tmp_path / "out.json")])
 
 

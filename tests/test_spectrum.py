@@ -24,7 +24,6 @@ from magicforge.spectrum import (
     nullity,
     shallow_spectrum,
     spectrum_csv_rows,
-    sqr_shallow_spectrum,
     sre,
     stabilizer_max,
     support_size,
@@ -35,8 +34,15 @@ from magicforge.stabilizer import (
     plus_tableau,
     random_stabilizer,
 )
+from magicforge.transfer import (
+    LayerBlock,
+    apply_block,
+    initial_spectrum,
+    phase_layer,
+    random_clifford,
+)
 
-from helpers import spectrum_csv_reference
+from helpers import coset_reference, spectrum_csv_reference
 
 
 def closed(tab, f):
@@ -114,7 +120,8 @@ class TestClosedFormVsOracle:
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_signed_sweep_up_to_cap(self, n):
-        # both closed forms, entry for entry with sign, up to the n = 8 cap
+        # the closed form and the rotation transfer, entry for entry with sign,
+        # up to the n = 8 cap
         rng = np.random.default_rng([16, n])
         for _ in range(3):
             tab = random_stabilizer(n, int(rng.integers(1 << 30)))
@@ -124,7 +131,7 @@ class TestClosedFormVsOracle:
             assert np.max(np.abs(closed(tab, f).values - o.values)) < 1e-10
             w = RotationVector.continuous(tuple(rng.uniform(0, 1, n)))
             o = oracle_spectrum(apply_rotation(st, w))
-            s = sqr_shallow_spectrum(canonicalize(tab), w)
+            s = apply_block(initial_spectrum(tab), LayerBlock(n, None, w))
             assert np.max(np.abs(s.values - o.values)) < 1e-10
 
     def test_norm_identity(self):
@@ -147,15 +154,22 @@ class TestClosedFormVsOracle:
 
 
 class TestSqrPath:
+    # a rotation layer goes through the transfer's real kernel, rotate_layer;
+    # for dyadic angles the phase-layer kernel must give the same spectrum
+
     def test_dyadic_agrees_with_polynomial_path(self):
         rng = np.random.default_rng(13)
-        for n in (1, 2, 3):
-            for _ in range(10):
+        for n in range(1, 9):
+            for _ in range(2):
                 tab = random_stabilizer(n, int(rng.integers(1 << 30)))
-                w = RotationVector.dyadic(tuple(int(k) for k in rng.integers(0, 16, n)), 4)
-                a = sqr_shallow_spectrum(canonicalize(tab), w)
-                b = closed(tab, sqr_to_poly(w))
-                assert np.max(np.abs(a.values - b.values)) < 1e-12
+                prep = LayerBlock(n, random_clifford(n, rng),
+                                  RotationVector.continuous(tuple(rng.uniform(0, 1, n))))
+                stab = initial_spectrum(tab)
+                for s in (stab, apply_block(stab, prep)):  # stabilizer, then generic input
+                    w = RotationVector.dyadic(tuple(int(k) for k in rng.integers(0, 16, n)), 4)
+                    a = apply_block(s, LayerBlock(n, None, w)).values
+                    b = phase_layer(s.values, sqr_to_poly(w))
+                    assert np.max(np.abs(a - b)) < 1e-12, n
 
     def test_continuous_vs_oracle(self):
         rng = np.random.default_rng(14)
@@ -163,14 +177,14 @@ class TestSqrPath:
             for _ in range(10):
                 tab = random_stabilizer(n, int(rng.integers(1 << 30)))
                 w = RotationVector.continuous(tuple(rng.uniform(0, 1, n)))
-                s = sqr_shallow_spectrum(canonicalize(tab), w)
+                s = apply_block(initial_spectrum(tab), LayerBlock(n, None, w))
                 o = oracle_spectrum(apply_rotation(statevector(tab), w))
                 assert np.max(np.abs(s.values - o.values)) < 1e-10
 
     def test_product_state_per_qubit_structure(self):
         # on |+>^n each qubit contributes (1, cos, sin, 0) independently
         w = RotationVector.continuous((0.1, 0.37))
-        s = sqr_shallow_spectrum(canonicalize(plus_tableau(2)), w)
+        s = apply_block(initial_spectrum(plus_tableau(2)), LayerBlock(2, None, w))
         for j, wj in enumerate(w.values):
             x = 1 << j
             c, sn = np.cos(2 * np.pi * wj), np.sin(2 * np.pi * wj)
@@ -187,16 +201,14 @@ class TestMagicPolynomialConsistency:
             for _ in range(4):
                 tab = random_stabilizer(n, int(rng.integers(1 << 30)))
                 f = random_polynomial(n, rng)
-                c = canonicalize(tab)
-                supp = c.support_states()
-                scale = (1 << c.r) / (1 << n)
+                supp, cosets = coset_reference(tab)
+                scale = 1.0 / len(supp)
                 total = 0.0
-                for x in c.cosets:
-                    z_ref, _ = c.cosets[x]
+                for x, ref in cosets.items():
                     phases = {
                         b: complex(
                             np.exp(2j * np.pi * float(theta_diff(f, b, x)))
-                        ) * (-1) ** ((b & z_ref).bit_count() & 1)
+                        ) * (-1) ** ((b & ref.z).bit_count() & 1)
                         for b in supp
                     }
                     for b1 in supp:

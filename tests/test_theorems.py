@@ -17,10 +17,9 @@ from magicforge.oracle import (
     oracle_spectrum,
     statevector,
 )
-from magicforge.spectrum import f_alpha, nullity, sqr_shallow_spectrum, support_size
+from magicforge.spectrum import f_alpha, nullity, support_size
 from magicforge.stabilizer import (
     canonical_frame,
-    canonicalize,
     plus_tableau,
     product_tableau,
     random_stabilizer,
@@ -34,7 +33,13 @@ from magicforge.theorems import (
     support_ceiling,
     zero_magic_state_for_gate,
 )
-from magicforge.transfer import CliffordOp, LayerBlock, random_clifford
+from magicforge.transfer import (
+    CliffordOp,
+    LayerBlock,
+    apply_block,
+    initial_spectrum,
+    random_clifford,
+)
 
 
 class TestFrameConjugation:
@@ -210,7 +215,7 @@ class TestSupportCeiling:
                 w = RotationVector.dyadic(
                     tuple(int(v) for v in rng.integers(0, 16, n)), 4
                 )
-                spec = sqr_shallow_spectrum(canonicalize(plus_tableau(n)), w)
+                spec = apply_block(initial_spectrum(plus_tableau(n)), LayerBlock(n, None, w))
                 assert support_size(spec) == support_ceiling(w)
 
     def test_strictly_below_full_square(self):

@@ -3,21 +3,30 @@
 import numpy as np
 import pytest
 
-from magicforge.diagonal_gates import RotationVector
+from magicforge.diagonal_gates import RotationVector, make_gate, random_polynomial, sqr_to_poly
 from magicforge.errors import CapacityError, ValidationError
-from magicforge.oracle import apply_gates, apply_rotation, oracle_spectrum, statevector
+from magicforge.oracle import (
+    apply_diagonal,
+    apply_gates,
+    apply_rotation,
+    oracle_spectrum,
+    statevector,
+)
 from magicforge.pauli_core import PauliLabel, from_index, pauli_to_text, to_index
 from magicforge.spectrum import f_alpha
 from magicforge.stabilizer import plus_tableau, random_stabilizer, zeros_tableau
 from magicforge.transfer import (
     CliffordOp,
     LayerBlock,
+    _fwht,
+    _xz_phase,
     apply_block,
     circuit_from_json,
     clifford_conjugate,
     conjugate_label,
     identity_clifford,
     initial_spectrum,
+    phase_layer,
     random_clifford,
     rotate_layer,
     transfer_orthogonality_check,
@@ -221,6 +230,68 @@ class TestRotateLayer:
             xs_j = {i for i in range(4**n) if (i >> (n + j)) & 1}
             assert set(p.ravel()) == {i for i in xs_j if not (i >> j) & 1}
             assert np.array_equal(q, p + (1 << j))
+
+
+class TestPhaseLayer:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_non_stabilizer_input_vs_oracle(self, n):
+        # input after a Clifford + rotation block, both spectra from the oracle
+        rng = np.random.default_rng([20, n])
+        for _ in range(3):
+            st = statevector(random_stabilizer(n, int(rng.integers(1 << 30))))
+            st = apply_gates(st, random_clifford(n, rng).gates)
+            st = apply_rotation(st, RotationVector.continuous(tuple(rng.uniform(0, 1, n))))
+            f = random_polynomial(n, rng)
+            out = phase_layer(oracle_spectrum(st).values, f)
+            want = oracle_spectrum(apply_diagonal(st, f)).values
+            assert np.max(np.abs(out - want)) < 1e-10
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_rotate_layer_on_generic_vectors(self, n):
+        # any real vector, with some x sectors all zero; those stay zero
+        rng = np.random.default_rng([22, n])
+        for _ in range(3):
+            v = rng.standard_normal((2**n, 2**n))
+            v[rng.random(2**n) < 0.5] = 0.0
+            w = RotationVector.dyadic(tuple(int(k) for k in rng.integers(0, 16, n)), 4)
+            out = phase_layer(v.reshape(-1), sqr_to_poly(w))
+            assert np.max(np.abs(out - rotate_layer(v.reshape(-1), w.angles()))) < 1e-12
+            assert not np.any(out.reshape(v.shape)[~v.any(axis=1)])
+        assert not np.any(phase_layer(np.zeros(4**n), sqr_to_poly(w)))
+
+    def test_leaves_input_alone(self):
+        v = initial_spectrum(plus_tableau(2)).values
+        kept = v.copy()
+        phase_layer(v, make_gate("CS", [1, 2], 2))
+        assert np.array_equal(v, kept)
+
+    def test_imaginary_output_is_a_fault(self):
+        v = 1j * initial_spectrum(plus_tableau(1)).values
+        with pytest.raises(RuntimeError, match="imaginary"):
+            phase_layer(v, make_gate("T", [1], 1))
+
+    def test_butterflies_are_exact(self):
+        # out of place, stage by stage down each column: p + q and p - q
+        rng = np.random.default_rng(21)
+        v = rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3))
+        want = v.copy()
+        i = np.arange(32)
+        half = 1
+        while half < 32:
+            lo = (i & half) == 0
+            nxt = np.empty_like(want)
+            nxt[lo] = want[i[lo]] + want[i[lo] | half]
+            nxt[~lo] = want[i[~lo] ^ half] - want[i[~lo]]
+            want, half = nxt, half << 1
+        _fwht(v)
+        assert np.array_equal(v.view(np.float64), want.view(np.float64))
+
+    def test_xz_phase_table(self):
+        n = 3
+        table = _xz_phase(n)
+        assert table is _xz_phase(n) and not table.flags.writeable
+        labels = [from_index(v, n) for v in range(4**n)]
+        assert table.tolist() == [(p.x & p.z).bit_count() & 3 for p in labels]
 
 
 class TestInitialSpectrum:
