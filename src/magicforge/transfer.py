@@ -53,6 +53,13 @@ stabilizer group is the kernel on its n tableau rows (`_group`), which is
 how `initial_spectrum`, `spectrum.shallow_spectrum` and `tableau_expectation`
 read the group.  The label-by-label group walk lives on as a test-side
 reference.
+
+A whole circuit is one fold over its layers (`ParsedCircuit.spectrum`),
+from the initial state's +-1 group vector: a Clifford layer is a
+Heisenberg-table gather, ``sqr`` is `rotate_layer` and ``gate`` is
+`phase_layer`, in any order, through the same step (`_apply_layers`) as
+`apply_block`.  The cap is checked before the first 4**n array and
+`PauliSpectrum` validates once, at the end; the dense oracle only checks.
 """
 
 from __future__ import annotations
@@ -383,14 +390,23 @@ def phase_layer(values: np.ndarray, f: PhasePolynomial) -> np.ndarray:
     return out.reshape(-1)
 
 
+def _apply_layers(values: np.ndarray, layers: Sequence[tuple]) -> np.ndarray:
+    """Push a raw spectrum vector through ("clifford" | "sqr" | "gate", obj)
+    layers in order; returns a new array unless ``layers`` is empty."""
+    for kind, obj in layers:
+        if kind == "clifford":
+            perm, sign = obj.heisenberg_table()
+            values = sign * values[perm]
+        elif kind == "sqr":
+            values = rotate_layer(values, obj.angles())
+        else:
+            values = phase_layer(values, obj)
+    return values
+
+
 def _apply_block_raw(arr: np.ndarray, block: LayerBlock) -> np.ndarray:
-    out = arr
-    if block.clifford is not None:
-        perm, sign = block.clifford.heisenberg_table()
-        out = sign * out[perm]
-    if block.w is not None:
-        out = rotate_layer(out, block.w.angles())
-    return out
+    layers = (("clifford", block.clifford), ("sqr", block.w))
+    return _apply_layers(arr, [(kind, obj) for kind, obj in layers if obj is not None])
 
 
 def _group_values(t) -> np.ndarray:
@@ -450,21 +466,14 @@ class ParsedCircuit:
     initial: "StabilizerTableau"
     layers: tuple[tuple, ...]
 
-    def sqr_blocks(self) -> list[LayerBlock] | None:
-        """Merge into Clifford+rotation blocks; None if a general gate appears."""
-        blocks: list[LayerBlock] = []
-        pending: list[tuple] = []
-        for kind, obj in self.layers:
-            if kind == "clifford":
-                pending.extend(obj.gates)
-            elif kind == "sqr":
-                blocks.append(LayerBlock(self.n, CliffordOp(self.n, tuple(pending)), obj))
-                pending = []
-            else:
-                return None
-        if pending:
-            blocks.append(LayerBlock(self.n, CliffordOp(self.n, tuple(pending)), None))
-        return blocks
+    def spectrum(self) -> "PauliSpectrum":
+        """Exact signed spectrum of the output state: one fold over the
+        layers from the initial state's group, validated once at the end."""
+        from .spectrum import PauliSpectrum
+
+        if self.n > MAX_BLOCK_QUBITS:
+            raise CapacityError(f"circuit spectrum cap is n={MAX_BLOCK_QUBITS}, got {self.n}")
+        return PauliSpectrum(self.n, _apply_layers(_group_values(self.initial), self.layers))
 
 
 def circuit_from_json(obj: Mapping) -> ParsedCircuit:

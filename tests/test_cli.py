@@ -4,16 +4,20 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import magicforge
-from magicforge.cli import main
+from magicforge.cli import _oracle_run, main
+from magicforge.diagonal_gates import random_polynomial
+from magicforge.oracle import oracle_spectrum
 from magicforge.optimizer import config_from_dict, run_pipeline
-from magicforge.spectrum import nullity, support_size
+from magicforge.spectrum import f_alpha, nullity, support_size
 from magicforge.stabilizer import StabilizerTableau, pure_z_rank, random_stabilizer
+from magicforge.transfer import circuit_from_json, random_clifford
 
 from helpers import csv_writer_text
 
@@ -44,6 +48,28 @@ def block_file(tmp_path):
     return str(path)
 
 
+def mixed_circuit_json(n, seed):
+    """Random stabilizer -> Clifford -> rotations -> gate -> Clifford."""
+    rng = np.random.default_rng(seed)
+    cliffords = [[list(g) for g in random_clifford(n, rng).gates] for _ in range(2)]
+    return {
+        "n": n,
+        "initial": random_stabilizer(n, int(rng.integers(1 << 30))).to_json(),
+        "layers": [
+            {"clifford": cliffords[0]},
+            {"sqr": {"w": rng.uniform(0.0, 1.0, n).tolist()}},
+            {"gate": random_polynomial(n, rng).to_json()},
+            {"clifford": cliffords[1]},
+        ],
+    }
+
+
+def deviation_comment(path):
+    prefix = "# max_abs_deviation_vs_oracle: "
+    (line,) = [line for line in open(path).read().splitlines() if line.startswith(prefix)]
+    return float(line[len(prefix):])
+
+
 def read_manifest_line(path):
     with open(path) as fh:
         first = fh.readline()
@@ -70,8 +96,8 @@ class TestSpectrum:
         main(["spectrum", circuit_file, "-o", b])
         assert open(a).read() == open(b).read()
 
-    def test_oracle_only_circuit(self, tmp_path):
-        # a mid-circuit general gate forces the oracle path for the primary file
+    def test_gate_before_clifford_runs_the_fold(self, tmp_path):
+        # a gate that is not the last layer: the primary file still comes from the fold
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
             "n": 2,
@@ -82,7 +108,17 @@ class TestSpectrum:
         }))
         out = str(tmp_path / "spec.csv")
         assert main(["spectrum", str(path), "-o", out]) == 0
-        assert "source: oracle" in open(out).read()
+        assert "# source: transfer" in open(out).read().splitlines()
+        assert deviation_comment(out) <= 1e-10
+
+    def test_mixed_circuit_at_the_cap(self, tmp_path):
+        # stabilizer -> Clifford -> rotations -> gate -> Clifford at n = 8
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(mixed_circuit_json(8, 3)))
+        out = str(tmp_path / "spec.csv")
+        assert main(["spectrum", str(path), "-o", out]) == 0
+        assert "# source: transfer" in open(out).read().splitlines()
+        assert deviation_comment(out) <= 1e-10
 
     def test_stdout_is_one_csv(self, tmp_path, capsys):
         # without -o only the primary CSV is written; the oracle check stays a comment
@@ -119,6 +155,62 @@ class TestMagic:
         assert main(["magic", circuit_file]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["results"][0]["alpha"] == 2
+
+    @pytest.mark.parametrize("kinds, method", [
+        ([], "transfer"),
+        (["gate"], "shallow"),
+        (["clifford", "clifford", "gate"], "shallow"),
+        (["sqr", "gate"], "transfer"),
+        (["gate", "gate"], "transfer"),
+        (["clifford", "sqr"], "transfer"),
+    ])
+    def test_method_names_the_shape(self, kinds, method, tmp_path, capsys):
+        layer = {"clifford": {"clifford": [["H", 0]]}, "sqr": {"sqr": {"w": [0.1]}},
+                 "gate": {"gate": {"terms": [{"m": 3, "a": "1", "c": 1}]}}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n": 1, "layers": [layer[k] for k in kinds]}))
+        assert main(["magic", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == method
+
+    def test_mixed_circuit_never_calls_the_oracle(self, tmp_path, monkeypatch):
+        body = mixed_circuit_json(6, 4)
+        want = f_alpha(oracle_spectrum(_oracle_run(circuit_from_json(body))), 2)
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("magic ran the oracle")
+
+        monkeypatch.setattr("magicforge.cli.oracle_spectrum", no_oracle)
+        path, out = tmp_path / "c.json", str(tmp_path / "magic.json")
+        path.write_text(json.dumps(body))
+        assert main(["magic", str(path), "-o", out]) == 0
+        data = json.loads(open(out).read())
+        assert data["method"] == "transfer"
+        assert abs(data["results"][0]["F_alpha"] - want) <= 1e-10
+
+
+class TestCapacity:
+    @pytest.mark.parametrize("command", ["magic", "spectrum"])
+    @pytest.mark.parametrize("shape", ["gate-clifford", "clifford", "clifford-gate"])
+    def test_cap_plus_one_before_any_dense_allocation(self, command, shape, tmp_path,
+                                                      capsys):
+        n = 9
+        gate = {"gate": {"terms": [{"m": 3, "a": "1" * n, "c": 1}]}}
+        clifford = {"clifford": [["H", 0], ["CX", 0, n - 1]]}
+        layers = {"gate-clifford": [gate, clifford], "clifford": [clifford],
+                  "clifford-gate": [clifford, gate]}[shape]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n": n, "layers": layers}))
+        tracemalloc.start()
+        try:
+            code = main([command, str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "CapacityError" and err["error"].startswith("circuit spectrum cap")
+        # one float64 entry per label would take 8 * 4**n bytes
+        assert peak < 8 * 4**n
 
 
 class TestOptimize:

@@ -13,11 +13,19 @@ from magicforge.oracle import (
     statevector,
 )
 from magicforge.pauli_core import PauliLabel, from_index, pauli_to_text, to_index
-from magicforge.spectrum import f_alpha
-from magicforge.stabilizer import plus_tableau, random_stabilizer, zeros_tableau
+from magicforge.spectrum import f_alpha, shallow_spectrum
+from magicforge.stabilizer import (
+    apply_clifford,
+    canonicalize,
+    plus_tableau,
+    random_stabilizer,
+    zeros_tableau,
+)
 from magicforge.transfer import (
+    MAX_BLOCK_QUBITS,
     CliffordOp,
     LayerBlock,
+    ParsedCircuit,
     _fwht,
     _xz_phase,
     apply_block,
@@ -408,29 +416,6 @@ class TestCircuitJson:
         kinds = [kind for kind, _ in parsed.layers]
         assert kinds == ["clifford", "sqr", "gate"]
 
-    def test_sqr_blocks_found(self):
-        parsed = circuit_from_json(
-            {
-                "n": 1,
-                "layers": [
-                    {"clifford": [["H", 0]]},
-                    {"sqr": {"m": 3, "k": [1]}},
-                    {"clifford": [["S", 0]]},
-                    {"sqr": {"w": [0.3]}},
-                ],
-            }
-        )
-        blocks = parsed.sqr_blocks()
-        assert blocks is not None and len(blocks) == 2
-        assert blocks[0].clifford.gates == (("H", 0),)
-        assert blocks[1].w == RotationVector.continuous((0.3,))
-
-    def test_sqr_blocks_refused_for_general_gates(self):
-        parsed = circuit_from_json(
-            {"n": 2, "layers": [{"gate": {"n": 2, "terms": [{"m": 3, "a": "11", "c": 1}]}}]}
-        )
-        assert parsed.sqr_blocks() is None
-
     def test_bad_layer(self):
         with pytest.raises(ValidationError):
             circuit_from_json({"n": 1, "layers": [{"what": 1}]})
@@ -438,3 +423,68 @@ class TestCircuitJson:
     def test_missing_n(self):
         with pytest.raises(ValidationError):
             circuit_from_json({"layers": []})
+
+
+def _random_layer(kind: str, n: int, rng: np.random.Generator) -> tuple:
+    if kind == "clifford":
+        return kind, random_clifford(n, rng)
+    if kind == "sqr":
+        return kind, RotationVector.continuous(rng.uniform(0.0, 1.0, n))
+    return kind, random_polynomial(n, rng)
+
+
+def _oracle_values(parsed: ParsedCircuit) -> np.ndarray:
+    st = statevector(parsed.initial)
+    for kind, obj in parsed.layers:
+        if kind == "clifford":
+            st = apply_gates(st, obj.gates)
+        elif kind == "sqr":
+            st = apply_rotation(st, obj)
+        else:
+            st = apply_diagonal(st, obj)
+    return oracle_spectrum(st).values
+
+
+class TestCircuitFold:
+    # ParsedCircuit.spectrum: one pass over the layers, one kernel per kind
+
+    def test_rotation_circuits_match_apply_block_chain(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 7):
+            tab = random_stabilizer(n, int(rng.integers(1 << 30)))
+            c1, c2, c3 = (random_clifford(n, rng) for _ in range(3))
+            w1, w2 = (RotationVector.continuous(rng.uniform(0.0, 1.0, n)) for _ in range(2))
+            parsed = ParsedCircuit(n, tab, (("sqr", w1), ("clifford", c1), ("clifford", c2),
+                                            ("sqr", w2), ("clifford", c3)))
+            s = initial_spectrum(tab)
+            for block in (LayerBlock(n, None, w1), LayerBlock(n, c1, None),
+                          LayerBlock(n, c2, w2), LayerBlock(n, c3, None)):
+                s = apply_block(s, block)
+            got = parsed.spectrum().values
+            assert np.array_equal(got.view(np.int64), s.values.view(np.int64)), n
+
+    def test_shallow_shape_matches_shallow_spectrum(self):
+        rng = np.random.default_rng(12)
+        for n in range(1, MAX_BLOCK_QUBITS + 1):
+            for _ in range(3):
+                tab = random_stabilizer(n, int(rng.integers(1 << 30)))
+                c, f = random_clifford(n, rng), random_polynomial(n, rng)
+                got = ParsedCircuit(n, tab, (("clifford", c), ("gate", f))).spectrum().values
+                want = shallow_spectrum(canonicalize(apply_clifford(tab, c)), f).values
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
+
+    @pytest.mark.parametrize("n", range(1, MAX_BLOCK_QUBITS + 1))
+    def test_mixed_circuits_vs_oracle(self, n):
+        rng = np.random.default_rng([13, n])
+        for _ in range(2):
+            tab = random_stabilizer(n, int(rng.integers(1 << 30)))
+            kinds = ["clifford", "sqr", "gate", "clifford", "sqr", "gate"]
+            layers = tuple(_random_layer(k, n, rng) for k in rng.permutation(kinds).tolist())
+            parsed = ParsedCircuit(n, tab, layers)
+            dev = np.max(np.abs(parsed.spectrum().values - _oracle_values(parsed)))
+            assert dev <= 1e-10, (n, [kind for kind, _ in layers])
+
+    def test_empty_circuit_is_initial_spectrum(self):
+        tab = random_stabilizer(3, 5)
+        got = ParsedCircuit(3, tab, ()).spectrum().values
+        assert np.array_equal(got, initial_spectrum(tab).values)
