@@ -16,7 +16,9 @@ cross-check; the tests compare both against the submask-sum reference in
 tests/helpers.py and against the dense oracle.
 
 Plain gradient descent with an adaptive step: halve on increase (move
-rejected), grow 1.1x on decrease.  Restarts are uniform in [0,1)^n and the
+rejected), grow 1.1x on decrease.  Each descent carries its point as (w,
+rotated vector, F) and reads the gradient off that vector: one
+`rotate_layer` per trial point.  Restarts are uniform in [0,1)^n and the
 w = 0 candidate is always included, so the reported minimum never exceeds
 the input F_alpha.
 """
@@ -46,7 +48,6 @@ from .transfer import (
 if TYPE_CHECKING:
     from .stabilizer import StabilizerTableau
 
-MAX_PIPELINE_QUBITS = 8
 MAX_GRID_QUBITS = 2
 
 
@@ -69,51 +70,51 @@ class OptimizerConfig:
             raise ValidationError("step and tol must be positive")
 
 
-def _objective_parts(s: PauliSpectrum, w, alpha: int, want_grad: bool):
+def _evaluate(s: PauliSpectrum, w, alpha: int):
+    """(mixed, F): the spectrum after the rotation layer w and its F_alpha."""
     angles = np.asarray(w, dtype=np.float64)
-    n = s.n
-    if angles.shape != (n,):
-        raise ValidationError(f"angle vector has shape {angles.shape}, expected ({n},)")
+    if angles.shape != (s.n,):
+        raise ValidationError(f"angle vector has shape {angles.shape}, expected ({s.n},)")
     mixed = rotate_layer(s.values, angles)
+    return mixed, math.fsum((mixed ** (2 * int(alpha))).tolist())
+
+
+def _gradient(mixed: np.ndarray, n: int, alpha: int) -> np.ndarray:
+    """Gradient in w read off the rotated vector ``mixed`` (quarter-turn formula)."""
     power = 2 * int(alpha)
-    f = math.fsum((mixed ** power).tolist())
-    if not want_grad:
-        return f, None
     grad = np.empty(n, dtype=np.float64)
     for j in range(n):
         p, q = xy_pair(mixed, n, j)
         terms = p * q * (q ** (power - 2) - p ** (power - 2))
         grad[j] = 4.0 * np.pi * alpha * math.fsum(terms.ravel().tolist())
-    return f, grad
+    return grad
 
 
 def objective(s: PauliSpectrum, w, alpha: int = 2) -> float:
     """F_alpha after a rotation layer with angles w (turns) on spectrum s."""
-    f, _ = _objective_parts(s, w, alpha, want_grad=False)
-    return f
+    return _evaluate(s, w, alpha)[1]
 
 
 def objective_grad(s: PauliSpectrum, w, alpha: int = 2) -> np.ndarray:
     """Analytic gradient of the objective with respect to the angles."""
-    _, grad = _objective_parts(s, w, alpha, want_grad=True)
-    return grad
+    return _gradient(_evaluate(s, w, alpha)[0], s.n, alpha)
 
 
 def _descend(s: PauliSpectrum, w0: np.ndarray, config: OptimizerConfig):
     w = np.asarray(w0, dtype=np.float64).copy()
-    f, _ = _objective_parts(s, w, config.alpha, want_grad=False)
+    mixed, f = _evaluate(s, w, config.alpha)
     grad = None  # gradient at w; kept through rejected steps, since w has not moved
     step = config.step
     iters = 0
     for _ in range(config.max_iters):
         iters += 1
         if grad is None:
-            _, grad = _objective_parts(s, w, config.alpha, want_grad=True)
+            grad = _gradient(mixed, s.n, config.alpha)
         w_try = w - step * grad
-        f_try, _ = _objective_parts(s, w_try, config.alpha, want_grad=False)
+        mixed_try, f_try = _evaluate(s, w_try, config.alpha)
         if f_try < f:
             drop = f - f_try
-            w, f, grad = w_try, f_try, None
+            w, mixed, f, grad = w_try, mixed_try, f_try, None
             step *= 1.1
             if drop < config.tol:
                 break
@@ -182,14 +183,12 @@ class LayerResult:
 def optimize_layer(s: PauliSpectrum, config: OptimizerConfig = OptimizerConfig(),
                    layer_index: int = 0) -> LayerResult:
     """Precondition with a Clifford, then optimize the rotation angles."""
-    if s.n > MAX_PIPELINE_QUBITS:
-        raise CapacityError(f"optimizer cap is n={MAX_PIPELINE_QUBITS}, got {s.n}")
     f_before = f_alpha(s, config.alpha)
     cliff = precondition_clifford(s, config, stream=(layer_index,))
     s_mid = apply_block(s, LayerBlock(s.n, cliff, None))
     w, f_star, iters = _optimize_angles_full(s_mid, config, stream=(layer_index,))
     block = LayerBlock(s.n, cliff, RotationVector.continuous(w))
-    s_after = apply_block(s, block)
+    s_after = apply_block(s_mid, LayerBlock(s.n, None, block.w))
     f_direct = f_alpha(s_after, config.alpha)
     if abs(f_direct - f_star) > 1e-9:
         raise RuntimeError(

@@ -55,7 +55,7 @@ class PauliSpectrum:
             raise ValidationError(
                 f"spectrum has shape {vals.shape}, expected ({1 << (2 * self.n)},)"
             )
-        total = math.fsum(np.abs(vals) ** 2)
+        total = math.fsum((vals * vals).tolist())
         if abs(total - float(1 << self.n)) > 1e-9:
             raise ValidationError(f"spectrum norm {total!r} != 2**n")
         if abs(vals[0] - 1.0) > 1e-9:

@@ -206,8 +206,9 @@ def is_graph_type(t: StabilizerTableau):
     """(flag, adjacency, signs) when the state is a signed graph state.
 
     Graph type means r = 0, the x-block reduces to the identity, and no row
-    acts as Y on its own qubit (zero adjacency diagonal).  The adjacency is
-    returned as n row masks, signs as the h bits of the graph generators.
+    acts as Y on its own qubit (zero adjacency diagonal).  The adjacency,
+    symmetric because the rows commute, is returned as n row masks, signs as
+    the h bits of the graph generators.
     Returns (False, None, None) otherwise.
     """
     c = canonicalize(t)
@@ -220,8 +221,6 @@ def is_graph_type(t: StabilizerTableau):
             return False, None, None
         j = row.x.bit_length() - 1
         rows_by_pivot[j] = (row.z, hb)
-    if len(rows_by_pivot) != n:
-        return False, None, None
     adjacency, signs = [], []
     for j in range(n):
         z, hb = rows_by_pivot[j]
@@ -229,10 +228,6 @@ def is_graph_type(t: StabilizerTableau):
             return False, None, None
         adjacency.append(z)
         signs.append(hb)
-    for i in range(n):
-        for j in range(n):
-            if ((adjacency[i] >> j) & 1) != ((adjacency[j] >> i) & 1):
-                return False, None, None  # cannot happen for commuting rows
     return True, tuple(adjacency), tuple(signs)
 
 

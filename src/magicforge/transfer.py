@@ -54,8 +54,9 @@ how `initial_spectrum`, `spectrum.shallow_spectrum` and `tableau_expectation`
 read the group.  The label-by-label group walk lives on as a test-side
 reference.
 
-A whole circuit is one fold over its layers (`ParsedCircuit.spectrum`),
-from the initial state's +-1 group vector: a Clifford layer is a
+A whole circuit is one fold over its layers (`ParsedCircuit.spectrum`).
+Leading Clifford layers move the initial tableau (`stabilizer.apply_clifford`,
+O(gates n)); from its +-1 group vector, a later Clifford layer is a
 Heisenberg-table gather, ``sqr`` is `rotate_layer` and ``gate`` is
 `phase_layer`, in any order, through the same step (`_apply_layers`) as
 `apply_block`.  The cap is checked before the first 4**n array and
@@ -467,13 +468,17 @@ class ParsedCircuit:
     layers: tuple[tuple, ...]
 
     def spectrum(self) -> "PauliSpectrum":
-        """Exact signed spectrum of the output state: one fold over the
-        layers from the initial state's group, validated once at the end."""
+        """Exact signed spectrum of the output state: leading Clifford layers
+        move the tableau, the rest fold from its group; validated once."""
         from .spectrum import PauliSpectrum
+        from .stabilizer import apply_clifford
 
         if self.n > MAX_BLOCK_QUBITS:
             raise CapacityError(f"circuit spectrum cap is n={MAX_BLOCK_QUBITS}, got {self.n}")
-        return PauliSpectrum(self.n, _apply_layers(_group_values(self.initial), self.layers))
+        state, layers = self.initial, self.layers
+        while layers and layers[0][0] == "clifford":
+            state, layers = apply_clifford(state, layers[0][1]), layers[1:]
+        return PauliSpectrum(self.n, _apply_layers(_group_values(state), layers))
 
 
 def circuit_from_json(obj: Mapping) -> ParsedCircuit:

@@ -16,7 +16,7 @@ from magicforge.diagonal_gates import random_polynomial
 from magicforge.oracle import oracle_spectrum
 from magicforge.optimizer import config_from_dict, run_pipeline
 from magicforge.spectrum import f_alpha, nullity, support_size
-from magicforge.stabilizer import StabilizerTableau, pure_z_rank, random_stabilizer
+from magicforge.stabilizer import StabilizerTableau, plus_tableau, pure_z_rank, random_stabilizer
 from magicforge.transfer import circuit_from_json, random_clifford
 
 from helpers import csv_writer_text
@@ -210,6 +210,21 @@ class TestCapacity:
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "CapacityError" and err["error"].startswith("circuit spectrum cap")
         # one float64 entry per label would take 8 * 4**n bytes
+        assert peak < 8 * 4**n
+
+
+    def test_optimize_cap_plus_one_before_any_dense_allocation(self, tmp_path, capsys):
+        n = 9
+        path = tmp_path / "tab.json"
+        path.write_text(json.dumps(plus_tableau(n).to_json()))
+        tracemalloc.start()
+        try:
+            code = main(["optimize", str(path), "--layers", "2"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "CapacityError"
         assert peak < 8 * 4**n
 
 

@@ -1,10 +1,14 @@
 """Angle descent, Clifford preconditioning, and the greedy layer pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import magicforge.optimizer
+
 from magicforge.diagonal_gates import RotationVector
-from magicforge.errors import ValidationError
+from magicforge.errors import CapacityError, ValidationError
 from magicforge.optimizer import (
     OptimizerConfig,
     config_from_dict,
@@ -147,6 +151,33 @@ class TestPipeline:
         assert results[0].f_after <= 1.5 + 1e-6
         assert results[1].f_before == results[0].f_after
         assert results[1].f_after <= results[1].f_before + 1e-9
+
+    def test_one_rotation_per_trial_point(self, monkeypatch):
+        # each descent rotates its start once and each iteration's trial point
+        # once; the gradient reads the vector already rotated at that point
+        calls = 0
+        real = magicforge.optimizer.rotate_layer
+
+        def counting(values, angles):
+            nonlocal calls
+            calls += 1
+            return real(values, angles)
+
+        monkeypatch.setattr(magicforge.optimizer, "rotate_layer", counting)
+        cfg = OptimizerConfig(restarts=1, max_iters=8, step=0.05, clifford_pool=4, seed=3)
+        results = run_pipeline(random_stabilizer(5, 1), 2, cfg)
+        assert calls == sum(res.iterations + cfg.restarts + 1 for res in results)
+
+    def test_cap_before_any_dense_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                run_pipeline(plus_tableau(9), 1, OptimizerConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one float64 entry per label would take 8 * 4**n bytes
+        assert peak < 8 * 4**9
 
     def test_layer_count_validation(self):
         with pytest.raises(ValidationError):

@@ -445,6 +445,10 @@ def _oracle_values(parsed: ParsedCircuit) -> np.ndarray:
     return oracle_spectrum(st).values
 
 
+def _refuse_table(self):
+    raise AssertionError("heisenberg_table called")
+
+
 class TestCircuitFold:
     # ParsedCircuit.spectrum: one pass over the layers, one kernel per kind
 
@@ -483,6 +487,27 @@ class TestCircuitFold:
             parsed = ParsedCircuit(n, tab, layers)
             dev = np.max(np.abs(parsed.spectrum().values - _oracle_values(parsed)))
             assert dev <= 1e-10, (n, [kind for kind, _ in layers])
+
+    @pytest.mark.parametrize("kinds", [["clifford"], ["clifford", "clifford", "gate"],
+                                       ["clifford", "sqr", "gate"], ["clifford", "sqr"]])
+    def test_clifford_prefix_moves_the_tableau(self, kinds, monkeypatch):
+        # leading Clifford layers go through apply_clifford, never a 4**n table
+        monkeypatch.setattr(CliffordOp, "heisenberg_table", _refuse_table)
+        rng = np.random.default_rng([14, len(kinds)])
+        for n in (1, 4, 6):
+            tab = random_stabilizer(n, int(rng.integers(1 << 30)))
+            parsed = ParsedCircuit(n, tab, tuple(_random_layer(k, n, rng) for k in kinds))
+            dev = np.max(np.abs(parsed.spectrum().values - _oracle_values(parsed)))
+            assert dev <= 1e-10, (n, kinds)
+
+    @pytest.mark.parametrize("first", ["sqr", "gate"])
+    def test_clifford_after_a_diagonal_layer_uses_the_table(self, first, monkeypatch):
+        monkeypatch.setattr(CliffordOp, "heisenberg_table", _refuse_table)
+        rng = np.random.default_rng(15)
+        layers = (_random_layer("clifford", 3, rng), _random_layer(first, 3, rng),
+                  _random_layer("clifford", 3, rng))
+        with pytest.raises(AssertionError, match="heisenberg_table called"):
+            ParsedCircuit(3, plus_tableau(3), layers).spectrum()
 
     def test_empty_circuit_is_initial_spectrum(self):
         tab = random_stabilizer(3, 5)
