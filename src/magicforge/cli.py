@@ -14,6 +14,7 @@ error.  Failures print a machine-readable JSON object on standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -351,7 +352,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="magicforge",
         description="Magic spectra, bounds and optimization for Clifford + diagonal circuits",

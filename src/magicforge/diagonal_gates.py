@@ -21,6 +21,7 @@ Resolution is capped at m = 30 so value-table numerators stay inside int64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -233,7 +234,10 @@ class RotationVector:
                 raise ValidationError("continuous mode needs values only")
             if len(self.values) != self.n:
                 raise ValidationError("angle count != n")
-            object.__setattr__(self, "values", tuple(float(v) % 1.0 for v in self.values))
+            values = tuple(float(v) for v in self.values)
+            if not all(map(math.isfinite, values)):
+                raise ValidationError(f"angles must be finite, got {list(values)!r}")
+            object.__setattr__(self, "values", tuple(v % 1.0 for v in values))
         else:
             raise ValidationError(f"unknown mode {self.mode!r}")
 

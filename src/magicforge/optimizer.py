@@ -18,9 +18,10 @@ tests/helpers.py and against the dense oracle.
 Plain gradient descent with an adaptive step: halve on increase (move
 rejected), grow 1.1x on decrease.  Each descent carries its point as (w,
 rotated vector, F) and reads the gradient off that vector: one
-`rotate_layer` per trial point.  Restarts are uniform in [0,1)^n and the
-w = 0 candidate is always included, so the reported minimum never exceeds
-the input F_alpha.
+`rotate_layer` per trial point.  A descent stops where its gradient is
+exactly zero (such as w = 0 on a stabilizer state), since every trial point
+would be w itself.  Restarts are uniform in [0,1)^n and the w = 0 candidate
+is always included, so the reported minimum never exceeds the input F_alpha.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ class OptimizerConfig:
             raise ValidationError(f"alpha must be an integer >= 2, got {self.alpha!r}")
         if self.restarts < 0 or self.max_iters < 1 or self.clifford_pool < 0 or self.seed < 0:
             raise ValidationError("restarts/max_iters/clifford_pool/seed out of range")
-        if self.step <= 0 or self.tol <= 0:
-            raise ValidationError("step and tol must be positive")
+        if not (0 < self.step < math.inf and 0 < self.tol < math.inf):
+            raise ValidationError("step and tol must be positive and finite")
 
 
 def _evaluate(s: PauliSpectrum, w, alpha: int):
@@ -107,9 +108,11 @@ def _descend(s: PauliSpectrum, w0: np.ndarray, config: OptimizerConfig):
     step = config.step
     iters = 0
     for _ in range(config.max_iters):
-        iters += 1
         if grad is None:
             grad = _gradient(mixed, s.n, config.alpha)
+            if not grad.any():
+                break  # stationary: every trial point would be w itself
+        iters += 1
         w_try = w - step * grad
         mixed_try, f_try = _evaluate(s, w_try, config.alpha)
         if f_try < f:
@@ -183,13 +186,13 @@ class LayerResult:
 def optimize_layer(s: PauliSpectrum, config: OptimizerConfig = OptimizerConfig(),
                    layer_index: int = 0) -> LayerResult:
     """Precondition with a Clifford, then optimize the rotation angles."""
-    f_before = f_alpha(s, config.alpha)
+    f_before = f_alpha(s, config.alpha)  # in a pipeline, the last layer's memoised f_direct
     cliff = precondition_clifford(s, config, stream=(layer_index,))
     s_mid = apply_block(s, LayerBlock(s.n, cliff, None))
     w, f_star, iters = _optimize_angles_full(s_mid, config, stream=(layer_index,))
     block = LayerBlock(s.n, cliff, RotationVector.continuous(w))
     s_after = apply_block(s_mid, LayerBlock(s.n, None, block.w))
-    f_direct = f_alpha(s_after, config.alpha)
+    f_direct = f_alpha(s_after, config.alpha)  # summed afresh: the check on f_star
     if abs(f_direct - f_star) > 1e-9:
         raise RuntimeError(
             f"objective ({f_star!r}) and transfer ({f_direct!r}) disagree past 1e-9"

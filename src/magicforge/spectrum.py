@@ -17,9 +17,8 @@ Dense enumeration is capped at n = 8 (4**n = 65536 entries).
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,12 +37,17 @@ MAX_SPECTRUM_QUBITS = 8
 class PauliSpectrum:
     """All 4**n real Pauli expectations of a pure state, indexed x * 2**n + z.
 
-    Values are stored as float64; complex input is rejected.  Construction
-    checks sum a^2 = 2**n and a = 1 at the identity label, to 1e-9.
+    Values are stored as a read-only float64 view; complex input is rejected.
+    Construction checks sum a^2 = 2**n (pairwise summation, whose rounding
+    error at n = 8 is below 1e-12) and a = 1 at the identity label, to 1e-9;
+    a NaN or infinite entry fails the first check.  `f_alpha` memoises its
+    moments on the instance; ``values`` cannot be written through, so write
+    nothing to an array after passing it in.
     """
 
     n: int
     values: np.ndarray
+    _moments: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_SPECTRUM_QUBITS:
@@ -55,11 +59,14 @@ class PauliSpectrum:
             raise ValidationError(
                 f"spectrum has shape {vals.shape}, expected ({1 << (2 * self.n)},)"
             )
-        total = math.fsum((vals * vals).tolist())
-        if abs(total - float(1 << self.n)) > 1e-9:
+        # written as `not <=` so that a NaN total is rejected too
+        total = float(np.sum(vals * vals))
+        if not abs(total - float(1 << self.n)) <= 1e-9:
             raise ValidationError(f"spectrum norm {total!r} != 2**n")
-        if abs(vals[0] - 1.0) > 1e-9:
+        if not abs(vals[0] - 1.0) <= 1e-9:
             raise ValidationError(f"identity entry is {vals[0]!r}, expected 1")
+        vals = vals.view()
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     def abs2(self) -> np.ndarray:
@@ -80,11 +87,14 @@ def shallow_spectrum(c: "CanonicalTableau", f: PhasePolynomial) -> PauliSpectrum
 
 
 def f_alpha(s: PauliSpectrum, alpha: int = 2) -> float:
-    """Magic functional F_alpha = sum |a|^(2 alpha), compensated summation."""
+    """Magic functional F_alpha = sum |a|^(2 alpha), compensated summation;
+    each moment is summed once per spectrum."""
     if int(alpha) != alpha or alpha < 2:
         raise ValidationError(f"alpha must be an integer >= 2, got {alpha!r}")
-    a2 = s.abs2()
-    return math.fsum((a2 ** int(alpha)).tolist())
+    a = int(alpha)
+    if a not in s._moments:
+        s._moments[a] = math.fsum((s.abs2() ** a).tolist())
+    return s._moments[a]
 
 
 def sre(s: PauliSpectrum, alpha: int = 2) -> float:
@@ -128,9 +138,13 @@ def spectrum_csv_rows(s: PauliSpectrum) -> str:
     from 0.0) is formatted once; ``abs(a) ** 2`` is kept as the abs2 formula
     because ``a * a`` can differ from it in the last bit.
     """
-    labels = [format(v, f"0{s.n}b")[::-1] + "," for v in range(1 << s.n)]
+    size = 1 << s.n
+    labels = [format(v, f"0{s.n}b")[::-1] + "," for v in range(size)]
     _, first, inv = np.unique(s.values.view(np.int64), return_index=True, return_inverse=True)
     tails = [f"{a!r},0.0,{abs(a) ** 2!r}\n" for a in s.values[first].tolist()]
-    return "".join(
-        [x + z + tails[k] for (x, z), k in zip(itertools.product(labels, repeat=2), inv.tolist())]
-    )
+    # three cells per row (x bits, z bits, the rest), joined once
+    cells = [""] * (3 * size * size)
+    cells[0::3] = [x for x in labels for _ in range(size)]
+    cells[1::3] = labels * size
+    cells[2::3] = [tails[k] for k in inv.tolist()]
+    return "".join(cells)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import magicforge
-from magicforge.cli import _oracle_run, main
+from magicforge.cli import _build_parser, _oracle_run, main
 from magicforge.diagonal_gates import random_polynomial
 from magicforge.oracle import oracle_spectrum
 from magicforge.optimizer import config_from_dict, run_pipeline
@@ -172,6 +172,30 @@ class TestMagic:
         assert main(["magic", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["method"] == method
 
+    def test_each_moment_summed_once(self, tmp_path, monkeypatch):
+        # F_2 and F_3 are one compensated sum each; M_alpha and the norm check add none
+        path, out = tmp_path / "c.json", str(tmp_path / "magic.json")
+        path.write_text(json.dumps(mixed_circuit_json(6, 5)))
+        calls = []
+        real = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or real(xs))
+        assert main(["magic", str(path), "--alpha", "2", "3", "-o", out]) == 0
+        assert len(calls) == 2
+        by_alpha = {r["alpha"]: r for r in json.loads(open(out).read())["results"]}
+        for a in (2, 3):
+            f = by_alpha[a]["F_alpha"]
+            assert by_alpha[a]["M_alpha"] == math.log2(f * 2.0 ** (-6 * a)) / (1 - a) - 6
+
+    @pytest.mark.parametrize("angle", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_angle_exits_2(self, angle, tmp_path, capsys):
+        # Python's json module reads these literals; F_alpha must never be written as NaN
+        path = tmp_path / "c.json"
+        path.write_text('{"n": 2, "layers": [{"sqr": {"w": [%s, 0.1]}}]}' % angle)
+        assert main(["magic", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["kind"] == "ValidationError"
+
     def test_mixed_circuit_never_calls_the_oracle(self, tmp_path, monkeypatch):
         body = mixed_circuit_json(6, 4)
         want = f_alpha(oracle_spectrum(_oracle_run(circuit_from_json(body))), 2)
@@ -227,6 +251,29 @@ class TestCapacity:
         assert json.loads(capsys.readouterr().err)["kind"] == "CapacityError"
         assert peak < 8 * 4**n
 
+    @pytest.mark.parametrize("command", ["nogo", "zero-magic"])
+    def test_theorem_commands_cap_plus_one_before_any_dense_allocation(self, command, tmp_path,
+                                                                      capsys):
+        n = 9
+        path = tmp_path / "in.json"
+        if command == "nogo":
+            block = {"n": n, "clifford": [["H", 0]], "sqr": {"m": 3, "k": [1] * n}}
+            path.write_text(json.dumps(block))
+            argv = ["nogo", str(path)]
+        else:
+            path.write_text(json.dumps(plus_tableau(n).to_json()))
+            argv = ["zero-magic", str(path), "--k", "3"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "CapacityError"
+        # one float64 entry per label would take 8 * 4**n bytes
+        assert peak < 8 * 4**n
+
 
 class TestOptimize:
     def test_trajectory_csv(self, tableau_file, tmp_path):
@@ -267,7 +314,8 @@ class TestOptimize:
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "ValidationError"
 
-    @pytest.mark.parametrize("config", [{"alpha": "abc"}, {"restarts": "x"}, {"seed": -1}])
+    @pytest.mark.parametrize("config", [{"alpha": "abc"}, {"restarts": "x"}, {"seed": -1},
+                                        {"step": float("nan")}, {"tol": float("inf")}])
     def test_bad_config_value_exits_2(self, config, tableau_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -462,6 +510,20 @@ class TestErrors:
         monkeypatch.setattr(f"magicforge.theorems.{attr}", stand_in)
         with pytest.raises(RuntimeError, match=message):
             main(["zero-magic", str(path), "--k", "3", "-o", str(tmp_path / "out.json")])
+
+
+class TestParser:
+    def test_consecutive_commands_share_one_parser(self, circuit_file, tmp_path):
+        _build_parser.cache_clear()
+        outs = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        assert main(["magic", circuit_file, "--alpha", "3", "-o", outs[0]]) == 0
+        assert main(["magic", circuit_file, "-o", outs[1]]) == 0
+        assert _build_parser.cache_info().misses == 1
+        first, second = (json.loads(open(out).read()) for out in outs)
+        assert [r["alpha"] for r in first["results"]] == [3]
+        assert first["manifest"]["options"] == {"alpha": [3]}
+        assert [r["alpha"] for r in second["results"]] == [2]
+        assert second["manifest"]["options"] == {"alpha": [2]}
 
 
 class TestEntryPoint:

@@ -206,6 +206,11 @@ class TestRotationVector:
         w = RotationVector.continuous((1.25, -0.25))
         assert w.values == (0.25, 0.75)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_continuous_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError):
+            RotationVector.continuous((bad, 0.1))
+
     def test_as_dyadic_snaps(self):
         w = RotationVector.continuous((0.125, 0.5))
         d = w.as_dyadic(max_resolution=3)

@@ -11,6 +11,7 @@ from magicforge.diagonal_gates import RotationVector
 from magicforge.errors import CapacityError, ValidationError
 from magicforge.optimizer import (
     OptimizerConfig,
+    _descend,
     config_from_dict,
     grid_min,
     objective,
@@ -20,7 +21,7 @@ from magicforge.optimizer import (
     precondition_clifford,
     run_pipeline,
 )
-from magicforge.spectrum import f_alpha
+from magicforge.spectrum import PauliSpectrum, f_alpha
 from magicforge.stabilizer import plus_tableau, random_stabilizer, zeros_tableau
 from magicforge.transfer import LayerBlock, apply_block, initial_spectrum, random_clifford
 
@@ -152,6 +153,33 @@ class TestPipeline:
         assert results[1].f_before == results[0].f_after
         assert results[1].f_after <= results[1].f_before + 1e-9
 
+    @pytest.mark.parametrize("n, seed", [(4, 1), (5, 1), (6, 2)])
+    def test_zero_gradient_stops_before_any_trial_point(self, n, seed, monkeypatch):
+        # w = 0 on a stabilizer state is stationary: every trial point would be w
+        s = initial_spectrum(random_stabilizer(n, seed))
+        calls = 0
+        real = magicforge.optimizer.rotate_layer
+
+        def counting(values, angles):
+            nonlocal calls
+            calls += 1
+            return real(values, angles)
+
+        monkeypatch.setattr(magicforge.optimizer, "rotate_layer", counting)
+        w, f, iters = _descend(s, np.zeros(n), OptimizerConfig())
+        assert iters == 0 and calls == 1
+        assert f == 2.0**n and np.array_equal(w, np.zeros(n))
+
+    def test_f_before_reuses_the_last_f_after(self, monkeypatch):
+        # layer 1's f_before is layer 0's f_direct, memoised on the spectrum it handed on
+        summed = []
+        real = PauliSpectrum.abs2
+        monkeypatch.setattr(PauliSpectrum, "abs2", lambda s: summed.append(s) or real(s))
+        cfg = OptimizerConfig(restarts=1, max_iters=8, clifford_pool=4, seed=3)
+        results = run_pipeline(random_stabilizer(4, 1), 2, cfg)
+        assert len(summed) == 3  # f_before of layer 0 and each layer's f_direct
+        assert results[1].f_before == results[0].f_after
+
     def test_one_rotation_per_trial_point(self, monkeypatch):
         # each descent rotates its start once and each iteration's trial point
         # once; the gradient reads the vector already rotated at that point
@@ -200,3 +228,10 @@ class TestConfig:
             OptimizerConfig(restarts=-1)
         with pytest.raises(ValidationError):
             OptimizerConfig(step=-0.1)
+
+    @pytest.mark.parametrize("field", ["step", "tol"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_step_and_tol_rejected(self, field, bad):
+        # NaN passes a plain `<= 0` test
+        with pytest.raises(ValidationError):
+            config_from_dict({field: bad})

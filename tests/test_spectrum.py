@@ -77,6 +77,30 @@ class TestContainer:
         s = closed(plus_tableau(1), make_gate("T", [1], 1))
         assert abs(s.entry(1, 0) - np.sqrt(0.5)) < 1e-12
 
+    @pytest.mark.parametrize("vals", [[1.0, np.nan, 0.0, 0.0], [np.nan] * 4,
+                                      [1.0, np.inf, 0.0, 0.0]])
+    def test_non_finite_entries_rejected(self, vals):
+        # a NaN compares false with everything, so a NaN norm must not slip past the bound
+        with pytest.raises(ValidationError):
+            PauliSpectrum(1, vals)
+
+    def test_values_are_read_only(self):
+        s = closed(plus_tableau(2), make_gate("T", [1], 2))
+        f = f_alpha(s, 2)
+        with pytest.raises(ValueError):
+            s.values[1] = 0.0
+        assert f_alpha(s, 2) == f
+
+    def test_moments_summed_once(self, monkeypatch):
+        s = closed(plus_tableau(3), make_gate("CS", [1, 2], 3))
+        calls = []
+        real = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or real(xs))
+        first = (f_alpha(s, 2), sre(s, 2), f_alpha(s, 3))
+        assert len(calls) == 2
+        assert (f_alpha(s, 2), sre(s, 2), f_alpha(s, 3)) == first
+        assert len(calls) == 2
+
 
 class TestGoldens:
     def test_t_on_plus(self):
