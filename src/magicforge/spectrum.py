@@ -37,12 +37,13 @@ MAX_SPECTRUM_QUBITS = 8
 class PauliSpectrum:
     """All 4**n real Pauli expectations of a pure state, indexed x * 2**n + z.
 
-    Values are stored as a read-only float64 view; complex input is rejected.
+    The spectrum takes its array over: a float64 array that owns its data is
+    marked read-only in place, and any other input is copied once, so
+    neither ``values`` nor the moments that `f_alpha` memoises on the
+    instance can change afterwards.  Complex input is rejected.
     Construction checks sum a^2 = 2**n (pairwise summation, whose rounding
     error at n = 8 is below 1e-12) and a = 1 at the identity label, to 1e-9;
-    a NaN or infinite entry fails the first check.  `f_alpha` memoises its
-    moments on the instance; ``values`` cannot be written through, so write
-    nothing to an array after passing it in.
+    a NaN or infinite entry fails the first check.
     """
 
     n: int
@@ -65,7 +66,8 @@ class PauliSpectrum:
             raise ValidationError(f"spectrum norm {total!r} != 2**n")
         if not abs(vals[0] - 1.0) <= 1e-9:
             raise ValidationError(f"identity entry is {vals[0]!r}, expected 1")
-        vals = vals.view()
+        if not vals.flags.owndata:
+            vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

@@ -288,7 +288,10 @@ def identity_clifford(n: int) -> CliffordOp:
 
 
 def random_clifford(n: int, rng: np.random.Generator, length: int | None = None) -> CliffordOp:
-    """Random gate string; long enough defaults to scramble at these sizes."""
+    """Random gate string; long enough defaults to scramble at these sizes.
+
+    The gate-by-gate stream stays fixed: the benchmark's inputs and every
+    `stabilizer.random_stabilizer` seed depend on it."""
     if length is None:
         length = 3 * n * n + 2 * n
     gates: list[tuple] = []
@@ -386,9 +389,9 @@ def phase_layer(values: np.ndarray, f: PhasePolynomial) -> np.ndarray:
     worst = float(np.max(np.abs(v.imag), initial=0.0))
     if worst > 1e-12:
         raise RuntimeError(f"phase layer has an imaginary part {worst!r} > 1e-12")
-    out = np.zeros((size, size))
-    out[live] = v.real.T
-    return out.reshape(-1)
+    out = np.zeros(size * size)
+    out.reshape(size, size)[live] = v.real.T
+    return out
 
 
 def _apply_layers(values: np.ndarray, layers: Sequence[tuple]) -> np.ndarray:

@@ -308,3 +308,12 @@ def spectrum_csv_reference(n: int, values) -> str:
         (labels[i // size], labels[i % size], a, 0.0, abs(a) ** 2)
         for i, a in enumerate(np.asarray(values).tolist())
     )
+
+
+def pool_score_reference(values: np.ndarray, perm: np.ndarray) -> float:
+    """Preconditioner score from a whole Heisenberg table: the sum over labels
+    v of |x(v)| (a(perm[v])^2 - 2^-n)^2, where C^dagger P(v) C = +-P(perm[v])
+    and |x(v)| counts the Z_j that P(v) anticommutes with."""
+    n = (len(values).bit_length() - 1) // 2
+    xw = np.bitwise_count(np.arange(len(values), dtype=np.int64) >> n).astype(np.float64)
+    return float(np.sum(xw * (values[perm] ** 2 - 2.0 ** (-n)) ** 2))

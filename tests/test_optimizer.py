@@ -11,7 +11,10 @@ from magicforge.diagonal_gates import RotationVector
 from magicforge.errors import CapacityError, ValidationError
 from magicforge.optimizer import (
     OptimizerConfig,
+    _axis_scores,
     _descend,
+    _pool_gates,
+    _pool_score,
     config_from_dict,
     grid_min,
     objective,
@@ -23,9 +26,15 @@ from magicforge.optimizer import (
 )
 from magicforge.spectrum import PauliSpectrum, f_alpha
 from magicforge.stabilizer import plus_tableau, random_stabilizer, zeros_tableau
-from magicforge.transfer import LayerBlock, apply_block, initial_spectrum, random_clifford
+from magicforge.transfer import (
+    CliffordOp,
+    LayerBlock,
+    apply_block,
+    initial_spectrum,
+    random_clifford,
+)
 
-from helpers import submask_objective
+from helpers import pool_score_reference, submask_objective
 
 
 class TestObjective:
@@ -125,6 +134,88 @@ class TestPrecondition:
         c = precondition_clifford(s, OptimizerConfig(clifford_pool=8, seed=5))
         moved = apply_block(s, LayerBlock(3, c, None))
         assert abs(f_alpha(moved, 2) - f_alpha(s, 2)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_wht_score_equals_table_score_on_stabilizer_spectra(self, n):
+        # stabilizer entries are 0 or +-1, so both sums are exact and layer-0
+        # ties stay exact ties
+        for seed in range(4):
+            s = initial_spectrum(random_stabilizer(n, 100 * n + seed))
+            axis_scores = _axis_scores(s)
+            for gates in _pool_gates(n, 5, np.random.default_rng([n, seed])):
+                perm, _ = CliffordOp(n, gates).heisenberg_table()
+                assert _pool_score(axis_scores, n, gates) == pool_score_reference(s.values, perm)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_wht_score_matches_table_score_after_rotation(self, n):
+        rng = np.random.default_rng(40 + n)
+        for seed in range(3):
+            s = initial_spectrum(random_stabilizer(n, 200 * n + seed))
+            s = apply_block(s, LayerBlock(n, random_clifford(n, rng),
+                                          RotationVector.continuous(tuple(rng.uniform(0, 1, n)))))
+            axis_scores = _axis_scores(s)
+            for gates in [()] + _pool_gates(n, 5, rng):
+                perm, _ = CliffordOp(n, gates).heisenberg_table()
+                ref = pool_score_reference(s.values, perm)
+                assert abs(_pool_score(axis_scores, n, gates) - ref) <= 1e-12 * ref
+
+    def test_builds_no_heisenberg_table(self, monkeypatch):
+        calls = []
+        real = CliffordOp.heisenberg_table
+        monkeypatch.setattr(CliffordOp, "heisenberg_table",
+                            lambda c: calls.append(c) or real(c))
+        rng = np.random.default_rng(8)
+        s = initial_spectrum(random_stabilizer(5, 8))
+        w = RotationVector.continuous(tuple(rng.uniform(0, 1, 5)))
+        s = apply_block(s, LayerBlock(5, None, w))
+        calls.clear()
+        precondition_clifford(s, OptimizerConfig(clifford_pool=16, seed=8))
+        assert calls == []
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_all_tied_pool_keeps_the_identity(self, n):
+        # on |+...+> the axes Z_1..Z_n already score the most; where every
+        # candidate ties exactly, the earliest (the identity) must win
+        s = initial_spectrum(plus_tableau(n))
+        axis_scores = _axis_scores(s)
+        tied = 0
+        for seed in range(40):
+            pool = [()] + _pool_gates(n, 4, np.random.default_rng([seed, 1, 0]))
+            scores = [_pool_score(axis_scores, n, gates) for gates in pool]
+            if all(score == scores[0] for score in scores):
+                tied += 1
+                cfg = OptimizerConfig(clifford_pool=4, seed=seed)
+                assert precondition_clifford(s, cfg).gates == ()
+        assert tied > 0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pool_gate_strings(self, n):
+        pool = _pool_gates(n, 40, np.random.default_rng(n))
+        assert len(pool) == 40
+        two = total = 0
+        for gates in pool:
+            assert len(gates) == 3 * n * n + 2 * n
+            assert CliffordOp(n, gates).gates == gates  # validates every gate
+            for gate in gates:
+                total += 1
+                if gate[0] in ("CX", "CZ"):
+                    two += 1
+                    assert gate[1] != gate[2]
+        if n == 1:
+            assert two == 0
+        else:
+            assert 0.45 <= two / total <= 0.55
+
+    def test_single_qubit_and_empty_pool(self):
+        rng = np.random.default_rng(9)
+        s = initial_spectrum(plus_tableau(1))
+        s = apply_block(s, LayerBlock(1, None, RotationVector.continuous((rng.uniform(),))))
+        c = precondition_clifford(s, OptimizerConfig(clifford_pool=8, seed=9))
+        assert c.n == 1 and all(len(g) == 2 for g in c.gates)
+        s4 = initial_spectrum(random_stabilizer(4, 9))
+        assert precondition_clifford(s4, OptimizerConfig(clifford_pool=0)).gates == ()
+        res = optimize_layer(s4, OptimizerConfig(restarts=1, max_iters=4, clifford_pool=0))
+        assert res.block.clifford.gates == ()
 
 
 class TestOptimizeLayer:

@@ -91,6 +91,24 @@ class TestContainer:
             s.values[1] = 0.0
         assert f_alpha(s, 2) == f
 
+    def test_caller_array_cannot_stale_the_moments(self):
+        # a float64 array that owns its data is taken over and made read-only
+        v = np.array([1.0, 1.0, 0.0, 0.0])
+        s = PauliSpectrum(1, v)
+        assert f_alpha(s, 2) == 2.0
+        with pytest.raises(ValueError):
+            v[1], v[2] = 0.6, 0.8
+        assert s.values is v and s.values.tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert f_alpha(s, 2) == math.fsum((s.values ** 4).tolist())
+
+    def test_view_input_is_copied(self):
+        base = np.array([1.0, 1.0, 0.0, 0.0, 9.0])
+        view = base[:4]
+        s = PauliSpectrum(1, view)
+        base[1], base[2] = 0.6, 0.8  # the caller's view stays writeable
+        assert view.flags.writeable
+        assert s.values.tolist() == [1.0, 1.0, 0.0, 0.0] and f_alpha(s, 2) == 2.0
+
     def test_moments_summed_once(self, monkeypatch):
         s = closed(plus_tableau(3), make_gate("CS", [1, 2], 3))
         calls = []
