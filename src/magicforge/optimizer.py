@@ -10,10 +10,11 @@ pass gives all n partials:
 
     df/dw_j = 4 pi alpha * sum over x_j = 1 of p q (q^(2 alpha - 2) - p^(2 alpha - 2)).
 
-F_alpha and each partial are compensated sums (math.fsum).  Because the
-objective and the transfer share the kernel, their agreement is no
-cross-check; the tests compare both against the submask-sum reference in
-tests/helpers.py and against the dense oracle.
+F_alpha and each partial are exactly rounded sums (`spectrum.exact_sum`,
+which returns `math.fsum` of its input bit for bit).  Because the objective
+and the transfer share the kernel, their agreement is no cross-check; the
+tests compare both against the submask-sum reference in tests/helpers.py and
+against the dense oracle.
 
 Plain gradient descent with an adaptive step: halve on increase (move
 rejected), grow 1.1x on decrease.  Each descent carries its point as (w,
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .diagonal_gates import RotationVector
-from .spectrum import PauliSpectrum, f_alpha
+from .spectrum import PauliSpectrum, exact_sum, f_alpha
 from .transfer import (
     CliffordOp,
     LayerBlock,
@@ -79,7 +80,7 @@ def _evaluate(s: PauliSpectrum, w, alpha: int):
     if angles.shape != (s.n,):
         raise ValidationError(f"angle vector has shape {angles.shape}, expected ({s.n},)")
     mixed = rotate_layer(s.values, angles)
-    return mixed, math.fsum((mixed ** (2 * int(alpha))).tolist())
+    return mixed, exact_sum(mixed ** (2 * int(alpha)))
 
 
 def _gradient(mixed: np.ndarray, n: int, alpha: int) -> np.ndarray:
@@ -89,7 +90,7 @@ def _gradient(mixed: np.ndarray, n: int, alpha: int) -> np.ndarray:
     for j in range(n):
         p, q = xy_pair(mixed, n, j)
         terms = p * q * (q ** (power - 2) - p ** (power - 2))
-        grad[j] = 4.0 * np.pi * alpha * math.fsum(terms.ravel().tolist())
+        grad[j] = 4.0 * np.pi * alpha * exact_sum(terms)
     return grad
 
 

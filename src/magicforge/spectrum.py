@@ -37,10 +37,9 @@ MAX_SPECTRUM_QUBITS = 8
 class PauliSpectrum:
     """All 4**n real Pauli expectations of a pure state, indexed x * 2**n + z.
 
-    The spectrum takes its array over: a float64 array that owns its data is
-    marked read-only in place, and any other input is copied once, so
-    neither ``values`` nor the moments that `f_alpha` memoises on the
-    instance can change afterwards.  Complex input is rejected.
+    The input is copied once and the copy marked read-only, so no array or
+    view the caller holds can change ``values`` or the moments that
+    `f_alpha` memoises on the instance.  Complex input is rejected.
     Construction checks sum a^2 = 2**n (pairwise summation, whose rounding
     error at n = 8 is below 1e-12) and a = 1 at the identity label, to 1e-9;
     a NaN or infinite entry fails the first check.
@@ -55,7 +54,7 @@ class PauliSpectrum:
             raise CapacityError(f"spectra support 1..{MAX_SPECTRUM_QUBITS} qubits, got {self.n}")
         if np.iscomplexobj(self.values):
             raise ValidationError("spectrum entries are real; got a complex array")
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.array(self.values, dtype=np.float64)
         if vals.shape != (1 << (2 * self.n),):
             raise ValidationError(
                 f"spectrum has shape {vals.shape}, expected ({1 << (2 * self.n)},)"
@@ -66,8 +65,6 @@ class PauliSpectrum:
             raise ValidationError(f"spectrum norm {total!r} != 2**n")
         if not abs(vals[0] - 1.0) <= 1e-9:
             raise ValidationError(f"identity entry is {vals[0]!r}, expected 1")
-        if not vals.flags.owndata:
-            vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -88,14 +85,64 @@ def shallow_spectrum(c: "CanonicalTableau", f: PhasePolynomial) -> PauliSpectrum
     return PauliSpectrum(n, phase_layer(_group_values(c), f))
 
 
+# below this many entries one math.fsum over a list beats the kernel's fixed
+# numpy cost (spectra at n <= 5, gradient rows at n <= 6)
+_EXACT_SUM_CUT = 4096
+# entries per pass, so that no temporary outgrows 128 KiB
+_EXACT_SUM_CHUNK = 16384
+# bucket totals stay exact for at most 2**26 entries
+_EXACT_SUM_MAX = 1 << 26
+# 2**26 entries below 2**997 in magnitude cannot overflow any partial sum
+_EXACT_SUM_PEAK = 2.0 ** 997
+# one bucket per frexp exponent, -1073 (subnormals) to 997
+_EXACT_SUM_BUCKETS = 1074 + 998
+
+
+def exact_sum(x) -> float:
+    """``math.fsum(x)``, bit for bit, without a Python float per entry.
+
+    Each entry splits exactly, by `np.frexp`, into x = (hi + lo) 2**(e - 27)
+    with an integer hi in [-2**27, 2**27) and lo a multiple of 2**-26 in
+    [0, 1).  `np.bincount` adds the hi and the lo halves per exponent e.
+    Every partial sum of N entries is a whole number of units (1 for hi,
+    2**-26 for lo) of magnitude at most N 2**27 units, so for N <= 2**26 it
+    stays within 2**53 units and each bucket total is exact, and so is
+    scaling it back with `np.ldexp`.  (A spectrum has at most 4**8 = 2**16
+    entries.)  One `math.fsum` of those few exact parts, two per binade
+    present, is the correctly rounded sum of x: what `math.fsum(x)` returns.
+
+    Inputs below `_EXACT_SUM_CUT` entries, above 2**26 entries, with a
+    non-finite entry or with one of magnitude 2**997 or more (where
+    `math.fsum` may overflow part way) go to `math.fsum` unchanged, which
+    keeps its value or its exception.  Either way `math.fsum` is called
+    exactly once.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if not (_EXACT_SUM_CUT <= x.size <= _EXACT_SUM_MAX
+            and -_EXACT_SUM_PEAK < x.min() and x.max() < _EXACT_SUM_PEAK):
+        return math.fsum(x.tolist())
+    totals = np.zeros((2, _EXACT_SUM_BUCKETS))  # hi and lo totals per bucket
+    for start in range(0, x.size, _EXACT_SUM_CHUNK):
+        mant, exp = np.frexp(x[start:start + _EXACT_SUM_CHUNK])  # 1/2 <= |mant| < 1, or 0
+        mant *= 2.0 ** 27
+        hi = np.floor(mant)
+        mant -= hi  # lo
+        exp = np.add(exp, 1074, dtype=np.intp)  # bucket index, as bincount takes it
+        totals[0] += np.bincount(exp, weights=hi, minlength=_EXACT_SUM_BUCKETS)
+        totals[1] += np.bincount(exp, weights=mant, minlength=_EXACT_SUM_BUCKETS)
+    k = np.flatnonzero(totals)
+    parts = np.ldexp(totals.ravel()[k], k % _EXACT_SUM_BUCKETS - (1074 + 27))
+    return math.fsum(parts.tolist())
+
+
 def f_alpha(s: PauliSpectrum, alpha: int = 2) -> float:
-    """Magic functional F_alpha = sum |a|^(2 alpha), compensated summation;
-    each moment is summed once per spectrum."""
+    """Magic functional F_alpha = sum |a|^(2 alpha), exactly rounded
+    (`exact_sum`); each moment is summed once per spectrum."""
     if int(alpha) != alpha or alpha < 2:
         raise ValidationError(f"alpha must be an integer >= 2, got {alpha!r}")
     a = int(alpha)
     if a not in s._moments:
-        s._moments[a] = math.fsum((s.abs2() ** a).tolist())
+        s._moments[a] = exact_sum(s.abs2() ** a)
     return s._moments[a]
 
 

@@ -396,9 +396,12 @@ def phase_layer(values: np.ndarray, f: PhasePolynomial) -> np.ndarray:
 
 def _apply_layers(values: np.ndarray, layers: Sequence[tuple]) -> np.ndarray:
     """Push a raw spectrum vector through ("clifford" | "sqr" | "gate", obj)
-    layers in order; returns a new array unless ``layers`` is empty."""
+    layers in order.  A Clifford layer without gates is skipped, so the
+    result is ``values`` itself when no other layer is given."""
     for kind, obj in layers:
         if kind == "clifford":
+            if not obj.gates:
+                continue
             perm, sign = obj.heisenberg_table()
             values = sign * values[perm]
         elif kind == "sqr":

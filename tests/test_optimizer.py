@@ -30,6 +30,7 @@ from magicforge.transfer import (
     CliffordOp,
     LayerBlock,
     apply_block,
+    circuit_from_json,
     initial_spectrum,
     random_clifford,
 )
@@ -232,6 +233,32 @@ class TestOptimizeLayer:
         res = optimize_layer(s, OptimizerConfig(restarts=4, seed=7))
         redo = apply_block(s, res.block)
         assert abs(f_alpha(redo, 2) - res.f_after) < 1e-9
+
+    def test_kept_identity_builds_no_heisenberg_table(self, monkeypatch):
+        # a Clifford layer without gates is skipped, in apply_block and in circuits
+        calls = []
+        real = CliffordOp.heisenberg_table
+        monkeypatch.setattr(CliffordOp, "heisenberg_table",
+                            lambda c: calls.append(c) or real(c))
+        config = OptimizerConfig(restarts=1, clifford_pool=4, seed=3)
+        kept = moved = 0
+        for n, seed in [(3, 1), (4, 2), (4, 5), (5, 3)]:
+            for res in run_pipeline(random_stabilizer(n, seed), 2, config):
+                kept += res.block.clifford.gates == ()
+                moved += res.block.clifford.gates != ()
+        assert kept > 0 and len(calls) == moved
+        calls.clear()
+        s = initial_spectrum(random_stabilizer(4, 9))
+        w = RotationVector.continuous((0.1, 0.2, 0.3, 0.4))
+        got = apply_block(s, LayerBlock(4, CliffordOp(4, ()), w)).values
+        want = apply_block(s, LayerBlock(4, None, w)).values
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        parsed = circuit_from_json({"n": 2, "layers": [{"sqr": {"w": [0.1, 0.2]}},
+                                                       {"clifford": []}]})
+        want = apply_block(initial_spectrum(plus_tableau(2)),
+                           LayerBlock(2, None, RotationVector.continuous((0.1, 0.2)))).values
+        assert np.array_equal(parsed.spectrum().values.view(np.int64), want.view(np.int64))
+        assert calls == []
 
 
 class TestPipeline:

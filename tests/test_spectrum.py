@@ -18,7 +18,9 @@ from magicforge.errors import ValidationError
 from magicforge.oracle import apply_diagonal, apply_rotation, oracle_spectrum, statevector
 from magicforge.pauli_core import PauliLabel, to_index
 from magicforge.spectrum import (
+    _EXACT_SUM_CUT,
     PauliSpectrum,
+    exact_sum,
     f_alpha,
     flat_bound,
     nullity,
@@ -92,13 +94,22 @@ class TestContainer:
         assert f_alpha(s, 2) == f
 
     def test_caller_array_cannot_stale_the_moments(self):
-        # a float64 array that owns its data is taken over and made read-only
+        # the input is copied, so the caller's array stays writeable and apart
         v = np.array([1.0, 1.0, 0.0, 0.0])
         s = PauliSpectrum(1, v)
         assert f_alpha(s, 2) == 2.0
-        with pytest.raises(ValueError):
-            v[1], v[2] = 0.6, 0.8
-        assert s.values is v and s.values.tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert v.flags.writeable
+        v[1], v[2] = 0.6, 0.8
+        assert s.values.tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert f_alpha(s, 2) == 2.0 == math.fsum((s.values ** 4).tolist())
+
+    def test_view_taken_before_construction_cannot_stale_the_moments(self):
+        v = np.array([1.0, 1.0, 0.0, 0.0])
+        w = v[:]
+        s = PauliSpectrum(1, v)
+        assert f_alpha(s, 2) == 2.0
+        w[1], w[2] = 0.6, 0.8
+        assert s.values.tolist() == [1.0, 1.0, 0.0, 0.0]
         assert f_alpha(s, 2) == math.fsum((s.values ** 4).tolist())
 
     def test_view_input_is_copied(self):
@@ -118,6 +129,61 @@ class TestContainer:
         assert len(calls) == 2
         assert (f_alpha(s, 2), sre(s, 2), f_alpha(s, 3)) == first
         assert len(calls) == 2
+
+
+def _outcome(sum_fn, x):
+    """The value's bits (so -0.0 and NaN compare), or the exception raised."""
+    try:
+        return float.hex(sum_fn(x))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _sum_inputs(rng, size):
+    """Signed arrays of ``size`` entries that stress exact summation."""
+    sign = rng.choice([-1.0, 1.0], size)
+    yield sign * rng.random(size)
+    yield sign * np.ldexp(rng.uniform(0.5, 1.0, size), rng.integers(-1074, 997, size))
+    yield np.ldexp(rng.uniform(0.5, 1.0, size), rng.integers(-80, 2, size)) ** 4  # moments
+    tiny = sign * rng.integers(1, 1 << 53, size) * 5e-324  # subnormals and the smallest normals
+    tiny[rng.random(size) < 0.3] = 0.0
+    tiny[rng.random(size) < 0.3] = -0.0
+    yield tiny
+    half = sign[: size // 2] * np.ldexp(rng.random(size // 2), rng.integers(-60, 60, size // 2))
+    yield rng.permutation(np.concatenate([half, -half, [1e-300] * (size % 2)]))
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("size", [1, 7, 1000, 4095, 4096, 4097, 6000, 65536])
+    def test_matches_fsum_bit_for_bit(self, size):
+        rng = np.random.default_rng([31, size])
+        for _ in range(40 if size < 10000 else 2):
+            for x in _sum_inputs(rng, size):
+                assert _outcome(exact_sum, x) == _outcome(math.fsum, x.tolist())
+
+    def test_repeated_value_below_one(self):
+        x = np.full(1 << 16, 1.0 - 2.0 ** -53)
+        assert exact_sum(x) == math.fsum(x.tolist()) == 65536.0 - 2.0 ** -37
+
+    @pytest.mark.parametrize("size", [1, 5000])
+    def test_all_negative_zero(self, size):
+        x = np.full(size, -0.0)
+        assert _outcome(exact_sum, x) == _outcome(math.fsum, x.tolist())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("head", [[np.inf], [np.nan], [np.inf, -np.inf], [1e308, 1e308],
+                                      [1e308, 1e308, -1e308], [-np.inf, 1.0]])
+    @pytest.mark.parametrize("size", [0, 5000])
+    def test_non_finite_and_overflow_as_fsum(self, head, size):
+        x = np.concatenate([head, np.random.default_rng(32).random(size)])
+        assert _outcome(exact_sum, x) == _outcome(math.fsum, x.tolist())
+
+    def test_f_alpha_on_the_kernel_path(self):
+        w = RotationVector.continuous(tuple(np.linspace(0.05, 0.9, 7)))
+        s = apply_block(initial_spectrum(random_stabilizer(7, 33)), LayerBlock(7, None, w))
+        assert s.values.size >= _EXACT_SUM_CUT
+        for a in (2, 3, 4):
+            assert f_alpha(s, a) == math.fsum((s.abs2() ** a).tolist())
 
 
 class TestGoldens:
