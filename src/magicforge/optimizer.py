@@ -4,31 +4,40 @@ The objective is f(w) = F_alpha of the spectrum after applying a rotation
 layer with angles w (in turns) to the current real signed spectrum; the
 Clifford part of a block is applied beforehand, so optimization always runs
 over R^n angles only.  The layer is `transfer.rotate_layer`, the same kernel
-`apply_block` uses.  Its derivative in w_j is 2 pi times a quarter turn of
-the output pair (p, q) on qubit j (see `transfer.xy_pair`), so one forward
-pass gives all n partials:
+`apply_block` uses.
 
-    df/dw_j = 4 pi alpha * sum over x_j = 1 of p q (q^(2 alpha - 2) - p^(2 alpha - 2)).
+Along one angle f is a short trigonometric polynomial: turning qubit j by
+t radians multiplies z = p + iq, for each of its pairs (p, q) (see
+`transfer.xy_pair`), by e^(it), and p^(2 alpha) + q^(2 alpha) holds only the
+harmonics 4k of arg z, so with K = alpha // 2
 
-F_alpha and each partial are exactly rounded sums (`spectrum.exact_sum`,
-which returns `math.fsum` of its input bit for bit).  Because the objective
-and the transfer share the kernel, their agreement is no cross-check; the
-tests compare both against the submask-sum reference in tests/helpers.py and
+    f(t) - f(0) = sum over k = 1..K of Re[a_k (e^(4ikt) - 1)],
+    a_k = 2^(2 - 2 alpha) C(2 alpha, alpha - 2k) sum z^(4k) |z|^(2 alpha - 4k).
+
+One pass over qubit j's pairs gives its exact minimiser (`_best_turn`) and
+df/dw_j = -8 pi sum k Im a_k.  A sweep turns every qubit in place to its
+minimiser (Rotosolve, Ostaszewski, Grant and Benedetti, Quantum 5, 391,
+2021; Nakanishi, Fujii and Todo, PRR 2, 043158, 2020), only where the
+predicted drop is positive.  Sweeps stop after one that drops F by less
+than ``tol``, or after ``max_iters``; every start runs at least one.
+
+Restarts are uniform in [0,1)^n and w = 0 is always a start.  That start
+moves where w = 0 is not a minimum along some angle (on a stabilizer state
+each angle sits at a maximum), but each turn lowers F by its positive
+predicted drop, the exact change of the vector it turns, so up to rounding
+the reported minimum never exceeds the input F_alpha.  That minimum is one
+fresh `rotate_layer` at the final angles and an exactly rounded sum
+(`spectrum.exact_sum`, `math.fsum` bit for bit).  Because the objective and
+the transfer share the kernel, their agreement is no cross-check; the tests
+compare both against the submask-sum reference in tests/helpers.py and
 against the dense oracle.
-
-Plain gradient descent with an adaptive step: halve on increase (move
-rejected), grow 1.1x on decrease.  Each descent carries its point as (w,
-rotated vector, F) and reads the gradient off that vector: one
-`rotate_layer` per trial point.  A descent stops where its gradient is
-exactly zero (such as w = 0 on a stabilizer state), since every trial point
-would be w itself.  Restarts are uniform in [0,1)^n and the w = 0 candidate
-is always included, so the reported minimum never exceeds the input F_alpha.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -44,6 +53,7 @@ from .transfer import (
     _fold,
     _fwht,
     _inverse_gates,
+    _turn,
     apply_block,
     rotate_layer,
     xy_pair,
@@ -60,16 +70,20 @@ class OptimizerConfig:
     alpha: int = 2
     restarts: int = 16
     max_iters: int = 500
-    step: float = 0.05
+    step: float = 0.05  # validated, but no longer changes any result
     tol: float = 1e-10
     clifford_pool: int = 64
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.alpha) != self.alpha or self.alpha < 2:
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real) \
+                or not (self.alpha >= 2 and float(self.alpha).is_integer()):
             raise ValidationError(f"alpha must be an integer >= 2, got {self.alpha!r}")
-        if self.restarts < 0 or self.max_iters < 1 or self.clifford_pool < 0 or self.seed < 0:
-            raise ValidationError("restarts/max_iters/clifford_pool/seed out of range")
+        object.__setattr__(self, "alpha", int(self.alpha))  # 2.0 is accepted, as 2
+        for name, low in (("restarts", 0), ("max_iters", 1), ("clifford_pool", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
         if not (0 < self.step < math.inf and 0 < self.tol < math.inf):
             raise ValidationError("step and tol must be positive and finite")
 
@@ -83,15 +97,28 @@ def _evaluate(s: PauliSpectrum, w, alpha: int):
     return mixed, exact_sum(mixed ** (2 * int(alpha)))
 
 
-def _gradient(mixed: np.ndarray, n: int, alpha: int) -> np.ndarray:
-    """Gradient in w read off the rotated vector ``mixed`` (quarter-turn formula)."""
-    power = 2 * int(alpha)
-    grad = np.empty(n, dtype=np.float64)
-    for j in range(n):
-        p, q = xy_pair(mixed, n, j)
-        terms = p * q * (q ** (power - 2) - p ** (power - 2))
-        grad[j] = 4.0 * np.pi * alpha * exact_sum(terms)
-    return grad
+def _harmonics(mixed: np.ndarray, n: int, j: int, alpha: int) -> np.ndarray:
+    """a_1..a_K of f along qubit j's angle, read off the rotated vector."""
+    p, q = xy_pair(mixed, n, j)
+    z4, r2 = np.square(np.square(p + 1j * q)), p * p + q * q
+    a = [math.comb(2 * alpha, alpha - 2 * k) * np.sum(z4 ** k * r2 ** (alpha - 2 * k))
+         for k in range(1, alpha // 2 + 1)]
+    return np.array(a) * 2.0 ** (2 - 2 * alpha)
+
+
+def _best_turn(a: np.ndarray) -> tuple[float, float]:
+    """(t, drop): the turn t, in turns, that minimises f along one angle with
+    harmonics ``a``, and the drop in f it brings (0 where no turn lowers f)."""
+    if len(a) == 1:  # f - f(0) = Re[a_1 (e^(4it) - 1)] is least at 4t = pi - arg a_1
+        return (np.pi - np.angle(a[0])) / (8.0 * np.pi), a[0].real + abs(a[0])
+    # stationary points u = e^(4it): roots of sum k (a_k u^(K+k) - conj(a_k) u^(K-k)),
+    # pushed onto the unit circle (an off-circle root only adds a candidate), and u = 1
+    k = np.arange(1, len(a) + 1)
+    u = np.roots(np.concatenate([(k * a)[::-1], [0.0], -(k * np.conj(a))]))
+    u = np.append(u[u != 0] / np.abs(u[u != 0]), 1.0)
+    change = (a * (u[:, None] ** k - 1)).real.sum(axis=1)
+    best = int(np.argmin(change))
+    return float(np.angle(u[best])) / (8.0 * np.pi), -float(change[best])
 
 
 def objective(s: PauliSpectrum, w, alpha: int = 2) -> float:
@@ -100,35 +127,28 @@ def objective(s: PauliSpectrum, w, alpha: int = 2) -> float:
 
 
 def objective_grad(s: PauliSpectrum, w, alpha: int = 2) -> np.ndarray:
-    """Analytic gradient of the objective with respect to the angles."""
-    return _gradient(_evaluate(s, w, alpha)[0], s.n, alpha)
+    """Analytic gradient in the angles: -8 pi sum k Im a_k per qubit."""
+    mixed, k = _evaluate(s, w, alpha)[0], np.arange(1, int(alpha) // 2 + 1)
+    return np.array([-8.0 * np.pi * np.dot(k, _harmonics(mixed, s.n, j, int(alpha)).imag)
+                     for j in range(s.n)])
 
 
-def _descend(s: PauliSpectrum, w0: np.ndarray, config: OptimizerConfig):
+def _sweep(s: PauliSpectrum, w0: np.ndarray, config: OptimizerConfig):
+    """Exact one-angle sweeps from w0: (w mod 1, F_alpha there, sweeps run)."""
     w = np.asarray(w0, dtype=np.float64).copy()
-    mixed, f = _evaluate(s, w, config.alpha)
-    grad = None  # gradient at w; kept through rejected steps, since w has not moved
-    step = config.step
-    iters = 0
-    for _ in range(config.max_iters):
-        if grad is None:
-            grad = _gradient(mixed, s.n, config.alpha)
-            if not grad.any():
-                break  # stationary: every trial point would be w itself
-        iters += 1
-        w_try = w - step * grad
-        mixed_try, f_try = _evaluate(s, w_try, config.alpha)
-        if f_try < f:
-            drop = f - f_try
-            w, mixed, f, grad = w_try, mixed_try, f_try, None
-            step *= 1.1
-            if drop < config.tol:
-                break
-        else:
-            step *= 0.5
-            if step < 1e-15:
-                break
-    return w % 1.0, f, iters
+    mixed = rotate_layer(s.values, w)
+    for sweeps in range(1, config.max_iters + 1):
+        total = 0.0
+        for j in range(s.n):
+            t, drop = _best_turn(_harmonics(mixed, s.n, j, config.alpha))
+            if drop > 0:
+                _turn(mixed, s.n, j, t)
+                w[j] += t
+                total += drop
+        if total < config.tol:
+            break
+    w %= 1.0
+    return w, _evaluate(s, w, config.alpha)[1], sweeps
 
 
 def _optimize_angles_full(s: PauliSpectrum, config: OptimizerConfig, stream=(0,)):
@@ -137,7 +157,7 @@ def _optimize_angles_full(s: PauliSpectrum, config: OptimizerConfig, stream=(0,)
     starts += [rng.uniform(0.0, 1.0, s.n) for _ in range(config.restarts)]
     best_w, best_f, total = None, np.inf, 0
     for w0 in starts:
-        w, f, iters = _descend(s, w0, config)
+        w, f, iters = _sweep(s, w0, config)
         total += iters
         if f < best_f:
             best_w, best_f = w, f

@@ -85,8 +85,8 @@ def shallow_spectrum(c: "CanonicalTableau", f: PhasePolynomial) -> PauliSpectrum
     return PauliSpectrum(n, phase_layer(_group_values(c), f))
 
 
-# below this many entries one math.fsum over a list beats the kernel's fixed
-# numpy cost (spectra at n <= 5, gradient rows at n <= 6)
+# below this many entries (spectra at n <= 5) one math.fsum over a list beats
+# the kernel's fixed numpy cost
 _EXACT_SUM_CUT = 4096
 # entries per pass, so that no temporary outgrows 128 KiB
 _EXACT_SUM_CHUNK = 16384
@@ -142,7 +142,9 @@ def f_alpha(s: PauliSpectrum, alpha: int = 2) -> float:
         raise ValidationError(f"alpha must be an integer >= 2, got {alpha!r}")
     a = int(alpha)
     if a not in s._moments:
-        s._moments[a] = exact_sum(s.abs2() ** a)
+        m = s.abs2()
+        m **= a  # in place: one 4**n temporary, not two
+        s._moments[a] = exact_sum(m)
     return s._moments[a]
 
 

@@ -19,19 +19,19 @@ of n commuting 2x2 rotations: qubit j maps the pair (p, q) of entries at
 c, s = cos, sin(2 pi w_j), and leaves entries with x_j = 0 alone.
 `rotate_layer` applies them as n strided updates, O(n 4**n) work, and
 `xy_pair` is the one place that knows where those pairs sit in the
-x * 2**n + z layout.  The derivative of the layer in w_j is 2 pi times a
-quarter turn of the output pair, (p', q') -> (-q', p'), which the optimizer
-uses for its gradient.  The submask sum itself is kept as a test-side
-reference, and the dense oracle checks whole circuits.
+x * 2**n + z layout.  `_turn` is one such update in place; the optimizer's
+sweeps turn one qubit at a time with it.  The submask sum itself is kept
+as a test-side reference, and the dense oracle checks whole circuits.
 
 A diagonal gate with phase function theta goes through `phase_layer`.  In
 sector x the spectrum is i^(x.z) times the Walsh-Hadamard transform over z
 of u_x[b] = conj(psi[b^x]) psi[b], and the gate multiplies u_x[b] by
 e^(2 pi i (theta(b) - theta(b^x))): one batched in-place transform
 (`_fwht`) there, the phase table, and one back, O(n 4**n) work on any real
-vector.  Rotation layers keep the real `rotate_layer`, which carries the
-gradient; on dyadic angles the two kernels agree.  The i^(x.z) exponents
-of all 4**n labels (`_xz_phase`) are built once per n.
+vector.  Rotation layers keep the real `rotate_layer`, whose pair turns
+the optimizer minimises in closed form; on dyadic angles the two kernels
+agree.  The i^(x.z) exponents of all 4**n labels (`_xz_phase`) are built
+once per n.
 
 Every Clifford conjugation goes through one kernel, `_fold`: it pushes
 signed Hermitian rows (-1)^h P(x, z) forward, C (.) C^dagger, as a
@@ -207,11 +207,6 @@ def _inverse_gates(gates: tuple[tuple, ...]) -> tuple[tuple, ...]:
     return tuple(inv)
 
 
-def conjugate_label(gate: tuple, p: PauliLabel) -> PauliLabel:
-    """u p u^dagger for one gate, exact phase included."""
-    return CliffordOp(p.n, (gate,)).conjugate(p)
-
-
 @dataclass
 class CliffordOp:
     """A Clifford circuit as an ordered gate list; qubit indices are 0-based."""
@@ -283,10 +278,6 @@ def clifford_conjugate(c: CliffordOp, p: PauliLabel) -> tuple[int, PauliLabel]:
     return sign, PauliLabel(out.n, out.x, out.z, 0)
 
 
-def identity_clifford(n: int) -> CliffordOp:
-    return CliffordOp(n, ())
-
-
 def random_clifford(n: int, rng: np.random.Generator, length: int | None = None) -> CliffordOp:
     """Random gate string; long enough defaults to scramble at these sizes.
 
@@ -338,13 +329,19 @@ def rotate_layer(values: np.ndarray, angles: Sequence[float]) -> np.ndarray:
     n = len(angles)
     out = np.array(values, dtype=np.float64)
     for j, wj in enumerate(angles):
-        t = 2.0 * np.pi * wj
-        c, s = np.cos(t), np.sin(t)
-        p, q = xy_pair(out, n, j)
-        p_new = c * p - s * q
-        q[...] = s * p + c * q
-        p[...] = p_new
+        _turn(out, n, j, wj)
     return out
+
+
+def _turn(values: np.ndarray, n: int, j: int, wj: float) -> None:
+    """Rotate qubit j's pairs of a C-contiguous spectrum vector by wj turns,
+    in place."""
+    t = 2.0 * np.pi * wj
+    c, s = np.cos(t), np.sin(t)
+    p, q = xy_pair(values, n, j)
+    p_new = c * p - s * q
+    q[...] = s * p + c * q
+    p[...] = p_new
 
 
 def _fwht(v: np.ndarray) -> None:

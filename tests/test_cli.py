@@ -323,6 +323,25 @@ class TestOptimize:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
 
+    @pytest.mark.parametrize("config", [{"restarts": 2.5}, {"max_iters": 2.5},
+                                        {"clifford_pool": 2.5}, {"seed": 1.5},
+                                        {"restarts": True}, {"seed": False}])
+    def test_non_integer_count_exits_2(self, config, tableau_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["optimize", tableau_file, "--layers", "1", "--config", str(cfg)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
+
+    def test_whole_float_alpha_accepted(self, tableau_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 2.0, "restarts": 1}))
+        out = str(tmp_path / "traj.csv")
+        assert main(["optimize", tableau_file, "--layers", "1", "--config", str(cfg),
+                     "-o", out]) == 0
+        alpha = config_from_dict({"alpha": 2.0}).alpha
+        assert alpha == 2 and type(alpha) is int
+
 
 class TestVerify:
     def test_small_sweep_passes(self, tmp_path):

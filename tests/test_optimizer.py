@@ -1,4 +1,4 @@
-"""Angle descent, Clifford preconditioning, and the greedy layer pipeline."""
+"""Angle sweeps, Clifford preconditioning, and the greedy layer pipeline."""
 
 import tracemalloc
 
@@ -12,9 +12,11 @@ from magicforge.errors import CapacityError, ValidationError
 from magicforge.optimizer import (
     OptimizerConfig,
     _axis_scores,
-    _descend,
+    _best_turn,
+    _harmonics,
     _pool_gates,
     _pool_score,
+    _sweep,
     config_from_dict,
     grid_min,
     objective,
@@ -24,11 +26,12 @@ from magicforge.optimizer import (
     precondition_clifford,
     run_pipeline,
 )
-from magicforge.spectrum import PauliSpectrum, f_alpha
+from magicforge.spectrum import PauliSpectrum, exact_sum, f_alpha
 from magicforge.stabilizer import plus_tableau, random_stabilizer, zeros_tableau
 from magicforge.transfer import (
     CliffordOp,
     LayerBlock,
+    _turn,
     apply_block,
     circuit_from_json,
     initial_spectrum,
@@ -36,6 +39,13 @@ from magicforge.transfer import (
 )
 
 from helpers import pool_score_reference, submask_objective
+
+
+def generic_spectrum(n, rng):
+    """A random stabilizer state after a random Clifford + rotation block."""
+    s = initial_spectrum(random_stabilizer(n, int(rng.integers(1 << 30))))
+    w = RotationVector.continuous(tuple(rng.uniform(0, 1, n)))
+    return apply_block(s, LayerBlock(n, random_clifford(n, rng), w))
 
 
 class TestObjective:
@@ -116,6 +126,55 @@ class TestOptimizeAngles:
         _, f_desc = optimize_angles(s, OptimizerConfig(restarts=8, seed=0))
         _, f_grid = grid_min(s, points=256)
         assert f_desc <= f_grid + 1e-6
+
+    @pytest.mark.parametrize("alpha", [2, 3, 4, 5])
+    def test_sweeps_reach_the_grid(self, alpha):
+        rng = np.random.default_rng(alpha)
+        for n, points in ((1, 256), (2, 48)):
+            for _ in range(2):
+                s = generic_spectrum(n, rng)
+                _, f = optimize_angles(s, OptimizerConfig(alpha=alpha, restarts=4, seed=alpha))
+                _, f_grid = grid_min(s, alpha, points)
+                assert f <= f_grid + 1e-9
+
+    @pytest.mark.parametrize("alpha", [2, 3, 4, 5])
+    def test_predicted_drop_is_the_change(self, alpha):
+        # the one-angle turn lowers F_alpha by exactly its predicted drop, and
+        # no point of a fine grid along that angle is lower
+        rng = np.random.default_rng(10 + alpha)
+        grid = np.arange(500) / 500
+        for n in (1, 2, 3, 4):
+            s = generic_spectrum(n, rng)
+            f0 = f_alpha(s, alpha)
+            for j in range(n):
+                t, drop = _best_turn(_harmonics(s.values, n, j, alpha))
+                assert drop >= 0
+
+                def turned(wj):
+                    v = s.values.copy()
+                    _turn(v, n, j, wj)
+                    return exact_sum(v ** (2 * alpha))
+
+                assert abs((f0 - turned(t)) - drop) <= 1e-9
+                assert turned(t) <= min(turned(g) for g in grid) + 1e-9
+
+    @pytest.mark.parametrize("harmonics", [1, 2, 3])
+    def test_best_turn_on_random_harmonics(self, harmonics):
+        # spectra keep a_2 small next to a_1; here every harmonic may dominate,
+        # so a stationary point that is not the lowest one would show
+        rng = np.random.default_rng(harmonics)
+        k = np.arange(1, harmonics + 1)
+        grid = np.arange(4000) / 4000
+
+        def change(a, t):
+            return (a * (np.exp(8j * np.pi * np.multiply.outer(t, k)) - 1)).real.sum(axis=-1)
+
+        for _ in range(50):
+            a = (rng.standard_normal(harmonics) + 1j * rng.standard_normal(harmonics)) \
+                * rng.uniform(0, 1, harmonics) ** 2
+            t, drop = _best_turn(a)
+            assert abs(change(a, t) + drop) <= 1e-12
+            assert -drop <= change(a, grid).min() + 1e-12
 
     def test_grid_capacity(self):
         s = initial_spectrum(plus_tableau(3))
@@ -272,21 +331,16 @@ class TestPipeline:
         assert results[1].f_after <= results[1].f_before + 1e-9
 
     @pytest.mark.parametrize("n, seed", [(4, 1), (5, 1), (6, 2)])
-    def test_zero_gradient_stops_before_any_trial_point(self, n, seed, monkeypatch):
-        # w = 0 on a stabilizer state is stationary: every trial point would be w
+    def test_stabilizer_start_leaves_its_maximum(self, n, seed):
+        # w = 0 on a stabilizer state is a maximum along every angle: each pair
+        # z is 0, +-1 or +-i, so a_1 = sum z^4 / 4 >= 0 and f(t) = f(0) - a_1 (1 - cos 4t)
         s = initial_spectrum(random_stabilizer(n, seed))
-        calls = 0
-        real = magicforge.optimizer.rotate_layer
-
-        def counting(values, angles):
-            nonlocal calls
-            calls += 1
-            return real(values, angles)
-
-        monkeypatch.setattr(magicforge.optimizer, "rotate_layer", counting)
-        w, f, iters = _descend(s, np.zeros(n), OptimizerConfig())
-        assert iters == 0 and calls == 1
-        assert f == 2.0**n and np.array_equal(w, np.zeros(n))
+        for j in range(n):
+            a = _harmonics(s.values, n, j, 2)
+            assert a.imag[0] == 0 and a.real[0] >= 0
+        w, f, sweeps = _sweep(s, np.zeros(n), OptimizerConfig())
+        assert sweeps >= 1 and w.any()
+        assert f < 2.0**n
 
     def test_f_before_reuses_the_last_f_after(self, monkeypatch):
         # layer 1's f_before is layer 0's f_direct, memoised on the spectrum it handed on
@@ -298,9 +352,9 @@ class TestPipeline:
         assert len(summed) == 3  # f_before of layer 0 and each layer's f_direct
         assert results[1].f_before == results[0].f_after
 
-    def test_one_rotation_per_trial_point(self, monkeypatch):
-        # each descent rotates its start once and each iteration's trial point
-        # once; the gradient reads the vector already rotated at that point
+    def test_two_rotations_per_start(self, monkeypatch):
+        # each start rotates its first point once and its final point once;
+        # the sweeps between turn the vector in place
         calls = 0
         real = magicforge.optimizer.rotate_layer
 
@@ -312,7 +366,14 @@ class TestPipeline:
         monkeypatch.setattr(magicforge.optimizer, "rotate_layer", counting)
         cfg = OptimizerConfig(restarts=1, max_iters=8, step=0.05, clifford_pool=4, seed=3)
         results = run_pipeline(random_stabilizer(5, 1), 2, cfg)
-        assert calls == sum(res.iterations + cfg.restarts + 1 for res in results)
+        assert calls == 2 * (cfg.restarts + 1) * len(results)
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 8])
+    def test_every_layer_runs_a_sweep(self, max_iters):
+        cfg = OptimizerConfig(restarts=2, max_iters=max_iters, clifford_pool=4, seed=2)
+        for n, seed in [(1, 1), (3, 2), (5, 3)]:
+            for res in run_pipeline(random_stabilizer(n, seed), 2, cfg):
+                assert 1 <= res.iterations <= max_iters * (cfg.restarts + 1)
 
     def test_cap_before_any_dense_allocation(self):
         tracemalloc.start()

@@ -185,6 +185,16 @@ class TestExactSum:
         for a in (2, 3, 4):
             assert f_alpha(s, a) == math.fsum((s.abs2() ** a).tolist())
 
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_in_place_power_keeps_every_moment(self, n):
+        # f_alpha raises its one temporary in place; the moment must not move a bit
+        rng = np.random.default_rng(34 + n)
+        w = RotationVector.continuous(tuple(rng.uniform(0, 1, n)))
+        s = apply_block(initial_spectrum(random_stabilizer(n, 35 + n)),
+                        LayerBlock(n, random_clifford(n, rng), w))
+        for a in (2, 3, 4):
+            assert f_alpha(s, a) == math.fsum((s.abs2() ** a).tolist())
+
 
 class TestGoldens:
     def test_t_on_plus(self):

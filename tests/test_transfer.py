@@ -31,8 +31,6 @@ from magicforge.transfer import (
     apply_block,
     circuit_from_json,
     clifford_conjugate,
-    conjugate_label,
-    identity_clifford,
     initial_spectrum,
     phase_layer,
     random_clifford,
@@ -49,7 +47,7 @@ GATES_2Q = [("CX", 0, 1), ("CX", 1, 0), ("CZ", 0, 1)]
 
 
 class TestConjugateLabel:
-    # conjugate_label and CliffordOp.conjugate push forward: u p u^dagger
+    # CliffordOp.conjugate pushes forward: u p u^dagger
 
     @pytest.mark.parametrize("gate", GATES_1Q)
     def test_single_qubit_exhaustive(self, gate):
@@ -57,7 +55,7 @@ class TestConjugateLabel:
             for z in range(2):
                 for ph in range(4):
                     p = PauliLabel(1, x, z, ph)
-                    got = pauli_matrix(conjugate_label(gate, p))
+                    got = pauli_matrix(CliffordOp(p.n, (gate,)).conjugate(p))
                     u = circuit_matrix(1, [gate])
                     want = u @ pauli_matrix(p) @ u.conj().T
                     assert np.allclose(got, want), (gate, pauli_to_text(p))
@@ -67,14 +65,14 @@ class TestConjugateLabel:
         for x in range(4):
             for z in range(4):
                 p = PauliLabel(2, x, z)
-                got = pauli_matrix(conjugate_label(gate, p))
+                got = pauli_matrix(CliffordOp(p.n, (gate,)).conjugate(p))
                 u = circuit_matrix(2, [gate])
                 want = u @ pauli_matrix(p) @ u.conj().T
                 assert np.allclose(got, want), (gate, pauli_to_text(p))
 
     def test_embedded_in_larger_register(self):
         p = PauliLabel(3, 0b101, 0b011, 1)
-        got = pauli_matrix(conjugate_label(("CX", 2, 0), p))
+        got = pauli_matrix(CliffordOp(p.n, (("CX", 2, 0),)).conjugate(p))
         u = circuit_matrix(3, [("CX", 2, 0)])
         assert np.allclose(got, u @ pauli_matrix(p) @ u.conj().T)
 
@@ -101,7 +99,7 @@ class TestCliffordConjugateSplit:
             assert np.allclose(sign * pauli_matrix(image), want), pauli_to_text(p)
 
     def test_rejects_odd_phase(self):
-        c = identity_clifford(1)
+        c = CliffordOp(1, ())
         with pytest.raises(ValidationError):
             clifford_conjugate(c, PauliLabel(1, 1, 0, 1))
 
@@ -200,7 +198,7 @@ class TestCliffordOp:
                     assert sign[v] == (1 if q.phase_exp == 0 else -1)
 
     def test_identity(self):
-        c = identity_clifford(2)
+        c = CliffordOp(2, ())
         assert c.gates == ()
         p = PauliLabel(2, 1, 2, 3)
         assert c.conjugate(p) == p
