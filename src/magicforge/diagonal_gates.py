@@ -17,6 +17,11 @@ and the level of a gate is the max over its canonical terms (0 for the empty
 polynomial, i.e. the identity up to global phase).
 
 Resolution is capped at m = 30 so value-table numerators stay inside int64.
+
+A layer of single-qubit Z rotations (`RotationVector`) is one float angle
+per qubit, in turns.  float64 holds every k / 2**m with m <= 30 exactly, so
+a dyadic layer needs no second angle type: `sqr_to_poly` reads each angle
+back as an exact fraction and builds the layer's polynomial from it.
 """
 
 from __future__ import annotations
@@ -150,19 +155,6 @@ def theta_diff(f: PhasePolynomial, b: int, x: int) -> Fraction:
     return total % 1
 
 
-def compose(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
-    """Product gate; phase polynomials simply add."""
-    if f.n != g.n:
-        raise ValidationError(f"qubit count mismatch: {f.n} vs {g.n}")
-    raw = [(m, a, c) for (m, a), c in f.terms.items()]
-    raw += [(m, a, c) for (m, a), c in g.terms.items()]
-    return PhasePolynomial(f.n, raw)
-
-
-def inverse(f: PhasePolynomial) -> PhasePolynomial:
-    return PhasePolynomial(f.n, [(m, a, -c) for (m, a), c in f.terms.items()])
-
-
 def value_numerators(f: PhasePolynomial) -> tuple[np.ndarray, int]:
     """Value table of theta over all 2**n basis states.
 
@@ -205,82 +197,38 @@ def from_values(n: int, values, m: int) -> PhasePolynomial:
 class RotationVector:
     """Per-qubit Z-rotation angles for a single-qubit-rotation layer.
 
-    Angles are in turns: qubit j picks up ``exp(2*pi*i*w_j)`` on ``|1>``.
-    Dyadic mode stores exact numerators over ``2**resolution``; continuous
-    mode stores floats.  Entry order follows qubits 1..n.
+    Angles are floats in turns, reduced into [0, 1): qubit j picks up
+    ``exp(2*pi*i*w_j)`` on ``|1>``.  Entry order follows qubits 1..n.  A
+    float64 holds every dyadic angle k / 2**m with m <= MAX_RESOLUTION
+    exactly, so `dyadic` stores into the same field and `sqr_to_poly`
+    reads the exact fractions back off ``values``.
     """
 
     n: int
-    mode: str
-    numerators: tuple[int, ...] | None = None
-    resolution: int | None = None
-    values: tuple[float, ...] | None = None
+    values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.mode == "dyadic":
-            if self.numerators is None or self.resolution is None or self.values is not None:
-                raise ValidationError("dyadic mode needs numerators and resolution only")
-            if not 1 <= self.resolution <= MAX_RESOLUTION:
-                raise ValidationError(f"resolution {self.resolution} outside 1..{MAX_RESOLUTION}")
-            if len(self.numerators) != self.n:
-                raise ValidationError("numerator count != n")
-            object.__setattr__(
-                self,
-                "numerators",
-                tuple(int(k) % (1 << self.resolution) for k in self.numerators),
-            )
-        elif self.mode == "continuous":
-            if self.values is None or self.numerators is not None or self.resolution is not None:
-                raise ValidationError("continuous mode needs values only")
-            if len(self.values) != self.n:
-                raise ValidationError("angle count != n")
-            values = tuple(float(v) for v in self.values)
-            if not all(map(math.isfinite, values)):
-                raise ValidationError(f"angles must be finite, got {list(values)!r}")
-            object.__setattr__(self, "values", tuple(v % 1.0 for v in values))
-        else:
-            raise ValidationError(f"unknown mode {self.mode!r}")
+        values = tuple(float(v) for v in self.values)
+        if len(values) != self.n:
+            raise ValidationError(f"angle count {len(values)} != n={self.n}")
+        if not all(map(math.isfinite, values)):
+            raise ValidationError(f"angles must be finite, got {list(values)!r}")
+        object.__setattr__(self, "values", tuple(v % 1.0 for v in values))
 
     @classmethod
     def dyadic(cls, numerators, resolution: int) -> "RotationVector":
-        return cls(len(tuple(numerators)), "dyadic", tuple(numerators), resolution)
+        """Angles k / 2**resolution, stored exactly."""
+        if not 1 <= resolution <= MAX_RESOLUTION:
+            raise ValidationError(f"resolution {resolution} outside 1..{MAX_RESOLUTION}")
+        scale = 1 << resolution
+        return cls.continuous([(int(k) % scale) / scale for k in numerators])
 
     @classmethod
     def continuous(cls, values) -> "RotationVector":
-        vals = tuple(float(v) for v in values)
-        return cls(len(vals), "continuous", values=vals)
-
-    @property
-    def is_dyadic(self) -> bool:
-        return self.mode == "dyadic"
-
-    def angles(self) -> tuple[float, ...]:
-        """Angles in turns as floats, exact for dyadic mode."""
-        if self.is_dyadic:
-            return tuple(k / (1 << self.resolution) for k in self.numerators)
-        return self.values
-
-    def fractions(self) -> tuple[Fraction, ...]:
-        if not self.is_dyadic:
-            raise ValidationError("continuous rotation vector has no exact fractions")
-        return tuple(Fraction(k, 1 << self.resolution) for k in self.numerators)
-
-    def as_dyadic(self, max_resolution: int = MAX_RESOLUTION, tol: float = 1e-12) -> "RotationVector | None":
-        """Snap to dyadic form when every angle is within tol of k/2**m, else None."""
-        if self.is_dyadic:
-            return self
-        scale = 1 << max_resolution
-        nums = []
-        for v in self.values:
-            k = round(v * scale)
-            if abs(v * scale - k) > tol * scale:
-                return None
-            nums.append(k % scale)
-        return RotationVector.dyadic(nums, max_resolution)
+        vals = tuple(values)
+        return cls(len(vals), vals)
 
     def to_json(self) -> dict:
-        if self.is_dyadic:
-            return {"m": self.resolution, "k": list(self.numerators)}
         return {"w": list(self.values)}
 
     @classmethod
@@ -296,11 +244,15 @@ class RotationVector:
 
 
 def sqr_to_poly(w: RotationVector) -> PhasePolynomial:
-    """Dyadic rotation layer as a phase polynomial (weight-1 monomials only)."""
-    if not w.is_dyadic:
-        raise ValidationError("only dyadic rotation vectors have an exact polynomial")
+    """Rotation layer as a phase polynomial (weight-1 monomials only).
+
+    Each angle is read exactly as a fraction k / 2**m; the polynomial
+    rejects an angle with m > MAX_RESOLUTION, such as 0.1.
+    """
+    fracs = [Fraction(v) for v in w.values]
     return PhasePolynomial(
-        w.n, [(w.resolution, 1 << j, k) for j, k in enumerate(w.numerators) if k]
+        w.n,
+        [(f.denominator.bit_length() - 1, 1 << j, f.numerator) for j, f in enumerate(fracs) if f],
     )
 
 

@@ -84,8 +84,11 @@ class OptimizerConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not (0 < self.step < math.inf and 0 < self.tol < math.inf):
-            raise ValidationError("step and tol must be positive and finite")
+        for name in ("step", "tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not 0 < value < math.inf:
+                raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
 
 
 def _evaluate(s: PauliSpectrum, w, alpha: int):

@@ -105,7 +105,7 @@ def apply_rotation(st: DenseState, w: "RotationVector") -> DenseState:
         raise ValidationError(f"rotation is on {w.n} qubits, state on {st.n}")
     b = np.arange(1 << st.n, dtype=np.int64)
     angle = np.zeros(1 << st.n, dtype=np.float64)
-    for j, wj in enumerate(w.angles()):
+    for j, wj in enumerate(w.values):
         angle += np.where((b >> j) & 1 == 1, wj, 0.0)
     return DenseState(st.n, st.amplitudes * np.exp(2j * np.pi * angle))
 

@@ -48,19 +48,6 @@ class PauliLabel:
             )
         object.__setattr__(self, "phase_exp", self.phase_exp & 3)
 
-    @property
-    def weight(self) -> int:
-        """Number of qubits acted on non-trivially."""
-        return (self.x | self.z).bit_count()
-
-    @property
-    def is_hermitian(self) -> bool:
-        return self.phase_exp % 2 == 0
-
-    @property
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0 and self.phase_exp == 0
-
 
 def pauli_mul(p: PauliLabel, q: PauliLabel) -> PauliLabel:
     """Exact product of two labels.
@@ -79,11 +66,6 @@ def pauli_mul(p: PauliLabel, q: PauliLabel) -> PauliLabel:
         - (xs & zs).bit_count()
     )
     return PauliLabel(p.n, xs, zs, (p.phase_exp + q.phase_exp + phi) & 3)
-
-
-def pauli_conj(p: PauliLabel) -> PauliLabel:
-    """Hermitian adjoint; P(x, z) itself is Hermitian, so only the phase flips."""
-    return PauliLabel(p.n, p.x, p.z, (-p.phase_exp) & 3)
 
 
 def symplectic_form(p: PauliLabel, q: PauliLabel) -> int:

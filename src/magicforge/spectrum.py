@@ -25,12 +25,10 @@ import numpy as np
 
 from .diagonal_gates import PhasePolynomial
 from .errors import CapacityError, ValidationError
-from .transfer import _group_values, phase_layer
+from .transfer import MAX_SPECTRUM_QUBITS, _group_values, phase_layer
 
 if TYPE_CHECKING:
     from .stabilizer import CanonicalTableau
-
-MAX_SPECTRUM_QUBITS = 8
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ not a conjecture.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -38,52 +39,31 @@ from .stabilizer import (
     product_tableau,
     random_stabilizer,
 )
-from .transfer import CliffordOp, LayerBlock
-
-MAX_THEOREM_QUBITS = 8
-
-
-def _affine_state_map(c: CliffordOp) -> tuple[list[int], int]:
-    """Basis-state map b -> (rows, t) of the circuit's permutation part.
-
-    Output bit i is parity(rows[i] & b) ^ t_i.  Diagonal gates (CZ, S, Z)
-    commute with any diagonal target and are skipped; H is rejected.
-    """
-    rows = [1 << i for i in range(c.n)]
-    t = 0
-    for gate in c.gates:
-        name = gate[0]
-        if name == "CX":
-            _, ctl, tgt = gate
-            rows[tgt] ^= rows[ctl]
-            t ^= ((t >> ctl) & 1) << tgt
-        elif name == "X":
-            t ^= 1 << gate[1]
-        elif name in ("CZ", "S", "Z"):
-            continue
-        else:
-            raise ValidationError(f"gate {name} does not act affinely on basis states")
-    return rows, t
+from .transfer import MAX_SPECTRUM_QUBITS, CliffordOp, LayerBlock, _fold, _inverse_gates
 
 
 def conjugate_diagonal_by_frame(f: PhasePolynomial, frame: CliffordOp) -> PhasePolynomial:
     """frame^dagger . f . frame for an affine frame, via value-table substitution.
 
-    Exact up to a global phase: the affine shift can produce a constant term,
-    which the canonical form drops.
+    The frame pulls each Z_i back to (-1)^t_i Z^row_i, one `_fold` of the n
+    generators, so it sends |b> to |b'> with b'_i = parity(row_i & b) ^ t_i
+    up to a phase that commutes with f.  A frame that pulls some Z_i back to
+    a label with an X part (an H) is rejected.  Exact up to a global phase:
+    the affine shift can produce a constant term, which the canonical form
+    drops.
     """
     if f.n != frame.n:
         raise ValidationError("gate and frame act on different register sizes")
-    rows, t = _affine_state_map(frame)
-    vals, m = value_numerators(f)
     n = f.n
-    mapped = np.empty(1 << n, dtype=np.int64)
-    for b in range(1 << n):
-        img = t
-        for i, row in enumerate(rows):
-            img ^= ((row & b).bit_count() & 1) << i
-        mapped[b] = vals[img]
-    return from_values(n, mapped, m)
+    images = _fold(n, [(0, 1 << i, 0) for i in range(n)], _inverse_gates(frame.gates))
+    if any(x for x, _, _ in images):
+        raise ValidationError("frame does not map basis states to basis states")
+    vals, m = value_numerators(f)
+    b = np.arange(1 << n, dtype=np.int64)
+    img = np.zeros(1 << n, dtype=np.int64)
+    for i, (_, row, t) in enumerate(images):
+        img |= ((np.bitwise_count(b & row) + t) & 1).astype(np.int64) << i
+    return from_values(n, vals[img], m)
 
 
 @dataclass(frozen=True)
@@ -108,8 +88,8 @@ def construct_zero_magic(t: StabilizerTableau, k: int) -> ZeroMagicCertificate:
     returned in the original (unframed) basis.
     """
     n = t.n
-    if n > MAX_THEOREM_QUBITS:
-        raise CapacityError(f"certificate construction cap is n={MAX_THEOREM_QUBITS}, got {n}")
+    if n > MAX_SPECTRUM_QUBITS:
+        raise CapacityError(f"certificate construction cap is n={MAX_SPECTRUM_QUBITS}, got {n}")
     if not 3 <= k <= n:
         raise ValidationError(f"need 3 <= k <= n, got k={k}, n={n}")
     r = canonicalize(t).r
@@ -148,8 +128,8 @@ def zero_magic_state_for_gate(f: PhasePolynomial) -> StabilizerTableau:
     all stabilizer states.
     """
     n = f.n
-    if n > MAX_THEOREM_QUBITS:
-        raise CapacityError(f"search cap is n={MAX_THEOREM_QUBITS}, got {n}")
+    if n > MAX_SPECTRUM_QUBITS:
+        raise CapacityError(f"search cap is n={MAX_SPECTRUM_QUBITS}, got {n}")
     k = hierarchy_level(f)
     if k < 3:
         raise ValidationError(f"gate has level {k} <= 2; it never adds magic")
@@ -179,10 +159,7 @@ def zero_magic_state_for_gate(f: PhasePolynomial) -> StabilizerTableau:
 
 
 def _negate_rotation(w: RotationVector) -> RotationVector:
-    if w.is_dyadic:
-        scale = 1 << w.resolution
-        return RotationVector.dyadic([(-k) % scale for k in w.numerators], w.resolution)
-    return RotationVector.continuous([(-v) % 1.0 for v in w.values])
+    return RotationVector.continuous([-v for v in w.values])
 
 
 def _oracle_apply_block(st: DenseState, block: LayerBlock) -> DenseState:
@@ -195,10 +172,7 @@ def _oracle_apply_block(st: DenseState, block: LayerBlock) -> DenseState:
 
 
 def _is_clifford_angle(w: RotationVector, j: int) -> bool:
-    if w.is_dyadic:
-        return (4 * w.numerators[j]) % (1 << w.resolution) == 0
-    v = 4.0 * w.values[j]
-    return abs(v - round(v)) <= 1e-12
+    return abs(math.remainder(4.0 * w.values[j], 1.0)) <= 1e-12
 
 
 @dataclass(frozen=True)
@@ -235,8 +209,8 @@ def nogo_witness(block: LayerBlock, alpha: int = 2, trials: int = 200,
     changes must clear 1e-6 in magnitude within the trial budget.
     """
     n = block.n
-    if n > MAX_THEOREM_QUBITS:
-        raise CapacityError(f"witness search cap is n={MAX_THEOREM_QUBITS}, got {n}")
+    if n > MAX_SPECTRUM_QUBITS:
+        raise CapacityError(f"witness search cap is n={MAX_SPECTRUM_QUBITS}, got {n}")
     if block.w is None or all(_is_clifford_angle(block.w, j) for j in range(n)):
         raise ValidationError(
             "block is Clifford (every angle has 4w integral); no witness exists"
@@ -316,8 +290,8 @@ def no_ordering_witness(n: int, k: int) -> NoOrderingWitness:
     k = 5 with two free qubits it is a two-qubit eighth-phase gate with
     M_2 about 0.57.  Levels and values are reported, not assumed.
     """
-    if n > MAX_THEOREM_QUBITS:
-        raise CapacityError(f"witness cap is n={MAX_THEOREM_QUBITS}, got {n}")
+    if n > MAX_SPECTRUM_QUBITS:
+        raise CapacityError(f"witness cap is n={MAX_SPECTRUM_QUBITS}, got {n}")
     if not 3 <= k <= n + 1:
         raise ValidationError(f"need 3 <= k <= n + 1, got k={k}, n={n}")
     r = k - 2

@@ -36,8 +36,9 @@ once per n.
 Every Clifford conjugation goes through one kernel, `_fold`: it pushes
 signed Hermitian rows (-1)^h P(x, z) forward, C (.) C^dagger, as a
 bit-sliced stabilizer tableau with the Aaronson-Gottesman update per gate
-(quant-ph/0406196).  `CliffordOp.conjugate` folds one label, and
-`stabilizer.apply_clifford` and `canonical_frame` fold tableau rows.
+(quant-ph/0406196).  `CliffordOp.conjugate` folds one label,
+`stabilizer.apply_clifford` and `canonical_frame` fold tableau rows, and
+`theorems.conjugate_diagonal_by_frame` folds the n generators Z_i.
 `CliffordOp.heisenberg_table` builds the lookup table for all 4**n labels:
 it folds only the 2n generators Z_k and X_j through the inverse gate list
 and hands their images to the product kernel.  The per-gate image fold
@@ -79,7 +80,9 @@ if TYPE_CHECKING:
     from .stabilizer import StabilizerTableau
     from .spectrum import PauliSpectrum
 
-MAX_BLOCK_QUBITS = 8
+# the one cap on 4**n arrays: spectra, label tables, the fold, the transfer
+# and the theorem certificates all check it (the oracle keeps its own)
+MAX_SPECTRUM_QUBITS = 8
 
 _CLIFFORD_GATES = ("H", "S", "X", "Z", "CX", "CZ")
 
@@ -250,8 +253,8 @@ class CliffordOp:
         if "heis" in self._tables:
             return self._tables["heis"]
         n = self.n
-        if n > MAX_BLOCK_QUBITS:
-            raise CapacityError(f"label tables cap is n={MAX_BLOCK_QUBITS}, got {n}")
+        if n > MAX_SPECTRUM_QUBITS:
+            raise CapacityError(f"label tables cap is n={MAX_SPECTRUM_QUBITS}, got {n}")
         # row k < n is Z_k and row n + j is X_j, pulled back by C^dagger (.) C;
         # subset v = x << n | z of them multiplies out to the bare X^x Z^z
         gens = [(0, 1 << k, 0) for k in range(n)] + [(1 << j, 0, 0) for j in range(n)]
@@ -402,7 +405,7 @@ def _apply_layers(values: np.ndarray, layers: Sequence[tuple]) -> np.ndarray:
             perm, sign = obj.heisenberg_table()
             values = sign * values[perm]
         elif kind == "sqr":
-            values = rotate_layer(values, obj.angles())
+            values = rotate_layer(values, obj.values)
         else:
             values = phase_layer(values, obj)
     return values
@@ -426,8 +429,8 @@ def initial_spectrum(t: "StabilizerTableau") -> "PauliSpectrum":
     """Exact signed spectrum of a stabilizer state: +-1 on the group, 0 off it."""
     from .spectrum import PauliSpectrum
 
-    if t.n > MAX_BLOCK_QUBITS:
-        raise CapacityError(f"spectrum cap is n={MAX_BLOCK_QUBITS}, got {t.n}")
+    if t.n > MAX_SPECTRUM_QUBITS:
+        raise CapacityError(f"spectrum cap is n={MAX_SPECTRUM_QUBITS}, got {t.n}")
     return PauliSpectrum(t.n, _group_values(t))
 
 
@@ -446,8 +449,8 @@ def transfer_orthogonality_check(block: LayerBlock, trials: int, seed: int = 0) 
     The vectors are generic, not physical spectra; the map must still be an
     isometry of R^(4**n).
     """
-    if block.n > MAX_BLOCK_QUBITS:
-        raise CapacityError(f"transfer cap is n={MAX_BLOCK_QUBITS}, got {block.n}")
+    if block.n > MAX_SPECTRUM_QUBITS:
+        raise CapacityError(f"transfer cap is n={MAX_SPECTRUM_QUBITS}, got {block.n}")
     rng = np.random.default_rng(seed)
     size = 1 << (2 * block.n)
     worst = 0.0
@@ -476,8 +479,8 @@ class ParsedCircuit:
         from .spectrum import PauliSpectrum
         from .stabilizer import apply_clifford
 
-        if self.n > MAX_BLOCK_QUBITS:
-            raise CapacityError(f"circuit spectrum cap is n={MAX_BLOCK_QUBITS}, got {self.n}")
+        if self.n > MAX_SPECTRUM_QUBITS:
+            raise CapacityError(f"circuit spectrum cap is n={MAX_SPECTRUM_QUBITS}, got {self.n}")
         state, layers = self.initial, self.layers
         while layers and layers[0][0] == "clifford":
             state, layers = apply_clifford(state, layers[0][1]), layers[1:]

@@ -125,7 +125,7 @@ def diagonal_matrix(f) -> np.ndarray:
 
 def rotation_matrix(w) -> np.ndarray:
     """Dense diagonal of a single-qubit-rotation layer."""
-    angles = w.angles()
+    angles = w.values
     diag = np.ones(1 << w.n, dtype=complex)
     for b in range(1 << w.n):
         theta = sum(angles[j] for j in range(w.n) if (b >> j) & 1)

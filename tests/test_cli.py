@@ -315,7 +315,8 @@ class TestOptimize:
         assert err["kind"] == "ValidationError"
 
     @pytest.mark.parametrize("config", [{"alpha": "abc"}, {"restarts": "x"}, {"seed": -1},
-                                        {"step": float("nan")}, {"tol": float("inf")}])
+                                        {"step": float("nan")}, {"tol": float("inf")},
+                                        {"step": True}, {"tol": True}, {"tol": "1e-3"}])
     def test_bad_config_value_exits_2(self, config, tableau_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -386,7 +387,7 @@ class TestNogo:
         data = json.loads(open(out).read())
         assert data["increase"]["delta"] > 1e-6
         assert data["decrease"]["delta"] < -1e-6
-        assert data["block"]["sqr"] == {"m": 3, "k": [1]}
+        assert data["block"]["sqr"] == {"w": [0.125]}
 
     def test_clifford_block_exits_2(self, tmp_path, capsys):
         path = tmp_path / "b.json"

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from magicforge.diagonal_gates import (
+    MAX_RESOLUTION,
     PhasePolynomial,
     RotationVector,
-    compose,
     from_values,
     hierarchy_level,
-    inverse,
     make_gate,
     random_polynomial,
     sqr_to_poly,
@@ -174,33 +173,18 @@ class TestThetaDiff:
         assert theta_diff(f, 1, 0) == 0
 
 
-class TestComposeInverse:
-    def test_compose_adds_phases(self):
-        rng = np.random.default_rng(4)
-        f, g = random_polynomial(2, rng), random_polynomial(2, rng)
-        h = compose(f, g)
-        for b in range(4):
-            assert h.evaluate(b) == (f.evaluate(b) + g.evaluate(b)) % 1
-
-    def test_inverse_cancels(self):
-        rng = np.random.default_rng(5)
-        f = random_polynomial(3, rng)
-        assert compose(f, inverse(f)).terms == {}
-
-    def test_compose_size_mismatch(self):
-        with pytest.raises(ValidationError):
-            compose(PhasePolynomial(1), PhasePolynomial(2))
-
-
 class TestRotationVector:
     def test_dyadic_angles(self):
         w = RotationVector.dyadic((1, 3), 3)
-        assert w.angles() == (0.125, 0.375)
-        assert w.fractions() == (Fraction(1, 8), Fraction(3, 8))
+        assert tuple(Fraction(v) for v in w.values) == (Fraction(1, 8), Fraction(3, 8))
 
     def test_numerators_wrap(self):
-        w = RotationVector.dyadic((9,), 3)
-        assert w.numerators == (1,)
+        assert RotationVector.dyadic((9,), 3).values == (0.125,)
+
+    def test_dyadic_resolution_range(self):
+        for m in (0, MAX_RESOLUTION + 1):
+            with pytest.raises(ValidationError):
+                RotationVector.dyadic((1,), m)
 
     def test_continuous_wraps_to_unit(self):
         w = RotationVector.continuous((1.25, -0.25))
@@ -211,17 +195,13 @@ class TestRotationVector:
         with pytest.raises(ValidationError):
             RotationVector.continuous((bad, 0.1))
 
-    def test_as_dyadic_snaps(self):
-        w = RotationVector.continuous((0.125, 0.5))
-        d = w.as_dyadic(max_resolution=3)
-        assert d is not None and d.numerators == (1, 4)
-
-    def test_as_dyadic_refuses_generic(self):
-        assert RotationVector.continuous((0.3,)).as_dyadic() is None
-
     def test_json_round_trip(self):
         for w in (RotationVector.dyadic((1, 3), 3), RotationVector.continuous((0.3, 0.7))):
             assert RotationVector.from_json(w.to_json()) == w
+
+    def test_dyadic_json_writes_floats(self):
+        w = RotationVector.from_json({"m": 3, "k": [1, 3]})
+        assert w.to_json() == {"w": [0.125, 0.375]}
 
     def test_bad_json(self):
         with pytest.raises(ValidationError):
@@ -229,9 +209,7 @@ class TestRotationVector:
 
     def test_mode_validation(self):
         with pytest.raises(ValidationError):
-            RotationVector(1, "dyadic", values=(0.5,))
-        with pytest.raises(ValidationError):
-            RotationVector(1, "other", values=(0.5,))
+            RotationVector(2, (0.5,))
 
 
 class TestSqrToPoly:
@@ -247,6 +225,19 @@ class TestSqrToPoly:
     def test_continuous_rejected(self):
         with pytest.raises(ValidationError):
             sqr_to_poly(RotationVector.continuous((0.3,)))
+
+    def test_dyadic_floats_read_exactly(self):
+        # a float angle k / 2**m gives the same polynomial as the dyadic layer
+        rng = np.random.default_rng(9)
+        for m in range(1, MAX_RESOLUTION + 1):
+            ks = [int(k) for k in rng.integers(0, 1 << m, 3)]
+            want = PhasePolynomial(3, [(m, 1 << j, k) for j, k in enumerate(ks)])
+            w = RotationVector.continuous([k / (1 << m) for k in ks])
+            assert sqr_to_poly(w) == sqr_to_poly(RotationVector.dyadic(ks, m)) == want
+        with pytest.raises(ValidationError):
+            sqr_to_poly(RotationVector.continuous((0.1,)))
+        with pytest.raises(ValidationError):
+            sqr_to_poly(RotationVector.continuous((2.0 ** -(MAX_RESOLUTION + 1),)))
 
 
 class TestPolynomialJson:

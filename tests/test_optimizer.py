@@ -409,8 +409,8 @@ class TestConfig:
             OptimizerConfig(step=-0.1)
 
     @pytest.mark.parametrize("field", ["step", "tol"])
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True])
     def test_non_finite_step_and_tol_rejected(self, field, bad):
-        # NaN passes a plain `<= 0` test
+        # NaN passes a plain `<= 0` test, and True passes `0 < True < inf`
         with pytest.raises(ValidationError):
             config_from_dict({field: bad})

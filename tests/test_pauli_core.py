@@ -10,7 +10,6 @@ from magicforge.pauli_core import (
     PauliLabel,
     commutes,
     from_index,
-    pauli_conj,
     pauli_from_text,
     pauli_mul,
     pauli_to_text,
@@ -64,27 +63,6 @@ class TestMul:
     def test_size_mismatch(self):
         with pytest.raises(ValidationError):
             pauli_mul(PauliLabel(1, 0, 0), PauliLabel(2, 0, 0))
-
-
-class TestConjAndStructure:
-    def test_conj_is_adjoint(self):
-        for p in all_labels(2, phases=(0, 1, 2, 3)):
-            assert np.allclose(pauli_matrix(pauli_conj(p)), pauli_matrix(p).conj().T)
-
-    def test_hermitian_iff_even_phase(self):
-        for p in all_labels(2, phases=(0, 1, 2, 3)):
-            m = pauli_matrix(p)
-            assert p.is_hermitian == bool(np.allclose(m, m.conj().T))
-
-    def test_weight(self):
-        assert PauliLabel(3, 0b101, 0b001).weight == 2
-        assert PauliLabel(3, 0, 0).weight == 0
-        assert PauliLabel(3, 0b111, 0b111).weight == 3
-
-    def test_identity_flag(self):
-        assert PauliLabel(2, 0, 0).is_identity
-        assert not PauliLabel(2, 0, 0, 2).is_identity
-        assert not PauliLabel(2, 1, 0).is_identity
 
 
 class TestCommutation:

@@ -1,15 +1,18 @@
 """Constructive certificates: zero-magic gates, no-go witnesses, support caps."""
 
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 
 from magicforge.diagonal_gates import (
-    PhasePolynomial,
     RotationVector,
     hierarchy_level,
     make_gate,
+    random_polynomial,
 )
-from magicforge.errors import SearchError, ValidationError
+from magicforge.errors import CapacityError, SearchError, ValidationError
 from magicforge.oracle import (
     apply_diagonal,
     apply_gates,
@@ -34,6 +37,7 @@ from magicforge.theorems import (
     zero_magic_state_for_gate,
 )
 from magicforge.transfer import (
+    MAX_SPECTRUM_QUBITS,
     CliffordOp,
     LayerBlock,
     apply_block,
@@ -45,19 +49,20 @@ from magicforge.transfer import (
 class TestFrameConjugation:
     def test_matches_oracle_up_to_global_phase(self):
         # applying the conjugated gate before the frame equals applying the
-        # original after it; the affine shift may leave a global phase behind
-        rng = np.random.default_rng(0)
-        for n in (2, 3):
+        # original after it; the affine shift may leave a global phase behind.
+        # On |+...+> the frame's image has full support, so this pins the
+        # whole diagonal, not only its values on the state's support.
+        for n in range(1, 7):
+            rng = np.random.default_rng([0, n])
             for _ in range(8):
                 tab = random_stabilizer(n, int(rng.integers(1 << 30)))
                 frame, target = canonical_frame(tab)
-                f = PhasePolynomial(
-                    n, [(int(rng.integers(1, 4)), int(rng.integers(1, 1 << n)), 1)]
-                )
+                f = random_polynomial(n, rng)
                 moved = conjugate_diagonal_by_frame(f, frame)
-                a = apply_gates(apply_diagonal(statevector(tab), moved), frame.gates)
-                b = apply_diagonal(apply_gates(statevector(tab), frame.gates), f)
-                assert abs(abs(np.vdot(a.amplitudes, b.amplitudes)) - 1.0) < 1e-12
+                for start in (tab, plus_tableau(n)):
+                    a = apply_gates(apply_diagonal(statevector(start), moved), frame.gates)
+                    b = apply_diagonal(apply_gates(statevector(start), frame.gates), f)
+                    assert abs(abs(np.vdot(a.amplitudes, b.amplitudes)) - 1.0) < 1e-12
 
     def test_affine_only(self):
         with pytest.raises(ValidationError):
@@ -226,3 +231,24 @@ class TestSupportCeiling:
     def test_register_size_check(self):
         with pytest.raises(ValidationError):
             support_ceiling(RotationVector.dyadic((1,), 3), n=2)
+
+
+class TestCapacity:
+    @pytest.mark.parametrize("certify", [
+        lambda n: partial(construct_zero_magic, product_tableau(n, {1: 0}), 3),
+        lambda n: partial(zero_magic_state_for_gate, make_gate("CCZ", [1, 2, 3], n)),
+        lambda n: partial(nogo_witness, LayerBlock(n, None, RotationVector.dyadic((1,) * n, 3))),
+        lambda n: partial(no_ordering_witness, n, 3),
+    ], ids=["zero-magic", "zero-magic-state", "nogo", "no-ordering"])
+    def test_cap_plus_one_before_any_dense_allocation(self, certify):
+        n = MAX_SPECTRUM_QUBITS + 1
+        call = certify(n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"cap is n={MAX_SPECTRUM_QUBITS}, got {n}"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a dense state takes 16 * 2**n bytes, a spectrum 8 * 4**n
+        assert peak < 16 * 2**n

@@ -22,7 +22,7 @@ from magicforge.stabilizer import (
     zeros_tableau,
 )
 from magicforge.transfer import (
-    MAX_BLOCK_QUBITS,
+    MAX_SPECTRUM_QUBITS,
     CliffordOp,
     LayerBlock,
     ParsedCircuit,
@@ -261,7 +261,7 @@ class TestPhaseLayer:
             v[rng.random(2**n) < 0.5] = 0.0
             w = RotationVector.dyadic(tuple(int(k) for k in rng.integers(0, 16, n)), 4)
             out = phase_layer(v.reshape(-1), sqr_to_poly(w))
-            assert np.max(np.abs(out - rotate_layer(v.reshape(-1), w.angles()))) < 1e-12
+            assert np.max(np.abs(out - rotate_layer(v.reshape(-1), w.values))) < 1e-12
             assert not np.any(out.reshape(v.shape)[~v.any(axis=1)])
         assert not np.any(phase_layer(np.zeros(4**n), sqr_to_poly(w)))
 
@@ -414,6 +414,18 @@ class TestCircuitJson:
         kinds = [kind for kind, _ in parsed.layers]
         assert kinds == ["clifford", "sqr", "gate"]
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_dyadic_float_gate_matches_rotation_layer(self, n):
+        # a gate layer given as float angles k / 2**m is that rotation layer
+        rng = np.random.default_rng([31, n])
+        w = [int(k) / 64 for k in rng.integers(0, 64, n)]
+        clifford = {"clifford": [list(g) for g in random_clifford(n, rng).gates]}
+        gate, sqr = (
+            circuit_from_json({"n": n, "layers": [clifford, layer]}).spectrum().values
+            for layer in ({"gate": {"sqr": {"w": w}}}, {"sqr": {"w": w}})
+        )
+        assert np.max(np.abs(gate - sqr)) < 1e-12
+
     def test_bad_layer(self):
         with pytest.raises(ValidationError):
             circuit_from_json({"n": 1, "layers": [{"what": 1}]})
@@ -467,7 +479,7 @@ class TestCircuitFold:
 
     def test_shallow_shape_matches_shallow_spectrum(self):
         rng = np.random.default_rng(12)
-        for n in range(1, MAX_BLOCK_QUBITS + 1):
+        for n in range(1, MAX_SPECTRUM_QUBITS + 1):
             for _ in range(3):
                 tab = random_stabilizer(n, int(rng.integers(1 << 30)))
                 c, f = random_clifford(n, rng), random_polynomial(n, rng)
@@ -475,7 +487,7 @@ class TestCircuitFold:
                 want = shallow_spectrum(canonicalize(apply_clifford(tab, c)), f).values
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
 
-    @pytest.mark.parametrize("n", range(1, MAX_BLOCK_QUBITS + 1))
+    @pytest.mark.parametrize("n", range(1, MAX_SPECTRUM_QUBITS + 1))
     def test_mixed_circuits_vs_oracle(self, n):
         rng = np.random.default_rng([13, n])
         for _ in range(2):
