@@ -23,7 +23,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .diagonal_gates import RotationVector, random_polynomial
+from .diagonal_gates import RotationVector, random_polynomial, whole_number
 from .errors import CapacityError, MagicforgeError, SearchError, ValidationError
 from .oracle import apply_diagonal, apply_gates, apply_rotation, oracle_spectrum, statevector
 from .optimizer import config_from_dict, run_pipeline
@@ -69,15 +69,17 @@ def _manifest(command: str, inputs: list[str], seed: int, options: dict) -> dict
     }
 
 
-def _atomic_write(path: str | None, text: str) -> None:
+def _atomic_write(path: str | None, *pieces: str) -> None:
+    """Write the pieces in order, to ``path`` or to standard output; no
+    joined copy of them is made."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(prefix=".magicforge.", dir=directory)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -89,11 +91,13 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_text(manifest: dict, header: list[str], body: str, extra_comments: list[str] = ()) -> str:
-    """Comment lines, header, then ``body``; no field holds a comma, quote or newline."""
+def _csv_pieces(manifest: dict, header: list[str], body: str,
+                extra_comments: list[str] = ()) -> tuple[str, str]:
+    """(comment lines and header, ``body``), the two pieces of a CSV file for
+    `_atomic_write`; no field holds a comma, quote or newline."""
     comments = "".join("# " + line + "\n" for line in extra_comments)
     manifest_line = "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n"
-    return manifest_line + comments + ",".join(header) + "\n" + body
+    return manifest_line + comments + ",".join(header) + "\n", body
 
 
 def _load_json(path: str) -> dict:
@@ -130,8 +134,8 @@ def _method(parsed: ParsedCircuit) -> str:
     return "shallow" if shallow else "transfer"
 
 
-def _spectrum_csv(s: PauliSpectrum, manifest: dict, comments: list[str]) -> str:
-    return _csv_text(
+def _spectrum_csv(s: PauliSpectrum, manifest: dict, comments: list[str]) -> tuple[str, str]:
+    return _csv_pieces(
         manifest, ["x_bits", "z_bits", "re", "im", "abs2"], spectrum_csv_rows(s), comments
     )
 
@@ -143,10 +147,10 @@ def _cmd_spectrum(args) -> int:
     oracle_spec = oracle_spectrum(_oracle_run(parsed))
     dev = float(np.max(np.abs(spec.values - oracle_spec.values)))
     comments = [f"source: {_method(parsed)}", f"max_abs_deviation_vs_oracle: {dev!r}"]
-    _atomic_write(args.output, _spectrum_csv(spec, manifest, comments))
+    _atomic_write(args.output, *_spectrum_csv(spec, manifest, comments))
     if args.output is not None:
         oracle_csv = _spectrum_csv(oracle_spec, manifest, ["source: oracle"])
-        _atomic_write(args.output + ".oracle.csv", oracle_csv)
+        _atomic_write(args.output + ".oracle.csv", *oracle_csv)
     return 0
 
 
@@ -197,8 +201,8 @@ def _cmd_optimize(args) -> int:
         for i, res in enumerate(results)
     ]
     body = "".join(",".join(map(str, row)) + "\n" for row in rows)
-    text = _csv_text(manifest, ["layer", "f_before", "f_after", "support", "nullity"], body)
-    _atomic_write(args.output, text)
+    pieces = _csv_pieces(manifest, ["layer", "f_before", "f_after", "support", "nullity"], body)
+    _atomic_write(args.output, *pieces)
     return 0
 
 
@@ -266,7 +270,7 @@ def _cmd_zero_magic(args) -> int:
 
 def _block_from_json(obj: dict) -> LayerBlock:
     try:
-        n = int(obj["n"])
+        n = whole_number(obj["n"], "block n")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"block JSON needs an integer 'n': {exc}") from exc
     cliff = None

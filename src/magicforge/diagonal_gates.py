@@ -39,6 +39,16 @@ MAX_RESOLUTION = 30
 MAX_TABLE_QUBITS = 16
 
 
+def whole_number(value, what: str) -> int:
+    """``value`` as an int when it is a whole number, an integer or an
+    integral float as JSON may give one; a bool or any other value is a
+    ValidationError, so nothing is truncated."""
+    if isinstance(value, float) and value.is_integer() \
+            or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValidationError(f"{what} must be a whole number, got {value!r}")
+
+
 def _normalize_terms(n: int, raw: Iterable[tuple[int, int, int]]) -> dict[tuple[int, int], int]:
     """Merge arbitrary (m, a, c) triples into the canonical odd-numerator form."""
     full = (1 << n) - 1
@@ -116,7 +126,7 @@ class PhasePolynomial:
             w = RotationVector.from_json({"n": obj.get("n"), **obj["sqr"]})
             return sqr_to_poly(w)
         try:
-            n = int(obj["n"])
+            n = whole_number(obj["n"], "gate n")
             raw = []
             for t in obj["terms"]:
                 a_bits = str(t["a"])
@@ -124,7 +134,7 @@ class PhasePolynomial:
                     raise ValidationError(f"bad monomial string {t['a']!r} for n={n}")
                 # the JSON string puts qubit 1 leftmost
                 a = int(a_bits[::-1], 2)
-                raw.append((int(t["m"]), a, int(t["c"])))
+                raw.append((whole_number(t["m"], "term m"), a, whole_number(t["c"], "term c")))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed gate JSON: {exc}") from exc
         return cls(n, raw)
@@ -235,7 +245,8 @@ class RotationVector:
     def from_json(cls, obj: Mapping) -> "RotationVector":
         try:
             if "k" in obj:
-                return cls.dyadic([int(k) for k in obj["k"]], int(obj["m"]))
+                return cls.dyadic([whole_number(k, "rotation k") for k in obj["k"]],
+                                  whole_number(obj["m"], "rotation m"))
             if "w" in obj:
                 return cls.continuous([float(v) for v in obj["w"]])
         except (KeyError, TypeError, ValueError) as exc:

@@ -185,15 +185,20 @@ def spectrum_csv_rows(s: PauliSpectrum) -> str:
     Qubit 1 is leftmost in the bit strings; entries are real, so ``im`` is
     always 0.0.  Each distinct value (keyed by its bits, so -0.0 stays apart
     from 0.0) is formatted once; ``abs(a) ** 2`` is kept as the abs2 formula
-    because ``a * a`` can differ from it in the last bit.
+    because ``a * a`` can differ from it in the last bit.  The distinct keys
+    come from one sort, each label finds its key by binary search in them,
+    and the rows are gathered as cells of an object array and joined once.
     """
     size = 1 << s.n
-    labels = [format(v, f"0{s.n}b")[::-1] + "," for v in range(size)]
-    _, first, inv = np.unique(s.values.view(np.int64), return_index=True, return_inverse=True)
-    tails = [f"{a!r},0.0,{abs(a) ** 2!r}\n" for a in s.values[first].tolist()]
+    labels = np.array([format(v, f"0{s.n}b")[::-1] + "," for v in range(size)], dtype=object)
+    keys = s.values.view(np.int64)
+    distinct = np.sort(keys)
+    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    tails = np.array([f"{a!r},0.0,{abs(a) ** 2!r}\n" for a in distinct.view(np.float64).tolist()],
+                     dtype=object)
     # three cells per row (x bits, z bits, the rest), joined once
-    cells = [""] * (3 * size * size)
-    cells[0::3] = [x for x in labels for _ in range(size)]
-    cells[1::3] = labels * size
-    cells[2::3] = [tails[k] for k in inv.tolist()]
-    return "".join(cells)
+    cells = np.empty((size, size, 3), dtype=object)
+    cells[:, :, 0] = labels[:, None]
+    cells[:, :, 1] = labels
+    cells[:, :, 2] = tails[np.searchsorted(distinct, keys)].reshape(size, size)
+    return "".join(cells.ravel().tolist())

@@ -27,11 +27,12 @@ A diagonal gate with phase function theta goes through `phase_layer`.  In
 sector x the spectrum is i^(x.z) times the Walsh-Hadamard transform over z
 of u_x[b] = conj(psi[b^x]) psi[b], and the gate multiplies u_x[b] by
 e^(2 pi i (theta(b) - theta(b^x))): one batched in-place transform
-(`_fwht`) there, the phase table, and one back, O(n 4**n) work on any real
-vector.  Rotation layers keep the real `rotate_layer`, whose pair turns
-the optimizer minimises in closed form; on dyadic angles the two kernels
-agree.  The i^(x.z) exponents of all 4**n labels (`_xz_phase`) are built
-once per n.
+(`_fwht`) there, the phase factors, and one back, O(n 4**n) work on any real
+vector.  With theta in units of 2**-m, each factor is e^(2 pi i k / 2**m)
+for an integer k, read from a table of the 2**m values.  Rotation layers
+keep the real `rotate_layer`, whose pair turns the optimizer minimises in
+closed form; on dyadic angles the two kernels agree.  The i^(x.z)
+exponents of all 4**n labels (`_xz_phase`) are built once per n.
 
 Every Clifford conjugation goes through one kernel, `_fold`: it pushes
 signed Hermitian rows (-1)^h P(x, z) forward, C (.) C^dagger, as a
@@ -74,7 +75,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .pauli_core import MAX_QUBITS, PauliLabel
-from .diagonal_gates import PhasePolynomial, RotationVector, value_numerators
+from .diagonal_gates import PhasePolynomial, RotationVector, value_numerators, whole_number
 
 if TYPE_CHECKING:
     from .stabilizer import StabilizerTableau
@@ -365,12 +366,14 @@ def phase_layer(values: np.ndarray, f: PhasePolynomial) -> np.ndarray:
     """Spectrum after the diagonal gate f, for any real length-4**n vector.
 
     Undo the i^(x.z) of every label, transform each x sector over z to
-    2**n u_x, multiply by the phase table, transform back and restore
+    2**n u_x, multiply by the phase factors, transform back and restore
     i^(x.z) / 2**n.  The gate maps each sector to itself, so all-zero
     sectors (all x outside the X-part row space of a stabilizer input) are
     skipped.  The work array is indexed [z, x] (or [b, x]) over the other
-    sectors, so the transforms run down its columns.  Returns a new float64
-    array.
+    sectors, so the transforms run down its columns.  The factors are
+    looked up in a table of e^(2 pi i k / 2**m), each computed by the same
+    expression as it would be per entry, unless the table would have more
+    entries than the work array.  Returns a new float64 array.
     """
     n = f.n
     size = 1 << n
@@ -383,7 +386,10 @@ def phase_layer(values: np.ndarray, f: PhasePolynomial) -> np.ndarray:
     turns = vals[np.arange(size)[:, None] ^ live]  # theta(b ^ x) numerators, [b, x]
     np.subtract(vals[:, None], turns, out=turns)
     turns &= (1 << m) - 1
-    v *= np.exp(2j * np.pi * (turns / float(1 << m)))
+    if (1 << m) <= turns.size:  # m runs to 30: a table no longer than turns
+        v *= np.exp(2j * np.pi * (np.arange(1 << m) / float(1 << m)))[turns]
+    else:
+        v *= np.exp(2j * np.pi * (turns / float(1 << m)))
     _fwht(v)
     v *= _I_POWERS[xz] / size
     worst = float(np.max(np.abs(v.imag), initial=0.0))
@@ -491,7 +497,7 @@ def circuit_from_json(obj: Mapping) -> ParsedCircuit:
     from .stabilizer import StabilizerTableau, plus_tableau
 
     try:
-        n = int(obj["n"])
+        n = whole_number(obj["n"], "circuit n")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"circuit JSON needs an integer 'n': {exc}") from exc
     if "initial" in obj:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import magicforge
-from magicforge.cli import _build_parser, _oracle_run, main
+from magicforge.cli import _atomic_write, _build_parser, _oracle_run, main
 from magicforge.diagonal_gates import random_polynomial
 from magicforge.oracle import oracle_spectrum
 from magicforge.optimizer import config_from_dict, run_pipeline
@@ -119,6 +119,22 @@ class TestSpectrum:
         assert main(["spectrum", str(path), "-o", out]) == 0
         assert "# source: transfer" in open(out).read().splitlines()
         assert deviation_comment(out) <= 1e-10
+
+    def test_atomic_write_pieces(self, tmp_path, capsys):
+        # the pieces land in order, in the file and on standard output alike
+        pieces = ("# manifest: {}\n", "x,y\n", "0,1\n" * 1000)
+        out = tmp_path / "pieces.csv"
+        _atomic_write(str(out), *pieces)
+        assert out.read_bytes() == "".join(pieces).encode()
+        _atomic_write(None, *pieces)
+        assert capsys.readouterr().out == "".join(pieces)
+
+    def test_atomic_write_leaves_no_temp_file(self, tmp_path):
+        # a piece that cannot be written stops the write before the rename
+        out = tmp_path / "broken.csv"
+        with pytest.raises(TypeError):
+            _atomic_write(str(out), "header\n", b"not text")
+        assert list(tmp_path.iterdir()) == []
 
     def test_stdout_is_one_csv(self, tmp_path, capsys):
         # without -o only the primary CSV is written; the oracle check stays a comment
@@ -448,6 +464,33 @@ class TestErrors:
         path.write_text(json.dumps(body))
         assert main([command, str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
+
+    @pytest.mark.parametrize("command, body", [
+        ("support", {"m": 3, "k": [1.5]}),
+        ("support", {"m": 3.9, "k": [1]}),
+        ("support", {"m": True, "k": [1]}),
+        ("magic", {"n": 2.7, "layers": []}),
+        ("magic", {"n": True, "layers": []}),
+        ("magic", {"n": 1, "layers": [{"gate": {"n": 1.5, "terms": [{"m": 2, "a": "1", "c": 1}]}}]}),
+        ("magic", {"n": 1, "layers": [{"gate": {"terms": [{"m": 2.5, "a": "1", "c": 1}]}}]}),
+        ("magic", {"n": 1, "layers": [{"gate": {"terms": [{"m": 2, "a": "1", "c": 1.7}]}}]}),
+        ("nogo", {"n": 1.5, "sqr": {"w": [0.125]}}),
+    ], ids=["rotation-k", "rotation-m", "rotation-m-bool", "circuit-n", "circuit-n-bool",
+            "gate-n", "gate-m", "gate-c", "block-n"])
+    def test_non_whole_number_exits_2(self, command, body, tmp_path, capsys):
+        # a JSON number that is not whole is rejected, not truncated
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(body))
+        assert main([command, str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
+
+    def test_whole_floats_are_read_as_integers(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"m": 3.0, "k": [1.0, 3]}))
+        out = str(tmp_path / "s.json")
+        assert main(["support", str(path), "-o", out]) == 0
+        data = json.loads(open(out).read())
+        assert data["n"] == 2 and data["ceiling"] == 9 and data["counted"] == 9
 
     @pytest.mark.parametrize("body", [
         {"n": 1, "layers": 5},

@@ -1,8 +1,13 @@
 """The dense witness itself, checked against kron-built matrices."""
 
+import ast
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import magicforge.oracle
 from magicforge.diagonal_gates import RotationVector, make_gate, random_polynomial, sqr_to_poly
 from magicforge.errors import CapacityError, ValidationError
 from magicforge.oracle import (
@@ -17,7 +22,7 @@ from magicforge.oracle import (
 )
 from magicforge.pauli_core import PauliLabel, to_index
 from magicforge.stabilizer import plus_tableau, random_stabilizer, zeros_tableau
-from magicforge.transfer import random_clifford
+from magicforge.transfer import ParsedCircuit, random_clifford
 
 from helpers import (
     circuit_matrix,
@@ -125,6 +130,36 @@ class TestSpectrum:
                     assert abs(spec.values[to_index(p)] - want.real) < 1e-10
                     assert abs(want.imag) < 1e-10
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_signed_against_expectation(self, n):
+        # every x at one z, and every z at one x, against the label-by-label formula
+        rng = np.random.default_rng([n, 22])
+        st = apply_gates(statevector(random_stabilizer(n, int(rng.integers(1 << 30)))),
+                         random_clifford(n, rng).gates)
+        st = apply_diagonal(apply_rotation(st, RotationVector.continuous(rng.uniform(0, 1, n))),
+                            random_polynomial(n, rng))
+        spec = oracle_spectrum(st)
+        size = 1 << n
+        x0, z0 = (int(v) for v in rng.integers(size, size=2))
+        labels = [(x, z0) for x in range(size)] + [(x0, z) for z in range(size)]
+        for x, z in labels:
+            want = expectation(st, x, z)
+            assert abs(spec.values[x * size + z] - want.real) < 1e-12
+            assert abs(want.imag) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_fold(self, n):
+        # stabilizer -> Clifford -> rotations -> gate, oracle against the exact fold
+        rng = np.random.default_rng([n, 23])
+        tab = random_stabilizer(n, int(rng.integers(1 << 30)))
+        layers = (("clifford", random_clifford(n, rng)),
+                  ("sqr", RotationVector.continuous(rng.uniform(0, 1, n))),
+                  ("gate", random_polynomial(n, rng)))
+        st = apply_gates(statevector(tab), layers[0][1].gates)
+        st = apply_diagonal(apply_rotation(st, layers[1][1]), layers[2][1])
+        exact = ParsedCircuit(n, tab, layers).spectrum().values
+        assert np.max(np.abs(oracle_spectrum(st).values - exact)) < 1e-12
+
     def test_expectation_function(self):
         st = statevector(plus_tableau(1))
         assert abs(expectation(st, 1, 0) - 1.0) < 1e-12
@@ -135,6 +170,38 @@ class TestSpectrum:
         amps[0] = 1.0
         with pytest.raises(CapacityError):
             oracle_spectrum(DenseState(9, amps))
+
+
+class TestIndependence:
+    def test_runtime_imports(self):
+        # the oracle witnesses the fast paths, so it may import none of them: numpy,
+        # the standard library and the error types, plus the spectrum container
+        # inside the functions that return one; annotation-only imports do not count
+        tree = ast.parse(Path(magicforge.oracle.__file__).read_text())
+        top, local = [], []
+
+        def visit(node, inside_def):
+            if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+                return
+            if isinstance(node, ast.Import):
+                (local if inside_def else top).extend((0, a.name, None) for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                (local if inside_def else top).extend(
+                    (node.level, node.module, a.name) for a in node.names)
+            inside = inside_def or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for child in ast.iter_child_nodes(node):
+                visit(child, inside)
+
+        visit(tree, False)
+        for level, module, _ in top:
+            if level:
+                assert module == "errors", f"oracle imports .{module}"
+            else:
+                root = module.split(".")[0]
+                assert root == "numpy" or root in sys.stdlib_module_names or root == "__future__", \
+                    f"oracle imports {module}"
+        assert set(local) <= {(1, "spectrum", "PauliSpectrum")}, local
+        assert (1, "errors", "CapacityError") in top  # the walk sees the imports
 
 
 class TestOverlap:

@@ -418,3 +418,16 @@ class TestCsvRows:
         text = spectrum_csv_rows(s)
         assert text == spectrum_csv_reference(2, vals)
         assert text.splitlines()[2] == "00,01,-0.0,0.0,0.0"
+
+    def test_edge_values_scattered_at_the_cap(self):
+        # 4**8 entries: half are edge values, in every sector, among distinct random ones
+        rng = np.random.default_rng(22)
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, 0.09375000000000001, -0.09375000000000001])
+        vals = rng.uniform(-1.0, 1.0, 4**8)
+        hit = rng.random(4**8) < 0.5
+        vals[hit] = edges[rng.integers(len(edges), size=int(hit.sum()))]
+        vals[0] = 1.0
+        sectors = vals.view(np.int64).reshape(256, 256)
+        assert all((sectors == key).any(axis=1).all() for key in edges.view(np.int64))
+        s = SimpleNamespace(n=8, values=vals)
+        assert spectrum_csv_rows(s) == spectrum_csv_reference(8, vals)
