@@ -223,7 +223,8 @@ class RotationVector:
             raise ValidationError(f"angle count {len(values)} != n={self.n}")
         if not all(map(math.isfinite, values)):
             raise ValidationError(f"angles must be finite, got {list(values)!r}")
-        object.__setattr__(self, "values", tuple(v % 1.0 for v in values))
+        # v % 1.0 rounds up to 1.0 for a tiny negative v; the second % maps it to 0.0
+        object.__setattr__(self, "values", tuple(v % 1.0 % 1.0 for v in values))
 
     @classmethod
     def dyadic(cls, numerators, resolution: int) -> "RotationVector":

@@ -25,12 +25,12 @@ Restarts are uniform in [0,1)^n and w = 0 is always a start.  That start
 moves where w = 0 is not a minimum along some angle (on a stabilizer state
 each angle sits at a maximum), but each turn lowers F by its positive
 predicted drop, the exact change of the vector it turns, so up to rounding
-the reported minimum never exceeds the input F_alpha.  That minimum is one
-fresh `rotate_layer` at the final angles and an exactly rounded sum
-(`spectrum.exact_sum`, `math.fsum` bit for bit).  Because the objective and
-the transfer share the kernel, their agreement is no cross-check; the tests
-compare both against the submask-sum reference in tests/helpers.py and
-against the dense oracle.
+the reported minimum never exceeds the input F_alpha.  Each start ends in
+its own transfer, `apply_block` of its final angles (reduced once, by
+`RotationVector`), and is ranked by `spectrum.f_alpha` of that spectrum; the
+winner's spectrum and F are the layer's result, so the next layer's F_before
+is a memo hit.  `objective` prices a layer the same way.  The tests check it
+against the submask-sum reference in tests/helpers.py and the dense oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .diagonal_gates import RotationVector
-from .spectrum import PauliSpectrum, exact_sum, f_alpha
+from .spectrum import PauliSpectrum, f_alpha
 from .transfer import (
     CliffordOp,
     LayerBlock,
@@ -91,15 +91,6 @@ class OptimizerConfig:
                 raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
 
 
-def _evaluate(s: PauliSpectrum, w, alpha: int):
-    """(mixed, F): the spectrum after the rotation layer w and its F_alpha."""
-    angles = np.asarray(w, dtype=np.float64)
-    if angles.shape != (s.n,):
-        raise ValidationError(f"angle vector has shape {angles.shape}, expected ({s.n},)")
-    mixed = rotate_layer(s.values, angles)
-    return mixed, exact_sum(mixed ** (2 * int(alpha)))
-
-
 def _harmonics(mixed: np.ndarray, n: int, j: int, alpha: int) -> np.ndarray:
     """a_1..a_K of f along qubit j's angle, read off the rotated vector."""
     p, q = xy_pair(mixed, n, j)
@@ -124,20 +115,26 @@ def _best_turn(a: np.ndarray) -> tuple[float, float]:
     return float(np.angle(u[best])) / (8.0 * np.pi), -float(change[best])
 
 
+def _rotated(s: PauliSpectrum, w) -> PauliSpectrum:
+    """The spectrum after a rotation layer with angles w (turns) on s."""
+    return apply_block(s, LayerBlock(s.n, None, RotationVector.continuous(w)))
+
+
 def objective(s: PauliSpectrum, w, alpha: int = 2) -> float:
     """F_alpha after a rotation layer with angles w (turns) on spectrum s."""
-    return _evaluate(s, w, alpha)[1]
+    return f_alpha(_rotated(s, w), alpha)
 
 
 def objective_grad(s: PauliSpectrum, w, alpha: int = 2) -> np.ndarray:
     """Analytic gradient in the angles: -8 pi sum k Im a_k per qubit."""
-    mixed, k = _evaluate(s, w, alpha)[0], np.arange(1, int(alpha) // 2 + 1)
+    mixed, k = _rotated(s, w).values, np.arange(1, int(alpha) // 2 + 1)
     return np.array([-8.0 * np.pi * np.dot(k, _harmonics(mixed, s.n, j, int(alpha)).imag)
                      for j in range(s.n)])
 
 
 def _sweep(s: PauliSpectrum, w0: np.ndarray, config: OptimizerConfig):
-    """Exact one-angle sweeps from w0: (w mod 1, F_alpha there, sweeps run)."""
+    """Exact one-angle sweeps from w0, turning one vector in place: (final
+    angles, the spectrum `apply_block` gives there, its F_alpha, sweeps run)."""
     w = np.asarray(w0, dtype=np.float64).copy()
     mixed = rotate_layer(s.values, w)
     for sweeps in range(1, config.max_iters + 1):
@@ -150,27 +147,29 @@ def _sweep(s: PauliSpectrum, w0: np.ndarray, config: OptimizerConfig):
                 total += drop
         if total < config.tol:
             break
-    w %= 1.0
-    return w, _evaluate(s, w, config.alpha)[1], sweeps
+    rotation = RotationVector.continuous(w)
+    after = apply_block(s, LayerBlock(s.n, None, rotation))
+    return rotation, after, f_alpha(after, config.alpha), sweeps
 
 
 def _optimize_angles_full(s: PauliSpectrum, config: OptimizerConfig, stream=(0,)):
+    """The lowest-F start: (angles, spectrum after them, F, total sweeps)."""
     rng = np.random.default_rng([config.seed, *stream])
     starts = [np.zeros(s.n)]
     starts += [rng.uniform(0.0, 1.0, s.n) for _ in range(config.restarts)]
-    best_w, best_f, total = None, np.inf, 0
+    best, best_f, total = None, np.inf, 0
     for w0 in starts:
-        w, f, iters = _sweep(s, w0, config)
+        rotation, after, f, iters = _sweep(s, w0, config)
         total += iters
         if f < best_f:
-            best_w, best_f = w, f
-    return best_w, best_f, total
+            best, best_f = (rotation, after), f
+    return *best, best_f, total
 
 
 def optimize_angles(s: PauliSpectrum, config: OptimizerConfig = OptimizerConfig()):
     """Best angles for one rotation layer: (w_star, f_star)."""
-    w, f, _ = _optimize_angles_full(s, config)
-    return w, f
+    rotation, _, f, _ = _optimize_angles_full(s, config)
+    return np.array(rotation.values), f
 
 
 def _pool_gates(n: int, count: int, rng: np.random.Generator) -> list[tuple[tuple, ...]]:
@@ -243,18 +242,11 @@ class LayerResult:
 def optimize_layer(s: PauliSpectrum, config: OptimizerConfig = OptimizerConfig(),
                    layer_index: int = 0) -> LayerResult:
     """Precondition with a Clifford, then optimize the rotation angles."""
-    f_before = f_alpha(s, config.alpha)  # in a pipeline, the last layer's memoised f_direct
+    f_before = f_alpha(s, config.alpha)  # in a pipeline, the last layer's memoised f_after
     cliff = precondition_clifford(s, config, stream=(layer_index,))
     s_mid = apply_block(s, LayerBlock(s.n, cliff, None))
-    w, f_star, iters = _optimize_angles_full(s_mid, config, stream=(layer_index,))
-    block = LayerBlock(s.n, cliff, RotationVector.continuous(w))
-    s_after = apply_block(s_mid, LayerBlock(s.n, None, block.w))
-    f_direct = f_alpha(s_after, config.alpha)  # summed afresh: the check on f_star
-    if abs(f_direct - f_star) > 1e-9:
-        raise RuntimeError(
-            f"objective ({f_star!r}) and transfer ({f_direct!r}) disagree past 1e-9"
-        )
-    return LayerResult(block, f_before, f_direct, s_after, iters)
+    rotation, s_after, f_after, iters = _optimize_angles_full(s_mid, config, (layer_index,))
+    return LayerResult(LayerBlock(s.n, cliff, rotation), f_before, f_after, s_after, iters)
 
 
 def run_pipeline(t: "StabilizerTableau", n_layers: int,

@@ -27,6 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .diagonal_gates import whole_number
 from .errors import CapacityError, ValidationError
 from .pauli_core import (
     PauliLabel,
@@ -98,7 +99,7 @@ class StabilizerTableau:
     @classmethod
     def from_json(cls, obj: Mapping) -> "StabilizerTableau":
         try:
-            n = int(obj["n"])
+            n = whole_number(obj["n"], "tableau n")
             texts = list(obj["generators"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed tableau JSON: {exc}") from exc
@@ -198,8 +199,9 @@ def canonicalize(t: StabilizerTableau) -> CanonicalTableau:
 
 
 def pure_z_rank(t: StabilizerTableau) -> int:
-    """Rank r of the pure-Z part; n - r is the support dimension."""
-    return canonicalize(t).r
+    """Rank r of the pure-Z part, the kernel of the rows' x parts, so n minus
+    their rank; n - r is the support dimension."""
+    return t.n - _f2_rank([row.x for row in t.rows])
 
 
 def is_graph_type(t: StabilizerTableau):

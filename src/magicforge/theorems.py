@@ -35,8 +35,8 @@ from .spectrum import f_alpha, nullity, sre
 from .stabilizer import (
     StabilizerTableau,
     canonical_frame,
-    canonicalize,
     product_tableau,
+    pure_z_rank,
     random_stabilizer,
 )
 from .transfer import MAX_SPECTRUM_QUBITS, CliffordOp, LayerBlock, _fold, _inverse_gates
@@ -92,7 +92,7 @@ def construct_zero_magic(t: StabilizerTableau, k: int) -> ZeroMagicCertificate:
         raise CapacityError(f"certificate construction cap is n={MAX_SPECTRUM_QUBITS}, got {n}")
     if not 3 <= k <= n:
         raise ValidationError(f"need 3 <= k <= n, got k={k}, n={n}")
-    r = canonicalize(t).r
+    r = pure_z_rank(t)
     if r < max(k - 2, 1):
         raise ValidationError(
             f"pure-Z rank r={r} too small: need r >= max(k - 2, 1) = {max(k - 2, 1)}"

@@ -106,10 +106,9 @@ def _gate_qubits(n: int, gate: tuple) -> tuple[str, list[int]]:
     name = str(gate[0]).upper()
     if name not in _CLIFFORD_GATES:
         raise ValidationError(f"unsupported Clifford gate {gate[0]!r}")
-    try:
-        qs = [int(q) for q in gate[1:]]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"qubit indices must be integers in {gate!r}") from exc
+    # a plain int, as JSON and the pool give every index, skips the call
+    qs = [q if type(q) is int else whole_number(q, f"qubit index in {gate!r}")
+          for q in gate[1:]]
     want = 2 if name in ("CX", "CZ") else 1
     if len(qs) != want:
         raise ValidationError(f"{name} takes {want} qubit(s), got {gate!r}")

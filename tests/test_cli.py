@@ -475,13 +475,28 @@ class TestErrors:
         ("magic", {"n": 1, "layers": [{"gate": {"terms": [{"m": 2.5, "a": "1", "c": 1}]}}]}),
         ("magic", {"n": 1, "layers": [{"gate": {"terms": [{"m": 2, "a": "1", "c": 1.7}]}}]}),
         ("nogo", {"n": 1.5, "sqr": {"w": [0.125]}}),
+        ("magic", {"n": 2, "layers": [{"clifford": [["H", 1.9]]}]}),
+        ("magic", {"n": 2, "layers": [{"clifford": [["H", "1"]]}]}),
+        ("magic", {"n": 2, "layers": [{"clifford": [["CX", True, 0]]}]}),
+        ("magic", {"n": 2, "layers": [{"clifford": [["CZ", 0, 1.5]]}]}),
+        ("nogo", {"n": 2, "clifford": [["H", 1.9]], "sqr": {"w": [0.125, 0.25]}}),
+        ("magic", {"n": 1, "initial": {"n": 1.9, "generators": ["+X"]}, "layers": []}),
     ], ids=["rotation-k", "rotation-m", "rotation-m-bool", "circuit-n", "circuit-n-bool",
-            "gate-n", "gate-m", "gate-c", "block-n"])
+            "gate-n", "gate-m", "gate-c", "block-n", "qubit-float", "qubit-string",
+            "qubit-bool", "qubit-second", "block-qubit", "initial-n"])
     def test_non_whole_number_exits_2(self, command, body, tmp_path, capsys):
         # a JSON number that is not whole is rejected, not truncated
         path = tmp_path / "in.json"
         path.write_text(json.dumps(body))
         assert main([command, str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
+
+    @pytest.mark.parametrize("n", [True, 1.9], ids=["bool", "float"])
+    def test_non_whole_tableau_n_exits_2(self, n, tmp_path, capsys):
+        # read as n = 1, the tableau {"+X"} would be |+>
+        path = tmp_path / "tab.json"
+        path.write_text(json.dumps({"n": n, "generators": ["+X"]}))
+        assert main(["optimize", str(path), "--layers", "1"]) == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
 
     def test_whole_floats_are_read_as_integers(self, tmp_path):
@@ -542,13 +557,13 @@ class TestErrors:
         with pytest.raises(ValueError, match="internal fault"):
             main(["magic", circuit_file])
 
-    def test_objective_transfer_mismatch_is_not_bad_input(self, tableau_file, monkeypatch):
-        # the optimizer's claimed minimum disagrees with the transfer: a program fault
-        def wrong_minimum(s, config, stream=(0,)):
-            return np.zeros(s.n), -1.0, 0
+    def test_optimizer_fault_is_not_bad_input(self, tableau_file, monkeypatch):
+        # a RuntimeError inside the optimizer is a program fault: it propagates
+        def broken(a):
+            raise RuntimeError("internal fault")
 
-        monkeypatch.setattr("magicforge.optimizer._optimize_angles_full", wrong_minimum)
-        with pytest.raises(RuntimeError, match="disagree"):
+        monkeypatch.setattr("magicforge.optimizer._best_turn", broken)
+        with pytest.raises(RuntimeError, match="internal fault"):
             main(["optimize", tableau_file, "--layers", "1"])
 
     def test_frame_reduction_fault_is_not_bad_input(self, tmp_path, monkeypatch):

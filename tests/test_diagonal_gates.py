@@ -189,6 +189,9 @@ class TestRotationVector:
     def test_continuous_wraps_to_unit(self):
         w = RotationVector.continuous((1.25, -0.25))
         assert w.values == (0.25, 0.75)
+        # a tiny negative angle reduces to 1 - eps, which rounds to 1.0: stored as 0.0
+        w = RotationVector.continuous((-1e-17, -2.0**-54, -2.0**-53, 1.0, -0.0))
+        assert w.values == (0.0, 0.0, 1.0 - 2.0**-53, 0.0, 0.0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_continuous_rejects_non_finite(self, bad):

@@ -92,6 +92,18 @@ class TestObjective:
                     fd = (objective(s, wp, 2) - objective(s, wm, 2)) / (2 * h)
                     assert abs(g[j] - fd) <= 1e-5 * max(1.0, abs(fd))
 
+    @pytest.mark.parametrize("alpha", [2, 3, 4])
+    def test_is_f_alpha_of_the_transfer(self, alpha):
+        # bit for bit, also for angles outside [0, 1), which the transfer reduces
+        rng = np.random.default_rng(30 + alpha)
+        for n in (1, 2, 3, 5, 7):
+            s = generic_spectrum(n, rng)
+            for w in (rng.uniform(0, 1, n), rng.uniform(-3, 3, n), np.full(n, -1e-17),
+                      np.full(n, 1.0), rng.integers(-4, 4, n) + rng.uniform(0, 1, n)):
+                rotation = RotationVector.continuous(tuple(w))
+                direct = f_alpha(apply_block(s, LayerBlock(n, None, rotation)), alpha)
+                assert objective(s, w, alpha).hex() == direct.hex(), (n, w)
+
     def test_higher_alpha(self):
         s = initial_spectrum(plus_tableau(1))
         w = np.array([0.125])
@@ -338,35 +350,75 @@ class TestPipeline:
         for j in range(n):
             a = _harmonics(s.values, n, j, 2)
             assert a.imag[0] == 0 and a.real[0] >= 0
-        w, f, sweeps = _sweep(s, np.zeros(n), OptimizerConfig())
-        assert sweeps >= 1 and w.any()
-        assert f < 2.0**n
+        rotation, after, f, sweeps = _sweep(s, np.zeros(n), OptimizerConfig())
+        assert sweeps >= 1 and any(rotation.values)
+        assert f < 2.0**n and f == f_alpha(after, 2)
 
     def test_f_before_reuses_the_last_f_after(self, monkeypatch):
-        # layer 1's f_before is layer 0's f_direct, memoised on the spectrum it handed on
+        # layer 1's f_before is layer 0's f_after, memoised on the spectrum it handed on
         summed = []
         real = PauliSpectrum.abs2
         monkeypatch.setattr(PauliSpectrum, "abs2", lambda s: summed.append(s) or real(s))
         cfg = OptimizerConfig(restarts=1, max_iters=8, clifford_pool=4, seed=3)
         results = run_pipeline(random_stabilizer(4, 1), 2, cfg)
-        assert len(summed) == 3  # f_before of layer 0 and each layer's f_direct
+        # f_before of layer 0, then the F of each start's spectrum, each summed once
+        assert len(summed) == 1 + (cfg.restarts + 1) * len(results)
+        assert len({id(s) for s in summed}) == len(summed)
+        assert any(s is results[0].spectrum_after for s in summed)
         assert results[1].f_before == results[0].f_after
 
     def test_two_rotations_per_start(self, monkeypatch):
-        # each start rotates its first point once and its final point once;
-        # the sweeps between turn the vector in place
-        calls = 0
-        real = magicforge.optimizer.rotate_layer
+        # each start rotates its first point once and transfers its final point
+        # once, through apply_block; the sweeps between turn the vector in place
+        calls, transfers = 0, []
+        real = magicforge.transfer.rotate_layer
+        real_block = magicforge.optimizer.apply_block
 
         def counting(values, angles):
             nonlocal calls
             calls += 1
             return real(values, angles)
 
+        def transferring(s, block):
+            transfers.append(block)
+            return real_block(s, block)
+
         monkeypatch.setattr(magicforge.optimizer, "rotate_layer", counting)
+        monkeypatch.setattr(magicforge.transfer, "rotate_layer", counting)
+        monkeypatch.setattr(magicforge.optimizer, "apply_block", transferring)
         cfg = OptimizerConfig(restarts=1, max_iters=8, step=0.05, clifford_pool=4, seed=3)
         results = run_pipeline(random_stabilizer(5, 1), 2, cfg)
-        assert calls == 2 * (cfg.restarts + 1) * len(results)
+        starts = (cfg.restarts + 1) * len(results)
+        assert calls == 2 * starts
+        rotations = [b.w for b in transfers if b.w is not None]
+        assert len(rotations) == starts
+        assert all(b.clifford is None for b in transfers if b.w is not None)
+        assert all(any(r.block.w is w for w in rotations) for r in results)
+
+    def test_f_after_is_the_f_its_start_was_ranked_by(self, monkeypatch):
+        # the lowest F over a layer's starts is its f_after, bit for bit
+        ranked = []
+        real = magicforge.optimizer._sweep
+
+        def recording(s, w0, config):
+            out = real(s, w0, config)
+            ranked.append(out[-2])
+            return out
+
+        monkeypatch.setattr(magicforge.optimizer, "_sweep", recording)
+        for alpha in (2, 3, 4):
+            cfg = OptimizerConfig(alpha=alpha, restarts=2, max_iters=8, clifford_pool=4,
+                                  seed=alpha)
+            starts = cfg.restarts + 1
+            for n in range(1, 7):
+                for seed in (1, 2):
+                    ranked.clear()
+                    results = run_pipeline(random_stabilizer(n, seed), 2, cfg)
+                    assert len(ranked) == starts * len(results)
+                    for layer, res in enumerate(results):
+                        best = min(ranked[layer * starts:(layer + 1) * starts])
+                        assert best.hex() == res.f_after.hex(), (alpha, n, seed, layer)
+                        assert res.f_after == f_alpha(res.spectrum_after, alpha)
 
     @pytest.mark.parametrize("max_iters", [1, 2, 8])
     def test_every_layer_runs_a_sweep(self, max_iters):

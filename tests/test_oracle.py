@@ -203,6 +203,12 @@ class TestIndependence:
         assert set(local) <= {(1, "spectrum", "PauliSpectrum")}, local
         assert (1, "errors", "CapacityError") in top  # the walk sees the imports
 
+    def test_one_exact_sum(self):
+        # F_alpha is summed in one place: no module but spectrum.py names exact_sum
+        package = Path(magicforge.oracle.__file__).parent
+        naming = sorted(p.name for p in package.glob("*.py") if "exact_sum" in p.read_text())
+        assert naming == ["spectrum.py"], naming
+
 
 class TestOverlap:
     def test_self_overlap(self):

@@ -291,6 +291,12 @@ class TestPureZRank:
         assert pure_z_rank(plus_tableau(3)) == 0
         assert pure_z_rank(product_tableau(4, {1: 0, 3: 1})) == 2
 
+    def test_support_matches_the_oracle(self):
+        # the state has 2**(n - r) nonzero amplitudes
+        for tab in random_cases(ns=range(1, 9), per_n=25, seed=9):
+            support = np.count_nonzero(np.abs(statevector(tab).amplitudes) > 1e-9)
+            assert support == 1 << (tab.n - pure_z_rank(tab)), tab.to_json()
+
     def test_invariant_under_diagonal_clifford(self):
         # CZ and S keep the support, hence the pure-Z rank
         tab = product_tableau(3, {2: 0})
