@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
 import tempfile
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -69,9 +71,11 @@ def _manifest(command: str, inputs: list[str], seed: int, options: dict) -> dict
     }
 
 
-def _atomic_write(path: str | None, *pieces: str) -> None:
-    """Write the pieces in order, to ``path`` or to standard output; no
-    joined copy of them is made."""
+def _atomic_write(path: str | None, pieces: Iterable[str]) -> None:
+    """Write the pieces in order, to ``path`` or to standard output, drawing
+    each from the iterable only when it is written; no joined copy of them
+    is made.  If drawing or writing a piece raises, the temporary file goes
+    and ``path`` keeps its old bytes."""
     if path is None:
         sys.stdout.writelines(pieces)
         return
@@ -91,13 +95,13 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_pieces(manifest: dict, header: list[str], body: str,
-                extra_comments: list[str] = ()) -> tuple[str, str]:
-    """(comment lines and header, ``body``), the two pieces of a CSV file for
-    `_atomic_write`; no field holds a comma, quote or newline."""
+def _csv_pieces(manifest: dict, header: list[str], body: Iterable[str],
+                extra_comments: list[str] = ()) -> Iterator[str]:
+    """The comment lines and header, then the pieces of ``body``: a CSV file
+    for `_atomic_write`; no field holds a comma, quote or newline."""
     comments = "".join("# " + line + "\n" for line in extra_comments)
     manifest_line = "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n"
-    return manifest_line + comments + ",".join(header) + "\n", body
+    return itertools.chain((manifest_line + comments + ",".join(header) + "\n",), body)
 
 
 def _load_json(path: str) -> dict:
@@ -134,7 +138,7 @@ def _method(parsed: ParsedCircuit) -> str:
     return "shallow" if shallow else "transfer"
 
 
-def _spectrum_csv(s: PauliSpectrum, manifest: dict, comments: list[str]) -> tuple[str, str]:
+def _spectrum_csv(s: PauliSpectrum, manifest: dict, comments: list[str]) -> Iterator[str]:
     return _csv_pieces(
         manifest, ["x_bits", "z_bits", "re", "im", "abs2"], spectrum_csv_rows(s), comments
     )
@@ -147,10 +151,11 @@ def _cmd_spectrum(args) -> int:
     oracle_spec = oracle_spectrum(_oracle_run(parsed))
     dev = float(np.max(np.abs(spec.values - oracle_spec.values)))
     comments = [f"source: {_method(parsed)}", f"max_abs_deviation_vs_oracle: {dev!r}"]
-    _atomic_write(args.output, *_spectrum_csv(spec, manifest, comments))
+    # every check has run by here: the pieces below only format, block by block
+    _atomic_write(args.output, _spectrum_csv(spec, manifest, comments))
     if args.output is not None:
         oracle_csv = _spectrum_csv(oracle_spec, manifest, ["source: oracle"])
-        _atomic_write(args.output + ".oracle.csv", *oracle_csv)
+        _atomic_write(args.output + ".oracle.csv", oracle_csv)
     return 0
 
 
@@ -179,7 +184,7 @@ def _cmd_magic(args) -> int:
         "nullity": nullity(spec),
         "support": support_size(spec),
     }
-    _atomic_write(args.output, _json_text(payload))
+    _atomic_write(args.output, [_json_text(payload)])
     return 0
 
 
@@ -200,9 +205,9 @@ def _cmd_optimize(args) -> int:
          support_size(res.spectrum_after), repr(nullity(res.spectrum_after)))
         for i, res in enumerate(results)
     ]
-    body = "".join(",".join(map(str, row)) + "\n" for row in rows)
+    body = [",".join(map(str, row)) + "\n" for row in rows]
     pieces = _csv_pieces(manifest, ["layer", "f_before", "f_after", "support", "nullity"], body)
-    _atomic_write(args.output, *pieces)
+    _atomic_write(args.output, pieces)
     return 0
 
 
@@ -242,7 +247,7 @@ def _cmd_verify(args) -> int:
         "tolerance": _TOLERANCE_VERIFY,
         "passed": passed,
     }
-    _atomic_write(args.output, _json_text(payload))
+    _atomic_write(args.output, [_json_text(payload)])
     if not passed:
         raise VerificationFailure(
             f"closed form deviates from the oracle by {worst!r} > {_TOLERANCE_VERIFY}"
@@ -264,7 +269,7 @@ def _cmd_zero_magic(args) -> int:
         "nullity": cert.nullity_after,
         "stabilizer_confirmed": cert.stabilizer_confirmed,
     }
-    _atomic_write(args.output, _json_text(payload))
+    _atomic_write(args.output, [_json_text(payload)])
     return 0
 
 
@@ -318,7 +323,7 @@ def _cmd_nogo(args) -> int:
         "decrease": state_payload(wit.decrease),
         "trials_used": wit.trials_used,
     }
-    _atomic_write(args.output, _json_text(payload))
+    _atomic_write(args.output, [_json_text(payload)])
     return 0
 
 
@@ -338,7 +343,7 @@ def _cmd_support(args) -> int:
         "ceiling": ceiling,
         "counted": counted,
     }
-    _atomic_write(args.output, _json_text(payload))
+    _atomic_write(args.output, [_json_text(payload)])
     return 0
 
 

@@ -9,8 +9,15 @@ one diagonal gate.  It starts from the state's exact spectrum, +-1 on its
 2**n group elements and 0 elsewhere, and pushes it through the gate with
 `transfer.phase_layer`: in each x sector a Walsh-Hadamard transform over z,
 the gate's phase differences e^(2 pi i (theta(b) - theta(b^x))), and the
-transform back, all sectors in one batch.  The result is checked to be real
+transform back, all sectors in one batch.  One complex work array holds
+the batch: the factor steps run over blocks of its rows, and each transform
+reuses one half-size scratch across its levels.  The result is checked to be real
 to 1e-12.
+
+`spectrum_csv_rows` formats a spectrum as CSV text: the distinct values
+are formatted once, up front, and the rows are then handed out in pieces
+of whole x sectors, about 1024 rows each, so the text of a whole body is
+never held in memory at once.
 
 Dense enumeration is capped at n = 8 (4**n = 65536 entries).
 """
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -82,6 +89,10 @@ def shallow_spectrum(c: "CanonicalTableau", f: PhasePolynomial) -> PauliSpectrum
         raise ValidationError(f"gate on {f.n} qubits, state on {n}")
     return PauliSpectrum(n, phase_layer(_group_values(c), f))
 
+
+# rows per piece of CSV text: at most about 75 KB at n <= 10, so that no
+# piece outgrows 128 KiB
+_CSV_BLOCK_ROWS = 1024
 
 # below this many entries (spectra at n <= 5) one math.fsum over a list beats
 # the kernel's fixed numpy cost
@@ -179,15 +190,18 @@ def stabilizer_max(n: int) -> float:
     return float(1 << n)
 
 
-def spectrum_csv_rows(s: PauliSpectrum) -> str:
-    """CSV body, one line ``x_bits,z_bits,re,im,abs2`` per label, x-major.
+def spectrum_csv_rows(s: PauliSpectrum) -> Iterator[str]:
+    """CSV body, one line ``x_bits,z_bits,re,im,abs2`` per label, x-major,
+    as an iterator of pieces.
 
     Qubit 1 is leftmost in the bit strings; entries are real, so ``im`` is
     always 0.0.  Each distinct value (keyed by its bits, so -0.0 stays apart
     from 0.0) is formatted once; ``abs(a) ** 2`` is kept as the abs2 formula
     because ``a * a`` can differ from it in the last bit.  The distinct keys
-    come from one sort, each label finds its key by binary search in them,
-    and the rows are gathered as cells of an object array and joined once.
+    come from one sort and each label finds its key by binary search in
+    them, all before this returns.  Each piece is then joined on demand from
+    the cells of one block of whole x sectors, `_CSV_BLOCK_ROWS` rows (or all
+    of them, when fewer), so no text larger than one block is ever held.
     """
     size = 1 << s.n
     labels = np.array([format(v, f"0{s.n}b")[::-1] + "," for v in range(size)], dtype=object)
@@ -196,9 +210,18 @@ def spectrum_csv_rows(s: PauliSpectrum) -> str:
     distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
     tails = np.array([f"{a!r},0.0,{abs(a) ** 2!r}\n" for a in distinct.view(np.float64).tolist()],
                      dtype=object)
-    # three cells per row (x bits, z bits, the rest), joined once
-    cells = np.empty((size, size, 3), dtype=object)
-    cells[:, :, 0] = labels[:, None]
+    inverse = np.searchsorted(distinct, keys).reshape(size, size)
+    return _csv_blocks(labels, tails, inverse, max(1, min(size, _CSV_BLOCK_ROWS // size)))
+
+
+def _csv_blocks(labels: np.ndarray, tails: np.ndarray, inverse: np.ndarray,
+                sectors: int) -> Iterator[str]:
+    """The rows of ``sectors`` x sectors at a time, each block gathered into
+    three cells per row (x bits, z bits, the rest) and joined once."""
+    size = len(labels)
+    cells = np.empty((sectors, size, 3), dtype=object)
     cells[:, :, 1] = labels
-    cells[:, :, 2] = tails[np.searchsorted(distinct, keys)].reshape(size, size)
-    return "".join(cells.ravel().tolist())
+    for x in range(0, size, sectors):
+        cells[:, :, 0] = labels[x:x + sectors, None]
+        cells[:, :, 2] = tails[inverse[x:x + sectors]]
+        yield "".join(cells.ravel().tolist())

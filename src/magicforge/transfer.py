@@ -28,11 +28,16 @@ sector x the spectrum is i^(x.z) times the Walsh-Hadamard transform over z
 of u_x[b] = conj(psi[b^x]) psi[b], and the gate multiplies u_x[b] by
 e^(2 pi i (theta(b) - theta(b^x))): one batched in-place transform
 (`_fwht`) there, the phase factors, and one back, O(n 4**n) work on any real
-vector.  With theta in units of 2**-m, each factor is e^(2 pi i k / 2**m)
-for an integer k, read from a table of the 2**m values.  Rotation layers
-keep the real `rotate_layer`, whose pair turns the optimizer minimises in
-closed form; on dyadic angles the two kernels agree.  The i^(x.z)
-exponents of all 4**n labels (`_xz_phase`) are built once per n.
+vector.  All of it runs in one complex work array over the nonzero
+sectors.  The three factor steps (i^-(x.z), the gate's phases, and
+i^(x.z) / 2**n) each go over blocks of its rows, so their temporaries stay
+small, and each transform keeps its p - q butterfly halves in one
+half-size scratch array that every level reuses.  With theta in units of
+2**-m, each factor is e^(2 pi i k / 2**m) for an integer k, read from a
+table of the 2**m values.  Rotation layers keep the real `rotate_layer`,
+whose pair turns the optimizer minimises in closed form; on dyadic angles
+the two kernels agree.  The i^(x.z) exponents of all 4**n labels
+(`_xz_phase`, one uint8 each) are built once per n.
 
 Every Clifford conjugation goes through one kernel, `_fold`: it pushes
 signed Hermitian rows (-1)^h P(x, z) forward, C (.) C^dagger, as a
@@ -89,11 +94,16 @@ _CLIFFORD_GATES = ("H", "S", "X", "Z", "CX", "CZ")
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
+# entries of `phase_layer`'s work array per factor step: 64 KiB of complex
+# temporaries, below glibc's 128 KiB mmap threshold
+_PHASE_BLOCK = 4096
+
 
 @functools.cache
 def _xz_phase(n: int) -> np.ndarray:
     """popcount(x & z) & 3 at every flat label x << n | z: the power of i in
-    P(x, z) = i**(x.z) X^x Z^z.  Built once per n and read-only."""
+    P(x, z) = i**(x.z) X^x Z^z.  Built once per n, as read-only uint8 (one
+    byte per label: 64 KiB at n = 8)."""
     v = np.arange(1 << (2 * n), dtype=np.int64)
     table = np.bitwise_count((v >> n) & v) & 3
     table.flags.writeable = False
@@ -350,12 +360,15 @@ def _turn(values: np.ndarray, n: int, j: int, wj: float) -> None:
 def _fwht(v: np.ndarray) -> None:
     """Walsh-Hadamard transform of every column of a C-contiguous 2-D array,
     in place; each butterfly forms p + q and p - q from the same pair of
-    whole rows."""
+    whole rows, with p - q held in one half-size scratch array that every
+    level reuses."""
+    scratch = np.empty(v.size // 2, dtype=v.dtype)
     half = 1
     while half < len(v):
         pairs = v.reshape(len(v) // (2 * half), 2, half, v.shape[1])
         p, q = pairs[:, 0], pairs[:, 1]
-        diff = p - q
+        diff = scratch.reshape(p.shape)
+        np.subtract(p, q, out=diff)
         p += q
         q[...] = diff
         half <<= 1
@@ -368,30 +381,42 @@ def phase_layer(values: np.ndarray, f: PhasePolynomial) -> np.ndarray:
     2**n u_x, multiply by the phase factors, transform back and restore
     i^(x.z) / 2**n.  The gate maps each sector to itself, so all-zero
     sectors (all x outside the X-part row space of a stabilizer input) are
-    skipped.  The work array is indexed [z, x] (or [b, x]) over the other
-    sectors, so the transforms run down its columns.  The factors are
-    looked up in a table of e^(2 pi i k / 2**m), each computed by the same
-    expression as it would be per entry, unless the table would have more
-    entries than the work array.  Returns a new float64 array.
+    skipped.  The one work array is indexed [z, x] (or [b, x]) over the
+    other sectors, so the transforms run down its columns; the three factor
+    steps each run over blocks of its rows, `_PHASE_BLOCK` entries at a
+    time, so no full-size temporary is made.  The factors are looked up in
+    a table of e^(2 pi i k / 2**m), each computed by the same expression as
+    it would be per entry, unless the table would have more entries than
+    the work array.  Returns a new float64 array.
     """
     n = f.n
     size = 1 << n
     sectors = values.reshape(size, size)
     live = np.flatnonzero(sectors.any(axis=1))
-    xz = _xz_phase(n).reshape(size, size)[live].T
-    v = np.multiply(_I_POWERS.conj()[xz], sectors[live].T, order="C")
+    xz = _xz_phase(n).reshape(size, size)
+    rows = _PHASE_BLOCK // max(1, len(live))
+    blocks = [slice(b, b + rows) for b in range(0, size, rows)]
+    v = np.empty((size, len(live)), dtype=np.complex128)
+    for blk in blocks:
+        np.multiply(_I_POWERS.conj()[xz[live, blk].T], sectors[live, blk].T, out=v[blk])
     _fwht(v)
     vals, m = value_numerators(f)
-    turns = vals[np.arange(size)[:, None] ^ live]  # theta(b ^ x) numerators, [b, x]
-    np.subtract(vals[:, None], turns, out=turns)
-    turns &= (1 << m) - 1
-    if (1 << m) <= turns.size:  # m runs to 30: a table no longer than turns
-        v *= np.exp(2j * np.pi * (np.arange(1 << m) / float(1 << m)))[turns]
-    else:
-        v *= np.exp(2j * np.pi * (turns / float(1 << m)))
+    table = None
+    if (1 << m) <= v.size:  # m runs to 30: a table no longer than the turns
+        table = np.exp(2j * np.pi * (np.arange(1 << m) / float(1 << m)))
+    for blk in blocks:
+        turns = vals[np.arange(size)[blk, None] ^ live]  # theta(b ^ x) numerators, [b, x]
+        np.subtract(vals[blk, None], turns, out=turns)
+        turns &= (1 << m) - 1
+        if table is not None:
+            v[blk] *= table[turns]
+        else:
+            v[blk] *= np.exp(2j * np.pi * (turns / float(1 << m)))
     _fwht(v)
-    v *= _I_POWERS[xz] / size
-    worst = float(np.max(np.abs(v.imag), initial=0.0))
+    worst = 0.0
+    for blk in blocks:
+        v[blk] *= _I_POWERS[xz[live, blk].T] / size
+        worst = max(worst, float(np.max(np.abs(v[blk].imag), initial=0.0)))
     if worst > 1e-12:
         raise RuntimeError(f"phase layer has an imaginary part {worst!r} > 1e-12")
     out = np.zeros(size * size)

@@ -317,3 +317,20 @@ def pool_score_reference(values: np.ndarray, perm: np.ndarray) -> float:
     n = (len(values).bit_length() - 1) // 2
     xw = np.bitwise_count(np.arange(len(values), dtype=np.int64) >> n).astype(np.float64)
     return float(np.sum(xw * (values[perm] ** 2 - 2.0 ** (-n)) ** 2))
+
+
+def graph_gate_circuit_json(n: int, seed: int) -> dict:
+    """Circuit JSON of a random graph state (CZ on each pair with probability
+    1/2) and one level-4 phase gate: the terms 1/2 b1b2b3b4, 1/4 on a weight-3
+    mask, 1/8 on a weight-2 mask and 1/16 on one qubit, odd numerators."""
+    rng = np.random.default_rng(seed)
+    edges = [["CZ", a, b] for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5]
+    terms, masks = [], set()
+    for m, weight in ((1, 4), (2, 3), (3, 2), (4, 1)):
+        mask = frozenset()
+        while not mask or mask in masks:
+            mask = frozenset(rng.choice(n, size=weight, replace=False).tolist())
+        masks.add(mask)
+        bits = "".join("1" if q in mask else "0" for q in range(n))
+        terms.append({"m": m, "a": bits, "c": 2 * int(rng.integers(1 << (m - 1))) + 1})
+    return {"n": n, "layers": [{"clifford": edges}, {"gate": {"terms": terms}}]}

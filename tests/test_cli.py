@@ -19,7 +19,7 @@ from magicforge.spectrum import f_alpha, nullity, support_size
 from magicforge.stabilizer import StabilizerTableau, plus_tableau, pure_z_rank, random_stabilizer
 from magicforge.transfer import circuit_from_json, random_clifford
 
-from helpers import csv_writer_text
+from helpers import csv_writer_text, graph_gate_circuit_json
 
 
 @pytest.fixture
@@ -124,17 +124,40 @@ class TestSpectrum:
         # the pieces land in order, in the file and on standard output alike
         pieces = ("# manifest: {}\n", "x,y\n", "0,1\n" * 1000)
         out = tmp_path / "pieces.csv"
-        _atomic_write(str(out), *pieces)
+        _atomic_write(str(out), iter(pieces))
         assert out.read_bytes() == "".join(pieces).encode()
-        _atomic_write(None, *pieces)
+        _atomic_write(None, iter(pieces))
         assert capsys.readouterr().out == "".join(pieces)
 
     def test_atomic_write_leaves_no_temp_file(self, tmp_path):
         # a piece that cannot be written stops the write before the rename
         out = tmp_path / "broken.csv"
         with pytest.raises(TypeError):
-            _atomic_write(str(out), "header\n", b"not text")
+            _atomic_write(str(out), ["header\n", b"not text"])
         assert list(tmp_path.iterdir()) == []
+
+    def test_atomic_write_failing_body_keeps_the_target(self, tmp_path):
+        # a body that raises after its first piece: no temp file, old bytes kept
+        out = tmp_path / "spec.csv"
+        out.write_bytes(b"old bytes\n")
+
+        def body():
+            yield "# manifest: {}\n"
+            raise MemoryError("body failed after its first piece")
+
+        with pytest.raises(MemoryError):
+            _atomic_write(str(out), body())
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_bytes() == b"old bytes\n"
+
+    def test_stdout_holds_the_file_bytes(self, tmp_path, capsys):
+        # at n = 6 the body goes out as 4 pieces of 16 sectors each
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(mixed_circuit_json(6, 2)))
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", str(path), "-o", str(out)]) == 0
+        assert main(["spectrum", str(path)]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_stdout_is_one_csv(self, tmp_path, capsys):
         # without -o only the primary CSV is written; the oracle check stays a comment
@@ -251,6 +274,22 @@ class TestCapacity:
         assert err["kind"] == "CapacityError" and err["error"].startswith("circuit spectrum cap")
         # one float64 entry per label would take 8 * 4**n bytes
         assert peak < 8 * 4**n
+
+    def test_spectrum_at_the_cap_stays_below_4_mib(self, tmp_path):
+        # a graph state and a level-4 gate at n = 8, two CSVs of 4**8 rows: the
+        # peak is set by the float spectra, not by a whole CSV body as text
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(graph_gate_circuit_json(8, 5)))
+        argv = ["spectrum", str(path), "-o", str(tmp_path / "spec.csv")]
+        assert main(argv) == 0  # warm: caches and lazy imports
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * 2**20
 
 
     def test_optimize_cap_plus_one_before_any_dense_allocation(self, tmp_path, capsys):

@@ -18,6 +18,7 @@ from magicforge.errors import ValidationError
 from magicforge.oracle import apply_diagonal, apply_rotation, oracle_spectrum, statevector
 from magicforge.pauli_core import PauliLabel, to_index
 from magicforge.spectrum import (
+    _CSV_BLOCK_ROWS,
     _EXACT_SUM_CUT,
     PauliSpectrum,
     exact_sum,
@@ -385,10 +386,23 @@ class TestFunctionals:
         assert abs(f_alpha(s, 3) - 1.25) < 1e-12
 
 
+def csv_text(s) -> str:
+    """The pieces of the CSV body joined, after checking that each one ends
+    a line and holds whole x sectors, no more rows than a block (or one
+    sector) and at least one."""
+    size = 1 << s.n
+    pieces = list(spectrum_csv_rows(s))
+    for piece in pieces:
+        rows = piece.count("\n")
+        assert piece.endswith("\n") and rows % size == 0
+        assert 0 < rows <= max(size, _CSV_BLOCK_ROWS)
+    return "".join(pieces)
+
+
 class TestCsvRows:
     def test_layout(self):
         s = closed(plus_tableau(1), make_gate("T", [1], 1))
-        lines = spectrum_csv_rows(s).splitlines()
+        lines = csv_text(s).splitlines()
         assert len(lines) == 4
         fields = lines[0].split(",")
         assert fields[:2] == ["0", "0"] and fields[3] == "0.0"
@@ -397,7 +411,7 @@ class TestCsvRows:
     def test_bit_string_orientation(self):
         tab = plus_tableau(2)
         s = closed(tab, make_gate("Z", [1], 2))
-        lines = spectrum_csv_rows(s).splitlines()
+        lines = csv_text(s).splitlines()
         # index x=1 means X on qubit 1: leftmost character set
         assert lines[(1 << 2) | 0].startswith("10,00,")
 
@@ -407,7 +421,7 @@ class TestCsvRows:
         tab = random_stabilizer(n, int(rng.integers(1 << 30)))
         f = random_polynomial(n, rng)
         for s in (closed(tab, f), oracle_spectrum(apply_diagonal(statevector(tab), f))):
-            assert spectrum_csv_rows(s) == spectrum_csv_reference(n, s.values)
+            assert csv_text(s) == spectrum_csv_reference(n, s.values)
 
     def test_edge_values_match_csv_writer(self):
         # a stand-in skips the norm check; 0.0 precedes -0.0 so merging them by value shows,
@@ -415,7 +429,7 @@ class TestCsvRows:
         vals = np.zeros(16)
         vals[:8] = [1.0, 0.0, -0.0, 5e-324, -5e-324, 1e-05, 0.09375000000000001, -0.09375000000000001]
         s = SimpleNamespace(n=2, values=vals)
-        text = spectrum_csv_rows(s)
+        text = csv_text(s)
         assert text == spectrum_csv_reference(2, vals)
         assert text.splitlines()[2] == "00,01,-0.0,0.0,0.0"
 
@@ -430,4 +444,4 @@ class TestCsvRows:
         sectors = vals.view(np.int64).reshape(256, 256)
         assert all((sectors == key).any(axis=1).all() for key in edges.view(np.int64))
         s = SimpleNamespace(n=8, values=vals)
-        assert spectrum_csv_rows(s) == spectrum_csv_reference(8, vals)
+        assert csv_text(s) == spectrum_csv_reference(8, vals)

@@ -1,5 +1,7 @@
 """Heisenberg conjugation and the spectrum transfer map for full blocks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,13 @@ from magicforge.transfer import (
     xy_pair,
 )
 
-from helpers import circuit_matrix, conjugate_reference, pauli_matrix, submask_mix
+from helpers import (
+    circuit_matrix,
+    conjugate_reference,
+    graph_gate_circuit_json,
+    pauli_matrix,
+    submask_mix,
+)
 
 
 GATES_1Q = [("H", 0), ("S", 0), ("X", 0), ("Z", 0)]
@@ -265,6 +273,22 @@ class TestPhaseLayer:
             assert not np.any(out.reshape(v.shape)[~v.any(axis=1)])
         assert not np.any(phase_layer(np.zeros(4**n), sqr_to_poly(w)))
 
+    def test_peak_at_the_cap(self):
+        # the one complex work array (1 MiB at n = 8) and the FWHT's half-size
+        # scratch; the factor steps add only small blocks
+        parsed = circuit_from_json(graph_gate_circuit_json(8, 5))
+        state = apply_clifford(parsed.initial, parsed.layers[0][1])
+        v, f = initial_spectrum(state).values, parsed.layers[1][1]
+        want = phase_layer(v, f)  # warm: the i^(x.z) table is cached per n
+        tracemalloc.start()
+        try:
+            out = phase_layer(v, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, want)
+        assert peak < 2.25 * 2**20
+
     def test_leaves_input_alone(self):
         v = initial_spectrum(plus_tableau(2)).values
         kept = v.copy()
@@ -296,6 +320,7 @@ class TestPhaseLayer:
         n = 3
         table = _xz_phase(n)
         assert table is _xz_phase(n) and not table.flags.writeable
+        assert table.dtype == np.uint8
         labels = [from_index(v, n) for v in range(4**n)]
         assert table.tolist() == [(p.x & p.z).bit_count() & 3 for p in labels]
 
