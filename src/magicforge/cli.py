@@ -71,11 +71,21 @@ def _manifest(command: str, inputs: list[str], seed: int, options: dict) -> dict
     }
 
 
+@functools.cache
+def _new_file_mode() -> int:
+    """0o666 less the process umask: the mode ``open(path, "w")`` gives a new
+    file.  Reading the umask means setting it, so it is read once."""
+    umask = os.umask(0o022)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def _atomic_write(path: str | None, pieces: Iterable[str]) -> None:
     """Write the pieces in order, to ``path`` or to standard output, drawing
     each from the iterable only when it is written; no joined copy of them
-    is made.  If drawing or writing a piece raises, the temporary file goes
-    and ``path`` keeps its old bytes."""
+    is made.  The file gets the mode a plain ``open(path, "w")`` would give
+    it, not `tempfile.mkstemp`'s 0600.  If drawing or writing a piece raises,
+    the temporary file goes and ``path`` keeps its old bytes."""
     if path is None:
         sys.stdout.writelines(pieces)
         return
@@ -84,6 +94,7 @@ def _atomic_write(path: str | None, pieces: Iterable[str]) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(pieces)
+            os.fchmod(fh.fileno(), _new_file_mode())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

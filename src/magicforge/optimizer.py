@@ -49,9 +49,9 @@ from .spectrum import PauliSpectrum, f_alpha
 from .transfer import (
     CliffordOp,
     LayerBlock,
-    _CLIFFORD_GATES,
     _fold,
     _fwht,
+    _gate_table,
     _inverse_gates,
     _turn,
     apply_block,
@@ -176,18 +176,16 @@ def _pool_gates(n: int, count: int, rng: np.random.Generator) -> list[tuple[tupl
     """``count`` gate strings drawn in bulk with `transfer.random_clifford`'s
     default distribution: 3n^2 + 2n gates, each with probability 1/2 (if
     n > 1) a CX or CZ on a uniform ordered pair of distinct qubits, and
-    otherwise H, S, X or Z on a uniform qubit."""
+    otherwise H, S, X or Z on a uniform qubit.  The gates are the shared
+    entries of `transfer._gate_table`, so the winner validates by identity."""
     shape = (count, 3 * n * n + 2 * n)
     two = rng.random(shape) < 0.5 if n > 1 else np.zeros(shape, dtype=bool)
-    code = rng.integers(4, size=shape)  # index into _CLIFFORD_GATES
+    code = rng.integers(4, size=shape)  # index into transfer._CLIFFORD_GATES
     code[two] = 4 + (code[two] & 1)
     a = rng.integers(n, size=shape)
     b = (a + 1 + rng.integers(max(n - 1, 1), size=shape)) % n  # uniform over b != a
-    return [
-        tuple((_CLIFFORD_GATES[k], p, q) if k >= 4 else (_CLIFFORD_GATES[k], p)
-              for k, p, q in zip(ks, ps, qs))
-        for ks, ps, qs in zip(code.tolist(), a.tolist(), b.tolist())
-    ]
+    gate = _gate_table(n)[1].__getitem__
+    return [tuple(map(gate, row)) for row in ((code * n + a) * n + b).tolist()]
 
 
 def _axis_scores(s: PauliSpectrum) -> np.ndarray:

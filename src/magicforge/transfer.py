@@ -68,6 +68,17 @@ Heisenberg-table gather, ``sqr`` is `rotate_layer` and ``gate`` is
 `phase_layer`, in any order, through the same step (`_apply_layers`) as
 `apply_block`.  The cap is checked before the first 4**n array and
 `PauliSpectrum` validates once, at the end; the dense oracle only checks.
+
+`random_clifford` keeps the stream of its Generator calls (``random``, then
+``choice(n, 2, replace=False)`` and ``integers(2)``, or ``integers(4)`` and
+``integers(n)``) but takes those draws from the bit generator's C functions
+under its lock: ``random()`` is one ``next_double``, ``integers(k)`` one
+Lemire draw on ``next_uint32`` with numpy's rejection step (`_below`;
+Lemire, ACM TOMACS 29, 2019), and the choice Floyd's sample (Bentley and
+Floyd, CACM 30, 1987) with numpy's closing swap.  Its gates are the shared
+canonical tuples of `_gate_table`, built once per n, and `CliffordOp`
+validates each gate by a lookup there, falling back to `_gate_qubits` and
+its messages on a miss.
 """
 
 from __future__ import annotations
@@ -108,6 +119,28 @@ def _xz_phase(n: int) -> np.ndarray:
     table = np.bitwise_count((v >> n) & v) & 3
     table.flags.writeable = False
     return table
+
+
+@functools.cache
+def _gate_table(n: int) -> tuple[dict, list]:
+    """(by_gate, by_code): every valid gate on n qubits once, as one shared
+    canonical tuple (upper-case name, plain int qubits), built on first use.
+
+    by_gate maps each gate to itself; `CliffordOp` validates by a lookup
+    there.  by_code[(k * n + a) * n + b] is gate k of _CLIFFORD_GATES on
+    qubit a (any b) for the one-qubit gates, and on control a and target b
+    for CX and CZ (None where b == a); the samplers index it.
+    """
+    by_code: list = [None] * (6 * n * n)
+    for k, name in enumerate(_CLIFFORD_GATES):
+        for a in range(n):
+            one = (name, a)
+            for b in range(n):
+                if k < 4:
+                    by_code[(k * n + a) * n + b] = one
+                elif b != a:
+                    by_code[(k * n + a) * n + b] = (name, a, b)
+    return {gate: gate for gate in by_code if gate is not None}, by_code
 
 
 def _gate_qubits(n: int, gate: tuple) -> tuple[str, list[int]]:
@@ -233,10 +266,22 @@ class CliffordOp:
             raise ValidationError(f"n={self.n} outside 1..{MAX_QUBITS}")
         if not isinstance(self.gates, (list, tuple)):
             raise ValidationError(f"a Clifford circuit is a list of gates, got {self.gates!r}")
+        by_gate = _gate_table(self.n)[0]
         gates = []
         for gate in self.gates:
-            name, qs = _gate_qubits(self.n, gate)
-            gates.append((name, *qs))
+            # the samplers' gates are table entries already; a list from JSON
+            # hits as a tuple, and passes only with plain int qubits, since
+            # True and 0.0 hit too (they hash and compare like 1 and 0)
+            kind = type(gate)
+            try:
+                canon = by_gate.get(gate if kind is tuple else tuple(gate) if kind is list else None)
+            except TypeError:  # an unhashable entry
+                canon = None
+            if canon is None or canon is not gate and (type(gate[1]) is not int
+                                                       or type(gate[-1]) is not int):
+                name, qs = _gate_qubits(self.n, gate)
+                canon = by_gate[(name, *qs)]
+            gates.append(canon)
         self.gates = tuple(gates)
 
     def inverse(self) -> "CliffordOp":
@@ -294,19 +339,53 @@ def clifford_conjugate(c: CliffordOp, p: PauliLabel) -> tuple[int, PauliLabel]:
 def random_clifford(n: int, rng: np.random.Generator, length: int | None = None) -> CliffordOp:
     """Random gate string; long enough defaults to scramble at these sizes.
 
-    The gate-by-gate stream stays fixed: the benchmark's inputs and every
-    `stabilizer.random_stabilizer` seed depend on it."""
-    if length is None:
-        length = 3 * n * n + 2 * n
+    Each gate is, with probability 1/2 when n > 1, a CX or CZ on an ordered
+    pair of distinct uniform qubits, and otherwise H, S, X or Z on a uniform
+    qubit.  The gate-by-gate stream stays fixed: the benchmark's inputs and
+    every `stabilizer.random_stabilizer` seed depend on it.  The draws are
+    those of the Generator calls named in the loop, taken from the bit
+    generator's C functions (see the module docstring).
+    """
+    n = whole_number(n, "qubit count")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValidationError(f"n={n} outside 1..{MAX_QUBITS}")
+    length = 3 * n * n + 2 * n if length is None else whole_number(length, "gate count")
+    if length < 0:
+        raise ValidationError(f"gate count must be >= 0, got {length}")
+    by_code = _gate_table(n)[1]
+    bits = rng.bit_generator
+    draw = bits.ctypes
+    state, uniform, u32 = draw.state, draw.next_double, draw.next_uint32
     gates: list[tuple] = []
-    one_q = ["H", "S", "X", "Z"]
-    for _ in range(length):
-        if n > 1 and rng.random() < 0.5:
-            a, b = rng.choice(n, size=2, replace=False)
-            gates.append((("CX", "CZ")[int(rng.integers(2))], int(a), int(b)))
-        else:
-            gates.append((one_q[int(rng.integers(4))], int(rng.integers(n))))
+    with bits.lock:
+        for _ in range(length):
+            if n > 1 and uniform(state) < 0.5:  # rng.random() < 0.5
+                # rng.choice(n, 2, replace=False): Floyd's draws, then the swap
+                a = _below(u32, state, n - 1)
+                b = _below(u32, state, n)
+                if b == a:
+                    b = n - 1
+                if not u32(state) >> 31:
+                    a, b = b, a
+                # rng.integers(2) picks CX or CZ
+                gates.append(by_code[((4 + (u32(state) >> 31)) * n + a) * n + b])
+            else:
+                k = u32(state) >> 30  # rng.integers(4), then rng.integers(n)
+                gates.append(by_code[(k * n + _below(u32, state, n)) * n])
     return CliffordOp(n, tuple(gates))
+
+
+def _below(u32, state, k: int) -> int:
+    """``rng.integers(k)`` on the bit generator's ``next_uint32``: Lemire's
+    multiply-shift with numpy's rejection step; k = 1 takes no draw."""
+    if k == 1:
+        return 0
+    m = u32(state) * k
+    if m & 0xFFFFFFFF < k:
+        threshold = (1 << 32) % k
+        while m & 0xFFFFFFFF < threshold:
+            m = u32(state) * k
+    return m >> 32
 
 
 @dataclass(frozen=True)

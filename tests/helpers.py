@@ -334,3 +334,21 @@ def graph_gate_circuit_json(n: int, seed: int) -> dict:
         bits = "".join("1" if q in mask else "0" for q in range(n))
         terms.append({"m": m, "a": bits, "c": 2 * int(rng.integers(1 << (m - 1))) + 1})
     return {"n": n, "layers": [{"clifford": edges}, {"gate": {"terms": terms}}]}
+
+
+def random_clifford_reference(n: int, rng: np.random.Generator, length: int | None = None):
+    """Gate tuples of `transfer.random_clifford`, drawn through the Generator
+    API: per gate, with probability 1/2 when n > 1, CX or CZ on
+    ``rng.choice(n, 2, replace=False)``, and otherwise H, S, X or Z on
+    ``rng.integers(n)``."""
+    if length is None:
+        length = 3 * n * n + 2 * n
+    gates = []
+    one_q = ["H", "S", "X", "Z"]
+    for _ in range(length):
+        if n > 1 and rng.random() < 0.5:
+            a, b = rng.choice(n, size=2, replace=False)
+            gates.append((("CX", "CZ")[int(rng.integers(2))], int(a), int(b)))
+        else:
+            gates.append((one_q[int(rng.integers(4))], int(rng.integers(n))))
+    return tuple(gates)

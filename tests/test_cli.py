@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import magicforge
-from magicforge.cli import _atomic_write, _build_parser, _oracle_run, main
+from magicforge.cli import _atomic_write, _build_parser, _new_file_mode, _oracle_run, main
 from magicforge.diagonal_gates import random_polynomial
 from magicforge.oracle import oracle_spectrum
 from magicforge.optimizer import config_from_dict, run_pipeline
@@ -149,6 +151,23 @@ class TestSpectrum:
             _atomic_write(str(out), body())
         assert list(tmp_path.iterdir()) == [out]
         assert out.read_bytes() == b"old bytes\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_outputs_get_the_mode_of_a_plain_open(self, umask, circuit_file, tmp_path):
+        out = tmp_path / "spec.csv"
+        old = os.umask(umask)
+        _new_file_mode.cache_clear()
+        try:
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+            assert main(["spectrum", circuit_file, "-o", str(out)]) == 0
+        finally:
+            os.umask(old)
+            _new_file_mode.cache_clear()
+        want = stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+        assert want == 0o666 & ~umask
+        for path in (out, Path(str(out) + ".oracle.csv")):
+            assert stat.S_IMODE(path.stat().st_mode) == want
 
     def test_stdout_holds_the_file_bytes(self, tmp_path, capsys):
         # at n = 6 the body goes out as 4 pieces of 16 sectors each

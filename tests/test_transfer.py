@@ -1,5 +1,7 @@
 """Heisenberg conjugation and the spectrum transfer map for full blocks."""
 
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -14,7 +16,7 @@ from magicforge.oracle import (
     oracle_spectrum,
     statevector,
 )
-from magicforge.pauli_core import PauliLabel, from_index, pauli_to_text, to_index
+from magicforge.pauli_core import MAX_QUBITS, PauliLabel, from_index, pauli_to_text, to_index
 from magicforge.spectrum import f_alpha, shallow_spectrum
 from magicforge.stabilizer import (
     apply_clifford,
@@ -28,7 +30,10 @@ from magicforge.transfer import (
     CliffordOp,
     LayerBlock,
     ParsedCircuit,
+    _below,
     _fwht,
+    _gate_qubits,
+    _gate_table,
     _xz_phase,
     apply_block,
     circuit_from_json,
@@ -46,6 +51,7 @@ from helpers import (
     conjugate_reference,
     graph_gate_circuit_json,
     pauli_matrix,
+    random_clifford_reference,
     submask_mix,
 )
 
@@ -219,6 +225,110 @@ class TestCliffordOp:
     def test_rejects_unknown_gate(self):
         with pytest.raises(ValidationError):
             CliffordOp(1, (("T", 0),))
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+                  np.random.MT19937)
+
+# sha256 of random_stabilizer(n, seed).to_json() at seeds 0, 7 and 12345, by n
+STABILIZER_SHA256 = {
+    1: ("9a98f87f30dd7375", "8c471e82bc890095", "ca8924d8ff6a8479"),
+    2: ("2047eaa12f7d8b53", "974e23ac47f462ed", "4e5b744631702d31"),
+    3: ("558107c7649f29d6", "2bd6ba42f1764e67", "24dd2da392136df7"),
+    4: ("20dcbec10f9441c6", "9b7a431f62e62c74", "2f70c877c47faaeb"),
+    5: ("0fddb10af4ef02b1", "4e35a696660edcc3", "27b068634d60ba4d"),
+    6: ("9d80bf1d546d0e68", "29b903ec12f023d3", "d62f98de6ba15a8a"),
+    7: ("019356369cb008dd", "e6ed5e712200907a", "12066f8301aff2cb"),
+    8: ("11c891b5757f4efb", "ce7527397354c468", "e53bea9852ac3a4b"),
+}
+
+
+class TestRandomCliffordStream:
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_matches_the_generator_api_draws(self, bit_generator):
+        # the same gates, and the generator left where the API calls leave it:
+        # _ansatz2 draws its rotation angles from the same rng
+        for seed in range(4):
+            for n in range(1, 9):
+                for length in (0, 1, 7, None):
+                    ref = np.random.Generator(bit_generator(seed))
+                    rng = np.random.Generator(bit_generator(seed))
+                    want = random_clifford_reference(n, ref, length)
+                    assert random_clifford(n, rng, length).gates == want, (seed, n, length)
+                    assert rng.random() == ref.random()
+                    assert rng.integers(7) == ref.integers(7)
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32])
+    def test_bounded_draw_matches_integers(self, k):
+        # large k rejects often, which covers numpy's rejection step
+        ref, rng = np.random.default_rng(k), np.random.default_rng(k)
+        draw = rng.bit_generator.ctypes
+        got = [_below(draw.next_uint32, draw.state, k) for _ in range(200)]
+        assert got == [int(ref.integers(k)) for _ in range(200)]
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("n", sorted(STABILIZER_SHA256))
+    def test_random_stabilizer_pinned(self, n):
+        got = tuple(
+            hashlib.sha256(json.dumps(random_stabilizer(n, seed).to_json(),
+                                      sort_keys=True).encode()).hexdigest()[:16]
+            for seed in (0, 7, 12345)
+        )
+        assert got == STABILIZER_SHA256[n]
+
+    @pytest.mark.parametrize("n, length", [(0, 5), (MAX_QUBITS + 1, 5), (2.5, 5), (True, 5),
+                                           (2, -3), (2, 1.5), (2, True), (2, "3")])
+    def test_rejects_bad_sizes_before_any_draw(self, n, length):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValidationError):
+            random_clifford(n, rng, length)
+        assert rng.random() == np.random.default_rng(3).random()
+
+    def test_gates_are_the_shared_table_entries(self):
+        by_gate = _gate_table(5)[0]
+        c = random_clifford(5, np.random.default_rng(2))
+        assert all(by_gate[g] is g for g in c.gates)
+        again = CliffordOp(5, c.gates)
+        assert all(a is b for a, b in zip(again.gates, c.gates))
+
+
+GATE_CASES = [
+    ["H", 0], ("S", 2), ["x", 1], ("z", 0), ["cx", 0, 2], ["CZ", 2, 1], ["Cz", 1, 0],
+    ["H", 0.0], ["CX", 1.0, 2], ["S", 1.5], ["X", np.int64(2)], ["CZ", np.int32(0), 1],
+    ["H", np.float64(1.0)], ["H", True], ["CX", 0, False], ["Z", np.True_],
+    ["H", 3], ["H", -1], ["CX", 0, 3], ["CX", 1, 1], ["CZ", 2.0, 2],
+    ["H"], ["H", 0, 1], ["CX", 0], ["CZ", 0, 1, 2], ["T", 0], ["h0"],
+    "H", 5, None, {"H": 0}, [], (), ["H", [0]], ["H", "0"], [["H"], 0],
+]
+
+
+class TestGateValidation:
+    @pytest.mark.parametrize("gate", GATE_CASES, ids=repr)
+    def test_clifford_op_agrees_with_gate_qubits(self, gate):
+        n = 3
+        try:
+            name, qs = _gate_qubits(n, gate)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                CliffordOp(n, [gate])
+            assert str(got.value) == str(exc)
+            return
+        (stored,) = CliffordOp(n, [gate]).gates
+        assert stored == (name, *qs) and stored is _gate_table(n)[0][stored]
+        assert type(stored) is tuple and stored[0] == stored[0].upper()
+        assert all(type(q) is int for q in stored[1:])
+
+    def test_table_lists_every_valid_gate(self):
+        by_gate, by_code = _gate_table(3)
+        assert len(by_gate) == 4 * 3 + 2 * 3 * 2
+        for k, name in enumerate(("H", "S", "X", "Z", "CX", "CZ")):
+            for a in range(3):
+                for b in range(3):
+                    gate = by_code[(k * 3 + a) * 3 + b]
+                    if k < 4:
+                        assert gate == (name, a)
+                    else:
+                        assert gate == ((name, a, b) if a != b else None)
 
 
 class TestRotateLayer:
