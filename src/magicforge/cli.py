@@ -44,9 +44,10 @@ from .spectrum import (
 from .stabilizer import StabilizerTableau, canonicalize, plus_tableau, random_stabilizer
 from .theorems import construct_zero_magic, nogo_witness, support_ceiling
 from .transfer import (
-    CliffordOp,
     LayerBlock,
     ParsedCircuit,
+    _layer_from_json,
+    _layer_to_json,
     apply_block,
     circuit_from_json,
     initial_spectrum,
@@ -289,23 +290,17 @@ def _block_from_json(obj: dict) -> LayerBlock:
         n = whole_number(obj["n"], "block n")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"block JSON needs an integer 'n': {exc}") from exc
-    cliff = None
-    if obj.get("clifford"):
-        cliff = CliffordOp(n, obj["clifford"])
-    w = None
-    if "sqr" in obj:
-        w = RotationVector.from_json(obj["sqr"])
-        if w.n != n:
-            raise ValidationError("rotation length disagrees with block n")
-    return LayerBlock(n, cliff, w)
+    # an empty or null Clifford is no Clifford, an absent rotation is none
+    kinds = (["clifford"] if obj.get("clifford") else []) + (["sqr"] if "sqr" in obj else [])
+    parts = dict(_layer_from_json(n, "block", kind, obj[kind]) for kind in kinds)
+    return LayerBlock(n, parts.get("clifford"), parts.get("sqr"))
 
 
 def _block_to_json(block: LayerBlock) -> dict:
     out: dict = {"n": block.n}
-    if block.clifford is not None and block.clifford.gates:
-        out["clifford"] = [list(g) for g in block.clifford.gates]
-    if block.w is not None:
-        out["sqr"] = block.w.to_json()
+    for kind, obj in block.layers:
+        if kind == "sqr" or obj.gates:  # an empty Clifford is left out
+            out[kind] = _layer_to_json(kind, obj)
     return out
 
 

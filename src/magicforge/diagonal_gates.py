@@ -308,12 +308,10 @@ def make_gate(name: str, qubits, n: int) -> PhasePolynomial:
     return PhasePolynomial(n, [(m, mask, c)])
 
 
-def random_polynomial(n: int, rng: np.random.Generator, max_resolution: int = 4,
-                      max_terms: int | None = None) -> PhasePolynomial:
-    """Random canonical diagonal gate for sweeps; may normalize to fewer terms."""
-    if max_terms is None:
-        max_terms = min((1 << n) - 1, n + 3)
-    k = int(rng.integers(1, max_terms + 1))
+def random_polynomial(n: int, rng: np.random.Generator, max_resolution: int = 4) -> PhasePolynomial:
+    """Random canonical diagonal gate for sweeps: 1 to min(2**n - 1, n + 3)
+    terms, which may normalize to fewer."""
+    k = int(rng.integers(1, min((1 << n) - 1, n + 3) + 1))
     raw = []
     for _ in range(k):
         a = int(rng.integers(1, 1 << n))

@@ -90,6 +90,8 @@ def shallow_spectrum(c: "CanonicalTableau", f: PhasePolynomial) -> PauliSpectrum
     return PauliSpectrum(n, phase_layer(_group_values(c), f))
 
 
+_SUPPORT_THRESHOLD = 1e-12
+
 # rows per piece of CSV text: at most about 75 KB at n <= 10, so that no
 # piece outgrows 128 KiB
 _CSV_BLOCK_ROWS = 1024
@@ -172,14 +174,16 @@ def nullity(s: PauliSpectrum) -> float:
     return s.n - math.log2(count)
 
 
-def support_size(s: PauliSpectrum, threshold: float = 1e-12) -> int:
-    """Number of labels with |a|^2 above the threshold."""
-    return int(np.count_nonzero(s.abs2() > threshold))
+def support_size(s: PauliSpectrum) -> int:
+    """Number of labels with |a|^2 above `_SUPPORT_THRESHOLD`."""
+    return int(np.count_nonzero(s.abs2() > _SUPPORT_THRESHOLD))
 
 
 def flat_bound(n: int, alpha: int = 2) -> float:
-    """Lower bound on F_alpha from flattening all non-identity weight:
-    1 + (2**n - 1) * 2**(n (1 - alpha))."""
+    """1 + (2**n - 1) * 2**(n (1 - alpha)), F_alpha with all non-identity weight
+    flattened: the floor for one diagonal layer on a stabilizer state, and not
+    past depth 1 (at n = 1 two optimized rotation layers from |+> reach
+    F_2 = 1.375 < 1.5; every one-qubit state has F_2 >= 4/3)."""
     if int(alpha) != alpha or alpha < 2:
         raise ValidationError(f"alpha must be an integer >= 2, got {alpha!r}")
     return 1.0 + (2.0 ** n - 1.0) * 2.0 ** (n * (1 - int(alpha)))

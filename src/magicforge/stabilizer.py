@@ -207,8 +207,8 @@ def pure_z_rank(t: StabilizerTableau) -> int:
 def is_graph_type(t: StabilizerTableau):
     """(flag, adjacency, signs) when the state is a signed graph state.
 
-    Graph type means r = 0, the x-block reduces to the identity, and no row
-    acts as Y on its own qubit (zero adjacency diagonal).  The adjacency,
+    Graph type means r = 0, so that the x-block reduces to the identity, and
+    no row acts as Y on its own qubit (zero adjacency diagonal).  The adjacency,
     symmetric because the rows commute, is returned as n row masks, signs as
     the h bits of the graph generators.
     Returns (False, None, None) otherwise.
@@ -216,21 +216,11 @@ def is_graph_type(t: StabilizerTableau):
     c = canonicalize(t)
     if c.r != 0:
         return False, None, None
-    n = t.n
-    rows_by_pivot: dict[int, tuple[int, int]] = {}
-    for row, hb in zip(c.rows, c.h):
-        if row.x.bit_count() != 1:
-            return False, None, None
-        j = row.x.bit_length() - 1
-        rows_by_pivot[j] = (row.z, hb)
-    adjacency, signs = [], []
-    for j in range(n):
-        z, hb = rows_by_pivot[j]
-        if (z >> j) & 1:
-            return False, None, None
-        adjacency.append(z)
-        signs.append(hb)
-    return True, tuple(adjacency), tuple(signs)
+    # at r = 0 the RREF x-block is the identity: row j is (-1)^h_j X_j Z^z_j
+    adjacency = tuple(row.z for row in c.rows)
+    if any((z >> j) & 1 for j, z in enumerate(adjacency)):
+        return False, None, None
+    return True, adjacency, tuple(c.h)
 
 
 def tableau_expectation(t: StabilizerTableau, p: PauliLabel) -> int:

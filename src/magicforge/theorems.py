@@ -163,12 +163,9 @@ def _negate_rotation(w: RotationVector) -> RotationVector:
 
 
 def _oracle_apply_block(st: DenseState, block: LayerBlock) -> DenseState:
-    out = st
-    if block.clifford is not None:
-        out = apply_gates(out, block.clifford.gates)
-    if block.w is not None:
-        out = apply_rotation(out, block.w)
-    return out
+    for kind, obj in block.layers:
+        st = apply_gates(st, obj.gates) if kind == "clifford" else apply_rotation(st, obj)
+    return st
 
 
 def _is_clifford_angle(w: RotationVector, j: int) -> bool:
@@ -340,11 +337,9 @@ def no_ordering_witness(n: int, k: int) -> NoOrderingWitness:
     )
 
 
-def support_ceiling(w: RotationVector, n: int | None = None) -> int:
+def support_ceiling(w: RotationVector) -> int:
     """Upper bound 3^K * 2^(n-K) on the output support size of one rotation
-    layer on any stabilizer input, K = number of non-Clifford angles."""
-    if n is not None and n != w.n:
-        raise ValidationError(f"register size {n} disagrees with rotation size {w.n}")
+    layer on any stabilizer input, n = w.n, K = number of non-Clifford angles."""
     n = w.n
     non_clifford = sum(0 if _is_clifford_angle(w, j) else 1 for j in range(n))
     return 3 ** non_clifford * 2 ** (n - non_clifford)

@@ -65,9 +65,12 @@ A whole circuit is one fold over its layers (`ParsedCircuit.spectrum`).
 Leading Clifford layers move the initial tableau (`stabilizer.apply_clifford`,
 O(gates n)); from its +-1 group vector, a later Clifford layer is a
 Heisenberg-table gather, ``sqr`` is `rotate_layer` and ``gate`` is
-`phase_layer`, in any order, through the same step (`_apply_layers`) as
-`apply_block`.  The cap is checked before the first 4**n array and
-`PauliSpectrum` validates once, at the end; the dense oracle only checks.
+`phase_layer`, in any order, through one step (`_apply_layers`), which also
+folds a `LayerBlock` as its two layers, `LayerBlock.layers`.  The cap is
+checked before the first 4**n array and `PauliSpectrum` validates once, at
+the end; the dense oracle only checks.  One reader, `_layer_from_json`,
+parses the layer bodies of circuit JSON and of block JSON; `_layer_to_json`
+writes them back.
 
 `random_clifford` keeps the stream of its Generator calls (``random``, then
 ``choice(n, 2, replace=False)`` and ``integers(2)``, or ``integers(4)`` and
@@ -397,10 +400,14 @@ class LayerBlock:
     w: RotationVector | None = None
 
     def __post_init__(self) -> None:
-        if self.clifford is not None and self.clifford.n != self.n:
-            raise ValidationError("block Clifford is on the wrong number of qubits")
-        if self.w is not None and self.w.n != self.n:
-            raise ValidationError("block rotation is on the wrong number of qubits")
+        if any(obj.n != self.n for _, obj in self.layers):
+            raise ValidationError("a block layer is on the wrong number of qubits")
+
+    @property
+    def layers(self) -> tuple[tuple, ...]:
+        """("clifford", C), then ("sqr", w), each only when the block has it."""
+        return tuple((kind, obj) for kind, obj in (("clifford", self.clifford), ("sqr", self.w))
+                     if obj is not None)
 
 
 def xy_pair(values: np.ndarray, n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -520,11 +527,6 @@ def _apply_layers(values: np.ndarray, layers: Sequence[tuple]) -> np.ndarray:
     return values
 
 
-def _apply_block_raw(arr: np.ndarray, block: LayerBlock) -> np.ndarray:
-    layers = (("clifford", block.clifford), ("sqr", block.w))
-    return _apply_layers(arr, [(kind, obj) for kind, obj in layers if obj is not None])
-
-
 def _group_values(t) -> np.ndarray:
     """Spectrum vector of the stabilizer state with rows (-1)^h P(x, z): +-1
     on the group, 0 off it.  Takes any object with ``n``, ``rows`` and ``h``."""
@@ -549,7 +551,7 @@ def apply_block(s: "PauliSpectrum", block: LayerBlock) -> "PauliSpectrum":
 
     if block.n != s.n:
         raise ValidationError(f"block on {block.n} qubits, spectrum on {s.n}")
-    return PauliSpectrum(s.n, _apply_block_raw(s.values, block))
+    return PauliSpectrum(s.n, _apply_layers(s.values, block.layers))
 
 
 def transfer_orthogonality_check(block: LayerBlock, trials: int, seed: int = 0) -> float:
@@ -566,7 +568,7 @@ def transfer_orthogonality_check(block: LayerBlock, trials: int, seed: int = 0) 
     for _ in range(trials):
         g = rng.standard_normal(size)
         g /= np.linalg.norm(g)
-        worst = max(worst, abs(float(np.linalg.norm(_apply_block_raw(g, block))) - 1.0))
+        worst = max(worst, abs(float(np.linalg.norm(_apply_layers(g, block.layers))) - 1.0))
     return worst
 
 
@@ -617,20 +619,32 @@ def circuit_from_json(obj: Mapping) -> ParsedCircuit:
         if not isinstance(layer, Mapping) or len(layer) != 1:
             raise ValidationError(f"layer {i} must be a single-key object")
         (kind, body), = layer.items()
-        if kind == "clifford":
-            layers.append(("clifford", CliffordOp(n, body)))
-        elif kind == "sqr":
-            w = RotationVector.from_json(body)
-            if w.n != n:
-                raise ValidationError(f"layer {i} rotation has {w.n} angles, circuit has n={n}")
-            layers.append(("sqr", w))
-        elif kind == "gate":
-            if not isinstance(body, Mapping):
-                raise ValidationError(f"layer {i} gate must be an object, got {body!r}")
-            f = PhasePolynomial.from_json({"n": n, **body} if "terms" in body or "sqr" in body else body)
-            if f.n != n:
-                raise ValidationError(f"layer {i} gate is on {f.n} qubits, circuit has n={n}")
-            layers.append(("gate", f))
-        else:
-            raise ValidationError(f"layer {i} has unknown kind {kind!r}")
+        layers.append(_layer_from_json(n, f"layer {i}", kind, body))
     return ParsedCircuit(n, initial, tuple(layers))
+
+
+def _layer_from_json(n: int, where: str, kind: str, body) -> tuple:
+    """The layer (kind, obj) on n qubits of a ``clifford``, ``sqr`` or ``gate``
+    body; ``where`` names it in error messages."""
+    if kind == "clifford":
+        return "clifford", CliffordOp(n, body)
+    if kind == "sqr":
+        w = RotationVector.from_json(body)
+        if w.n != n:
+            raise ValidationError(f"{where} rotation has {w.n} angles, not n={n}")
+        return "sqr", w
+    if kind == "gate":
+        if not isinstance(body, Mapping):
+            raise ValidationError(f"{where} gate must be an object, got {body!r}")
+        f = PhasePolynomial.from_json({"n": n, **body} if "terms" in body or "sqr" in body else body)
+        if f.n != n:
+            raise ValidationError(f"{where} gate is on {f.n} qubits, not n={n}")
+        return "gate", f
+    raise ValidationError(f"{where} has unknown kind {kind!r}")
+
+
+def _layer_to_json(kind: str, obj):
+    """The JSON body of a layer, which `_layer_from_json` reads back."""
+    if kind == "clifford":
+        return [list(g) for g in obj.gates]
+    return obj.to_json()

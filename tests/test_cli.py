@@ -13,13 +13,21 @@ import numpy as np
 import pytest
 
 import magicforge
-from magicforge.cli import _atomic_write, _build_parser, _new_file_mode, _oracle_run, main
-from magicforge.diagonal_gates import random_polynomial
+from magicforge.cli import (
+    _atomic_write,
+    _block_from_json,
+    _block_to_json,
+    _build_parser,
+    _new_file_mode,
+    _oracle_run,
+    main,
+)
+from magicforge.diagonal_gates import RotationVector, random_polynomial
 from magicforge.oracle import oracle_spectrum
 from magicforge.optimizer import config_from_dict, run_pipeline
 from magicforge.spectrum import f_alpha, nullity, support_size
 from magicforge.stabilizer import StabilizerTableau, plus_tableau, pure_z_rank, random_stabilizer
-from magicforge.transfer import circuit_from_json, random_clifford
+from magicforge.transfer import CliffordOp, LayerBlock, circuit_from_json, random_clifford
 
 from helpers import csv_writer_text, graph_gate_circuit_json
 
@@ -466,6 +474,43 @@ class TestNogo:
     def test_clifford_block_exits_2(self, tmp_path, capsys):
         path = tmp_path / "b.json"
         path.write_text(json.dumps({"n": 1, "clifford": [["H", 0]]}))
+        assert main(["nogo", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_block_json_round_trip(self, n):
+        # every combination of parts; an empty Clifford is the same as none
+        rng = np.random.default_rng([5, n])
+        cliffords = [None, random_clifford(n, rng)]
+        rotations = [None, RotationVector.continuous(rng.uniform(0.0, 1.0, n)),
+                     RotationVector.dyadic([int(k) for k in rng.integers(0, 16, n)], 4)]
+        for cliff in cliffords:
+            for w in rotations:
+                block = LayerBlock(n, cliff, w)
+                text = json.dumps(_block_to_json(block), sort_keys=True)
+                assert _block_from_json(json.loads(text)) == block
+        assert _block_to_json(LayerBlock(n, CliffordOp(n, ()), None)) == {"n": n}
+        for empty in ([], None):
+            assert _block_from_json({"n": n, "clifford": empty}) == LayerBlock(n)
+
+    @pytest.mark.parametrize("block", [
+        {"n": 2, "clifford": [["H", "a"]]},
+        {"n": 2, "clifford": [["H", 1.9]]},
+        {"n": 2, "clifford": [["H", "1"]]},
+        {"n": 2, "clifford": [["CX", True, 0]]},
+        {"n": 2, "clifford": [["CZ", 0, 1.5]]},
+        {"n": 1, "sqr": {"m": 3, "k": [1.5]}},
+        {"n": 1, "sqr": {"m": 3.9, "k": [1]}},
+        {"n": 1, "sqr": {"m": True, "k": [1]}},
+        {"n": 2, "sqr": {"m": 3, "k": [1]}},
+    ], ids=["qubit-name", "qubit-float", "qubit-string", "qubit-bool", "qubit-second",
+            "rotation-k", "rotation-m", "rotation-m-bool", "rotation-length"])
+    def test_malformed_block_body_exits_2(self, block, tmp_path, capsys):
+        # the bodies that fail as circuit layers fail the same way in a block
+        if "sqr" not in block:
+            block = {**block, "sqr": {"w": [0.125, 0.25]}}
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(block))
         assert main(["nogo", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
 

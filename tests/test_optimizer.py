@@ -26,7 +26,7 @@ from magicforge.optimizer import (
     precondition_clifford,
     run_pipeline,
 )
-from magicforge.spectrum import PauliSpectrum, exact_sum, f_alpha
+from magicforge.spectrum import PauliSpectrum, exact_sum, f_alpha, flat_bound
 from magicforge.stabilizer import plus_tableau, random_stabilizer, zeros_tableau
 from magicforge.transfer import (
     CliffordOp,
@@ -341,6 +341,16 @@ class TestPipeline:
         assert results[0].f_after <= 1.5 + 1e-6
         assert results[1].f_before == results[0].f_after
         assert results[1].f_after <= results[1].f_before + 1e-9
+
+    @pytest.mark.parametrize("start", [plus_tableau(1), random_stabilizer(1, 1)],
+                             ids=["plus", "stabilizer"])
+    def test_second_layer_crosses_flat_bound_at_one_qubit(self, start):
+        # flat_bound is the floor at depth 1 only: layer 2 goes below it,
+        # and stays above 4/3, the least F_2 of any one-qubit state
+        cfg = OptimizerConfig(restarts=4, clifford_pool=16, max_iters=100)
+        results = run_pipeline(start, 2, cfg)
+        assert results[0].f_after >= flat_bound(1, 2) - 1e-12
+        assert 4 / 3 - 1e-12 <= results[1].f_after < flat_bound(1, 2)
 
     @pytest.mark.parametrize("n, seed", [(4, 1), (5, 1), (6, 2)])
     def test_stabilizer_start_leaves_its_maximum(self, n, seed):

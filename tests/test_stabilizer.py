@@ -200,6 +200,43 @@ class TestGraphType:
         ok, _, _ = is_graph_type(tab)
         assert not ok
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_signed_graph_states_read_back(self, n):
+        # generators (-1)^s_j X_j Z^adj_j, mixed by random row products and
+        # shuffled, so that canonicalize has to find the graph form again
+        rng = np.random.default_rng([11, n])
+        for _ in range(10):
+            adj = [0] * n
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if rng.random() < 0.5:
+                        adj[a] |= 1 << b
+                        adj[b] |= 1 << a
+            signs = [int(s) for s in rng.integers(2, size=n)]
+            rows = [PauliLabel(n, 1 << j, adj[j], 2 * signs[j]) for j in range(n)]
+            for _ in range(3 * n if n > 1 else 0):
+                i, j = rng.choice(n, 2, replace=False)
+                rows[i] = pauli_mul(rows[i], rows[j])
+            order = rng.permutation(n)
+            tab = StabilizerTableau(
+                n, [PauliLabel(n, rows[k].x, rows[k].z, 0) for k in order],
+                [rows[k].phase_exp // 2 for k in order])
+            assert is_graph_type(tab) == (True, tuple(adj), tuple(signs))
+            # Y on its own qubit: still r = 0, but a nonzero adjacency diagonal
+            tab_y = apply_clifford(tab, CliffordOp(n, (("S", int(rng.integers(n))),)))
+            assert is_graph_type(tab_y) == (False, None, None)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_positive_pure_z_rank_is_not_graph(self, n):
+        assert is_graph_type(zeros_tableau(n)) == (False, None, None)
+        seen = 0
+        for seed in range(40):
+            tab = random_stabilizer(n, seed)
+            if pure_z_rank(tab) >= 1:
+                seen += 1
+                assert is_graph_type(tab) == (False, None, None)
+        assert seen
+
 
 class TestCanonicalFrame:
     def test_dense_fidelity(self):

@@ -228,10 +228,6 @@ class TestSupportCeiling:
         for n in range(1, 12):
             assert 3 ** n < 4 ** n - 2 ** n or n == 1
 
-    def test_register_size_check(self):
-        with pytest.raises(ValidationError):
-            support_ceiling(RotationVector.dyadic((1,), 3), n=2)
-
 
 class TestCapacity:
     @pytest.mark.parametrize("certify", [
