@@ -25,12 +25,24 @@ Restarts are uniform in [0,1)^n and w = 0 is always a start.  That start
 moves where w = 0 is not a minimum along some angle (on a stabilizer state
 each angle sits at a maximum), but each turn lowers F by its positive
 predicted drop, the exact change of the vector it turns, so up to rounding
-the reported minimum never exceeds the input F_alpha.  Each start ends in
-its own transfer, `apply_block` of its final angles (reduced once, by
-`RotationVector`), and is ranked by `spectrum.f_alpha` of that spectrum; the
-winner's spectrum and F are the layer's result, so the next layer's F_before
-is a memo hit.  `objective` prices a layer the same way.  The tests check it
-against the submask-sum reference in tests/helpers.py and the dense oracle.
+the reported minimum never exceeds the input F_alpha.
+
+All starts of a layer sweep together, as the rows of one (starts, 4**n)
+array (`_sweeps`): each qubit step copies the live rows' pairs out once,
+takes one harmonic pass (`_harmonics`) and one turn (`transfer._turn`) over
+all of them, and writes them back.  Each row turns only where its own drop
+is positive, and leaves the array when its own sweep ends, so every start
+runs exactly the sweeps, in the same arithmetic, that it would alone.  A
+batch holds at most `_BATCH_ENTRIES` entries; further starts go into later
+batches, in order, so memory does not grow with ``restarts``.  Each start
+then ends in its own transfer, `apply_block` of its final angles (reduced
+once, by `RotationVector`), and is ranked by `spectrum.f_alpha` of that
+spectrum; the first start with the least F wins, and its spectrum and F are
+the layer's result, so the next layer's F_before is a memo hit.
+`objective` prices a layer the same way, and `objective_grad` reads the
+same harmonics off a batch of one row.  The tests check the batched sweeps
+bit for bit against the per-start loop in tests/helpers.py, and the
+objective against the submask-sum reference there and the dense oracle.
 """
 
 from __future__ import annotations
@@ -44,18 +56,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .diagonal_gates import RotationVector
-from .spectrum import PauliSpectrum, f_alpha
+from .diagonal_gates import RotationVector, whole_number
+from .spectrum import PauliSpectrum, _check_alpha, f_alpha
 from .transfer import (
     CliffordOp,
     LayerBlock,
     _fold,
     _fwht,
     _gate_table,
-    _inverse_gates,
     _turn,
     apply_block,
-    rotate_layer,
     xy_pair,
 )
 
@@ -63,6 +73,11 @@ if TYPE_CHECKING:
     from .stabilizer import StabilizerTableau
 
 MAX_GRID_QUBITS = 2
+
+# spectrum entries one batch of starts holds: 1 MiB of float64, which keeps a
+# batch and its pair copies in cache (2 rows at n = 8, 8 at n = 7; larger
+# batches swept slower there), and all 17 default starts in one batch at n <= 6
+_BATCH_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -91,28 +106,40 @@ class OptimizerConfig:
                 raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
 
 
-def _harmonics(mixed: np.ndarray, n: int, j: int, alpha: int) -> np.ndarray:
-    """a_1..a_K of f along qubit j's angle, read off the rotated vector."""
-    p, q = xy_pair(mixed, n, j)
-    z4, r2 = np.square(np.square(p + 1j * q)), p * p + q * q
-    a = [math.comb(2 * alpha, alpha - 2 * k) * np.sum(z4 ** k * r2 ** (alpha - 2 * k))
+def _harmonics(p: np.ndarray, q: np.ndarray, alpha: int) -> np.ndarray:
+    """a_1..a_K of f along one angle, read off its pairs (p, q) with a
+    leading row axis: shape (rows, K), each sum over one row's pairs, in
+    order."""
+    z4 = (p + 1j * q).reshape(len(p), -1)
+    np.square(z4, out=z4)
+    np.square(z4, out=z4)
+    if alpha == 2:  # a_1 = C(4, 0) sum z^4 / 4
+        return np.add.reduce(z4, axis=1, keepdims=True) * 0.25
+    r2 = (p * p + q * q).reshape(len(p), -1)
+    a = [math.comb(2 * alpha, alpha - 2 * k) * np.sum(z4 ** k * r2 ** (alpha - 2 * k), axis=1)
          for k in range(1, alpha // 2 + 1)]
-    return np.array(a) * 2.0 ** (2 - 2 * alpha)
+    return np.stack(a, axis=1) * 2.0 ** (2 - 2 * alpha)
 
 
-def _best_turn(a: np.ndarray) -> tuple[float, float]:
-    """(t, drop): the turn t, in turns, that minimises f along one angle with
-    harmonics ``a``, and the drop in f it brings (0 where no turn lowers f)."""
-    if len(a) == 1:  # f - f(0) = Re[a_1 (e^(4it) - 1)] is least at 4t = pi - arg a_1
-        return (np.pi - np.angle(a[0])) / (8.0 * np.pi), a[0].real + abs(a[0])
+def _best_turn(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, drop) per row of harmonics ``a`` (rows, K): the turn t, in turns,
+    that minimises f along one angle, and the drop in f it brings (0 where
+    no turn lowers f)."""
+    if a.shape[1] == 1:  # f - f(0) = Re[a_1 (e^(4it) - 1)] is least at 4t = pi - arg a_1
+        a1 = a[:, 0]
+        re, im = a1.real, a1.imag
+        return (np.pi - np.arctan2(im, re)) / (8.0 * np.pi), re + np.hypot(re, im)
     # stationary points u = e^(4it): roots of sum k (a_k u^(K+k) - conj(a_k) u^(K-k)),
     # pushed onto the unit circle (an off-circle root only adds a candidate), and u = 1
-    k = np.arange(1, len(a) + 1)
-    u = np.roots(np.concatenate([(k * a)[::-1], [0.0], -(k * np.conj(a))]))
-    u = np.append(u[u != 0] / np.abs(u[u != 0]), 1.0)
-    change = (a * (u[:, None] ** k - 1)).real.sum(axis=1)
-    best = int(np.argmin(change))
-    return float(np.angle(u[best])) / (8.0 * np.pi), -float(change[best])
+    k = np.arange(1, a.shape[1] + 1)
+    t, drop = np.empty(len(a)), np.empty(len(a))
+    for r, ar in enumerate(a):
+        u = np.roots(np.concatenate([(k * ar)[::-1], [0.0], -(k * np.conj(ar))]))
+        u = np.append(u[u != 0] / np.abs(u[u != 0]), 1.0)
+        change = (ar * (u[:, None] ** k - 1)).real.sum(axis=1)
+        best = int(np.argmin(change))
+        t[r], drop[r] = float(np.angle(u[best])) / (8.0 * np.pi), -float(change[best])
+    return t, drop
 
 
 def _rotated(s: PauliSpectrum, w) -> PauliSpectrum:
@@ -127,40 +154,75 @@ def objective(s: PauliSpectrum, w, alpha: int = 2) -> float:
 
 def objective_grad(s: PauliSpectrum, w, alpha: int = 2) -> np.ndarray:
     """Analytic gradient in the angles: -8 pi sum k Im a_k per qubit."""
-    mixed, k = _rotated(s, w).values, np.arange(1, int(alpha) // 2 + 1)
-    return np.array([-8.0 * np.pi * np.dot(k, _harmonics(mixed, s.n, j, int(alpha)).imag)
+    alpha = _check_alpha(alpha)
+    mixed, k = _rotated(s, w).values, np.arange(1, alpha // 2 + 1)
+    return np.array([-8.0 * np.pi * np.dot(k, _harmonics(*xy_pair(mixed, s.n, j), alpha)[0].imag)
                      for j in range(s.n)])
 
 
-def _sweep(s: PauliSpectrum, w0: np.ndarray, config: OptimizerConfig):
-    """Exact one-angle sweeps from w0, turning one vector in place: (final
-    angles, the spectrum `apply_block` gives there, its F_alpha, sweeps run)."""
-    w = np.asarray(w0, dtype=np.float64).copy()
-    mixed = rotate_layer(s.values, w)
-    for sweeps in range(1, config.max_iters + 1):
-        total = 0.0
-        for j in range(s.n):
-            t, drop = _best_turn(_harmonics(mixed, s.n, j, config.alpha))
-            if drop > 0:
-                _turn(mixed, s.n, j, t)
-                w[j] += t
+def _sweeps(s: PauliSpectrum, w: np.ndarray, config: OptimizerConfig) -> np.ndarray:
+    """Exact one-angle sweeps from every row of the (starts, n) angles ``w``
+    at once, turning the rows of one (starts, 4**n) array in place; ``w``
+    ends at each start's final angles.  Returns the sweeps each start ran.
+
+    Every qubit step takes one harmonic pass and one turn over the live
+    rows; a row turns only where its own drop is positive, and leaves the
+    array when its own sweep ends by ``tol`` or ``max_iters``.
+    """
+    n = s.n
+    live = np.arange(len(w))
+    sweeps = np.zeros(len(w), dtype=np.int64)
+    mixed = np.empty((len(w), s.values.size))
+    mixed[...] = s.values
+    at = w.copy()  # the live rows' angles
+    for j in range(n):
+        p, q = xy_pair(mixed, n, j)
+        p[...], q[...] = _turn(p.copy(), q.copy(), at[:, j])
+    for sweep in range(1, config.max_iters + 1):
+        total = np.zeros(len(live))
+        for j in range(n):
+            p, q = xy_pair(mixed, n, j)
+            pc, qc = p.copy(), q.copy()  # both kernels then run on contiguous rows
+            t, drop = _best_turn(_harmonics(pc, qc, config.alpha))
+            if np.minimum.reduce(drop) > 0:
+                p[...], q[...] = _turn(pc, qc, t)
+                at[:, j] += t
                 total += drop
-        if total < config.tol:
-            break
-    rotation = RotationVector.continuous(w)
-    after = apply_block(s, LayerBlock(s.n, None, rotation))
-    return rotation, after, f_alpha(after, config.alpha), sweeps
+            else:  # a row at its minimum along this angle stays put
+                turn = drop > 0
+                t, drop = t[turn], drop[turn]
+                p[turn], q[turn] = _turn(pc[turn], qc[turn], t)
+                at[turn, j] += t
+                total[turn] += drop
+        done = (total < config.tol) | (sweep == config.max_iters)
+        if done.any():
+            w[live[done]], sweeps[live[done]] = at[done], sweep
+            keep = ~done
+            live, at, mixed = live[keep], at[keep], mixed[keep]
+            if not len(live):
+                break
+    return sweeps
 
 
 def _optimize_angles_full(s: PauliSpectrum, config: OptimizerConfig, stream=(0,)):
-    """The lowest-F start: (angles, spectrum after them, F, total sweeps)."""
+    """The lowest-F start: (angles, spectrum after them, F, total sweeps).
+
+    The starts are w = 0, then ``restarts`` uniform draws, swept together in
+    batches of at most `_BATCH_ENTRIES` spectrum entries, in order.  Each
+    start ends in its own transfer, `apply_block` of its final angles, and
+    the first start with the least F wins.
+    """
     rng = np.random.default_rng([config.seed, *stream])
     starts = [np.zeros(s.n)]
     starts += [rng.uniform(0.0, 1.0, s.n) for _ in range(config.restarts)]
-    best, best_f, total = None, np.inf, 0
-    for w0 in starts:
-        rotation, after, f, iters = _sweep(s, w0, config)
-        total += iters
+    w = np.array(starts)
+    batch = max(1, _BATCH_ENTRIES // s.values.size)
+    total = sum(int(_sweeps(s, w[b:b + batch], config).sum()) for b in range(0, len(w), batch))
+    best, best_f = None, np.inf
+    for row in w:
+        rotation = RotationVector.continuous(row)
+        after = apply_block(s, LayerBlock(s.n, None, rotation))
+        f = f_alpha(after, config.alpha)
         if f < best_f:
             best, best_f = (rotation, after), f
     return *best, best_f, total
@@ -198,7 +260,7 @@ def _axis_scores(s: PauliSpectrum) -> np.ndarray:
 
 def _pool_score(axis_scores: np.ndarray, n: int, gates: tuple[tuple, ...]) -> float:
     """Sum of s(P_j) over the axes P_j = C^dagger Z_j C of the gate string C."""
-    axes = _fold(n, [(0, 1 << j, 0) for j in range(n)], _inverse_gates(gates))
+    axes = _fold(n, [(0, 1 << j, 0) for j in range(n)], gates, inverse=True)
     return sum(axis_scores[(z << n) | x] for x, z, _ in axes)
 
 
@@ -270,6 +332,7 @@ def grid_min(s: PauliSpectrum, alpha: int = 2, points: int = 256):
     """
     if s.n > MAX_GRID_QUBITS:
         raise CapacityError(f"grid scan cap is n={MAX_GRID_QUBITS}, got {s.n}")
+    points = whole_number(points, "points")
     if points < 1:
         raise ValidationError("points must be positive")
     best_w, best_f = None, np.inf

@@ -146,12 +146,17 @@ def exact_sum(x) -> float:
     return math.fsum(parts.tolist())
 
 
+def _check_alpha(alpha) -> int:
+    """``alpha`` as an int, when it is a whole number >= 2."""
+    if int(alpha) != alpha or alpha < 2:
+        raise ValidationError(f"alpha must be an integer >= 2, got {alpha!r}")
+    return int(alpha)
+
+
 def f_alpha(s: PauliSpectrum, alpha: int = 2) -> float:
     """Magic functional F_alpha = sum |a|^(2 alpha), exactly rounded
     (`exact_sum`); each moment is summed once per spectrum."""
-    if int(alpha) != alpha or alpha < 2:
-        raise ValidationError(f"alpha must be an integer >= 2, got {alpha!r}")
-    a = int(alpha)
+    a = _check_alpha(alpha)
     if a not in s._moments:
         m = s.abs2()
         m **= a  # in place: one 4**n temporary, not two
@@ -184,9 +189,7 @@ def flat_bound(n: int, alpha: int = 2) -> float:
     flattened: the floor for one diagonal layer on a stabilizer state, and not
     past depth 1 (at n = 1 two optimized rotation layers from |+> reach
     F_2 = 1.375 < 1.5; every one-qubit state has F_2 >= 4/3)."""
-    if int(alpha) != alpha or alpha < 2:
-        raise ValidationError(f"alpha must be an integer >= 2, got {alpha!r}")
-    return 1.0 + (2.0 ** n - 1.0) * 2.0 ** (n * (1 - int(alpha)))
+    return 1.0 + (2.0 ** n - 1.0) * 2.0 ** (n * (1 - _check_alpha(alpha)))
 
 
 def stabilizer_max(n: int) -> float:

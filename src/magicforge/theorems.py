@@ -39,7 +39,7 @@ from .stabilizer import (
     pure_z_rank,
     random_stabilizer,
 )
-from .transfer import MAX_SPECTRUM_QUBITS, CliffordOp, LayerBlock, _fold, _inverse_gates
+from .transfer import MAX_SPECTRUM_QUBITS, CliffordOp, LayerBlock, _fold
 
 
 def conjugate_diagonal_by_frame(f: PhasePolynomial, frame: CliffordOp) -> PhasePolynomial:
@@ -55,7 +55,7 @@ def conjugate_diagonal_by_frame(f: PhasePolynomial, frame: CliffordOp) -> PhaseP
     if f.n != frame.n:
         raise ValidationError("gate and frame act on different register sizes")
     n = f.n
-    images = _fold(n, [(0, 1 << i, 0) for i in range(n)], _inverse_gates(frame.gates))
+    images = _fold(n, [(0, 1 << i, 0) for i in range(n)], frame.gates, inverse=True)
     if any(x for x, _, _ in images):
         raise ValidationError("frame does not map basis states to basis states")
     vals, m = value_numerators(f)

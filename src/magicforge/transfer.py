@@ -19,9 +19,11 @@ of n commuting 2x2 rotations: qubit j maps the pair (p, q) of entries at
 c, s = cos, sin(2 pi w_j), and leaves entries with x_j = 0 alone.
 `rotate_layer` applies them as n strided updates, O(n 4**n) work, and
 `xy_pair` is the one place that knows where those pairs sit in the
-x * 2**n + z layout.  `_turn` is one such update in place; the optimizer's
-sweeps turn one qubit at a time with it.  The submask sum itself is kept
-as a test-side reference, and the dense oracle checks whole circuits.
+x * 2**n + z layout.  `xy_pair` and `_turn`, one such update, take a
+leading row axis, each row with its own angle: `rotate_layer` is a batch
+of one row, and the optimizer's sweeps turn one qubit of every start at
+once with them.  The submask sum itself is kept as a test-side reference,
+and the dense oracle checks whole circuits.
 
 A diagonal gate with phase function theta goes through `phase_layer`.  In
 sector x the spectrum is i^(x.z) times the Walsh-Hadamard transform over z
@@ -46,9 +48,10 @@ bit-sliced stabilizer tableau with the Aaronson-Gottesman update per gate
 `stabilizer.apply_clifford` and `canonical_frame` fold tableau rows, and
 `theorems.conjugate_diagonal_by_frame` folds the n generators Z_i.
 `CliffordOp.heisenberg_table` builds the lookup table for all 4**n labels:
-it folds only the 2n generators Z_k and X_j through the inverse gate list
-and hands their images to the product kernel.  The per-gate image fold
-lives on as a test-side reference.
+it folds only the 2n generators Z_k and X_j back through the gates (the
+fold walks them in reverse, with S as S^dagger) and hands their images to
+the product kernel.  The per-gate image fold lives on as a test-side
+reference.
 
 Every product over all subsets of a row list goes through one kernel,
 `_products`: entry s is the product of the rows whose bits are set in s,
@@ -167,15 +170,17 @@ def _gate_qubits(n: int, gate: tuple) -> tuple[str, list[int]]:
 
 
 def _fold(
-    n: int, rows: Sequence[tuple[int, int, int]], gates: Sequence[tuple]
+    n: int, rows: Sequence[tuple[int, int, int]], gates: Sequence[tuple], inverse: bool = False
 ) -> list[tuple[int, int, int]]:
-    """Forward images C (.) C^dagger of signed Hermitian rows (-1)^h P(x, z).
+    """Forward images C (.) C^dagger of signed Hermitian rows (-1)^h P(x, z),
+    or with ``inverse`` the pull-backs C^dagger (.) C.
 
     ``rows`` is a sequence of (x, z, h) triples and so is the result.  The
     rows are bit-sliced: bit k of xs[j] (zs[j]) is the x (z) bit of row k on
     qubit j, and bit k of r is its sign.  Slicing in and out walks only the
     set bits of each mask.  Each gate is then the Aaronson-Gottesman update,
-    a few integer operations on all rows at once.
+    a few integer operations on all rows at once.  C^dagger walks the gates
+    backwards; every gate but S is its own inverse.
     """
     xs, zs, r = [0] * n, [0] * n, 0
     for k, (x, z, h) in enumerate(rows):
@@ -186,7 +191,7 @@ def _fold(
                 planes[low.bit_length() - 1] |= bit
                 mask ^= low
         r |= h << k
-    for gate in gates:
+    for gate in reversed(gates) if inverse else gates:
         name, a = gate[0], gate[1]
         if name == "CX":  # control a, target b
             b = gate[2]
@@ -198,8 +203,11 @@ def _fold(
             r ^= xs[a] & xs[b] & (zs[a] ^ zs[b])
             zs[a] ^= xs[b]
             zs[b] ^= xs[a]
-        elif name == "S":  # X -> Y, Y -> -X
-            r ^= xs[a] & zs[a]
+        elif name == "S":
+            if inverse:  # S^dagger: X -> -Y, Y -> X
+                r ^= xs[a] & ~zs[a]
+            else:  # X -> Y, Y -> -X
+                r ^= xs[a] & zs[a]
             zs[a] ^= xs[a]
         elif name == "H":
             r ^= xs[a] & zs[a]
@@ -248,14 +256,6 @@ def _group(n: int, rows: Sequence[PauliLabel], h: Sequence[int]) -> tuple[np.nda
     return label, ph >> 1
 
 
-def _inverse_gates(gates: tuple[tuple, ...]) -> tuple[tuple, ...]:
-    """Gate list of C^dagger: reversed, with S^dagger written as S S S."""
-    inv: list[tuple] = []
-    for gate in reversed(gates):
-        inv += [gate] * (3 if gate[0] == "S" else 1)
-    return tuple(inv)
-
-
 @dataclass
 class CliffordOp:
     """A Clifford circuit as an ordered gate list; qubit indices are 0-based."""
@@ -288,7 +288,11 @@ class CliffordOp:
         self.gates = tuple(gates)
 
     def inverse(self) -> "CliffordOp":
-        return CliffordOp(self.n, _inverse_gates(self.gates))
+        """C^dagger: the gates reversed, with S^dagger written as S S S."""
+        inv: list[tuple] = []
+        for gate in reversed(self.gates):
+            inv += [gate] * (3 if gate[0] == "S" else 1)
+        return CliffordOp(self.n, tuple(inv))
 
     def conjugate(self, p: PauliLabel) -> PauliLabel:
         """C p C^dagger with exact phase.
@@ -316,7 +320,7 @@ class CliffordOp:
         # row k < n is Z_k and row n + j is X_j, pulled back by C^dagger (.) C;
         # subset v = x << n | z of them multiplies out to the bare X^x Z^z
         gens = [(0, 1 << k, 0) for k in range(n)] + [(1 << j, 0, 0) for j in range(n)]
-        perm, ph = _products(n, _fold(n, gens, _inverse_gates(self.gates)))
+        perm, ph = _products(n, _fold(n, gens, self.gates, inverse=True))
         # P(v) = i**(x.z) X^x Z^z on the input side
         ph = (ph + _xz_phase(n)) & 3
         if np.any(ph & 1):
@@ -410,37 +414,41 @@ class LayerBlock:
                      if obj is not None)
 
 
-def xy_pair(values: np.ndarray, n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the x_j = 1 entries of a spectrum vector at z_j = 0 and z_j = 1.
+def xy_pair(rows: np.ndarray, n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the x_j = 1 entries of each row of a C-contiguous
+    (rows, 4**n) array at z_j = 0 and z_j = 1, each of shape
+    (rows, hi, lo, hi, lo) with hi * lo = 2**(n - 1); a single length-4**n
+    vector is one row.
 
-    Both views share memory with ``values``, which must be C-contiguous.
+    Both views share memory with ``rows``.
     """
     hi, lo = 1 << (n - 1 - j), 1 << j
-    v = values.reshape(hi, 2, lo, hi, 2, lo)
-    return v[:, 1, :, :, 0], v[:, 1, :, :, 1]
+    v = rows.reshape(-1, hi, 2, lo, hi, 2, lo)
+    return v[:, :, 1, :, :, 0], v[:, :, 1, :, :, 1]
 
 
 def rotate_layer(values: np.ndarray, angles: Sequence[float]) -> np.ndarray:
     """Spectrum after a Z-rotation layer with the given angles (in turns).
 
-    Works on any real length-4**n vector, n = len(angles); returns a new array.
+    Works on any real length-4**n vector, n = len(angles), which `xy_pair`
+    views as a batch of one row; returns a new array.
     """
     n = len(angles)
     out = np.array(values, dtype=np.float64)
     for j, wj in enumerate(angles):
-        _turn(out, n, j, wj)
+        p, q = xy_pair(out, n, j)
+        p[...], q[...] = _turn(p, q, wj)
     return out
 
 
-def _turn(values: np.ndarray, n: int, j: int, wj: float) -> None:
-    """Rotate qubit j's pairs of a C-contiguous spectrum vector by wj turns,
-    in place."""
-    t = 2.0 * np.pi * wj
+def _turn(p: np.ndarray, q: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (p, q) with a leading row axis, row r turned by t[r] turns (a
+    scalar t turns every row): the new arrays (c p - s q, s p + c q)."""
+    if isinstance(t, np.ndarray):  # one angle per row, along the row axis
+        t = t.reshape((-1,) + (1,) * (p.ndim - 1))
+    t = 2.0 * np.pi * t
     c, s = np.cos(t), np.sin(t)
-    p, q = xy_pair(values, n, j)
-    p_new = c * p - s * q
-    q[...] = s * p + c * q
-    p[...] = p_new
+    return c * p - s * q, s * p + c * q
 
 
 def _fwht(v: np.ndarray) -> None:

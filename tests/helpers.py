@@ -352,3 +352,65 @@ def random_clifford_reference(n: int, rng: np.random.Generator, length: int | No
         else:
             gates.append((one_q[int(rng.integers(4))], int(rng.integers(n))))
     return tuple(gates)
+
+
+def _pairs_reference(v: np.ndarray, n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the x_j = 1 entries of one spectrum vector at z_j = 0 and 1."""
+    hi, lo = 1 << (n - 1 - j), 1 << j
+    w = v.reshape(hi, 2, lo, hi, 2, lo)
+    return w[:, 1, :, :, 0], w[:, 1, :, :, 1]
+
+
+def _turn_reference(v: np.ndarray, n: int, j: int, wj: float) -> None:
+    t = 2.0 * np.pi * wj
+    c, s = np.cos(t), np.sin(t)
+    p, q = _pairs_reference(v, n, j)
+    p_new = c * p - s * q
+    q[...] = s * p + c * q
+    p[...] = p_new
+
+
+def _harmonics_reference(v: np.ndarray, n: int, j: int, alpha: int) -> np.ndarray:
+    p, q = _pairs_reference(v, n, j)
+    z4, r2 = np.square(np.square(p + 1j * q)), p * p + q * q
+    a = [math.comb(2 * alpha, alpha - 2 * k) * np.sum(z4 ** k * r2 ** (alpha - 2 * k))
+         for k in range(1, alpha // 2 + 1)]
+    return np.array(a) * 2.0 ** (2 - 2 * alpha)
+
+
+def _best_turn_reference(a: np.ndarray) -> tuple[float, float]:
+    if len(a) == 1:
+        return (np.pi - np.angle(a[0])) / (8.0 * np.pi), a[0].real + abs(a[0])
+    k = np.arange(1, len(a) + 1)
+    u = np.roots(np.concatenate([(k * a)[::-1], [0.0], -(k * np.conj(a))]))
+    u = np.append(u[u != 0] / np.abs(u[u != 0]), 1.0)
+    change = (a * (u[:, None] ** k - 1)).real.sum(axis=1)
+    best = int(np.argmin(change))
+    return float(np.angle(u[best])) / (8.0 * np.pi), -float(change[best])
+
+
+def sweep_reference(values: np.ndarray, w0, alpha: int, max_iters: int, tol: float):
+    """Exact one-angle sweeps from the angles w0, one start on its own vector:
+    (final angles, sweeps run).
+
+    The per-start loop: rotate a copy of ``values`` by w0, then per sweep turn
+    each qubit j in order by the minimiser of its harmonics, only where the
+    predicted drop is positive; stop after a sweep whose drops sum below
+    ``tol``, or after ``max_iters``.
+    """
+    n = len(w0)
+    w = np.asarray(w0, dtype=np.float64).copy()
+    mixed = np.array(values, dtype=np.float64)
+    for j, wj in enumerate(w):
+        _turn_reference(mixed, n, j, wj)
+    for sweeps in range(1, max_iters + 1):
+        total = 0.0
+        for j in range(n):
+            t, drop = _best_turn_reference(_harmonics_reference(mixed, n, j, alpha))
+            if drop > 0:
+                _turn_reference(mixed, n, j, t)
+                w[j] += t
+                total += drop
+        if total < tol:
+            break
+    return w, sweeps

@@ -1,5 +1,6 @@
 """Angle sweeps, Clifford preconditioning, and the greedy layer pipeline."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,13 +11,15 @@ import magicforge.optimizer
 from magicforge.diagonal_gates import RotationVector
 from magicforge.errors import CapacityError, ValidationError
 from magicforge.optimizer import (
+    _BATCH_ENTRIES,
     OptimizerConfig,
     _axis_scores,
     _best_turn,
     _harmonics,
+    _optimize_angles_full,
     _pool_gates,
     _pool_score,
-    _sweep,
+    _sweeps,
     config_from_dict,
     grid_min,
     objective,
@@ -36,9 +39,10 @@ from magicforge.transfer import (
     circuit_from_json,
     initial_spectrum,
     random_clifford,
+    xy_pair,
 )
 
-from helpers import pool_score_reference, submask_objective
+from helpers import pool_score_reference, submask_objective, sweep_reference
 
 
 def generic_spectrum(n, rng):
@@ -104,6 +108,14 @@ class TestObjective:
                 direct = f_alpha(apply_block(s, LayerBlock(n, None, rotation)), alpha)
                 assert objective(s, w, alpha).hex() == direct.hex(), (n, w)
 
+    @pytest.mark.parametrize("alpha", [1, 0, True, 2.5])
+    def test_bad_alpha_rejected(self, alpha):
+        # the gradient validates alpha as F_alpha does, instead of a zero or a rounded one
+        s = initial_spectrum(plus_tableau(2))
+        for call in (objective, objective_grad):
+            with pytest.raises(ValidationError):
+                call(s, np.zeros(2), alpha)
+
     def test_higher_alpha(self):
         s = initial_spectrum(plus_tableau(1))
         w = np.array([0.125])
@@ -159,12 +171,13 @@ class TestOptimizeAngles:
             s = generic_spectrum(n, rng)
             f0 = f_alpha(s, alpha)
             for j in range(n):
-                t, drop = _best_turn(_harmonics(s.values, n, j, alpha))
+                (t,), (drop,) = _best_turn(_harmonics(*xy_pair(s.values, n, j), alpha))
                 assert drop >= 0
 
                 def turned(wj):
                     v = s.values.copy()
-                    _turn(v, n, j, wj)
+                    p, q = xy_pair(v, n, j)
+                    p[...], q[...] = _turn(p, q, wj)
                     return exact_sum(v ** (2 * alpha))
 
                 assert abs((f0 - turned(t)) - drop) <= 1e-9
@@ -181,10 +194,9 @@ class TestOptimizeAngles:
         def change(a, t):
             return (a * (np.exp(8j * np.pi * np.multiply.outer(t, k)) - 1)).real.sum(axis=-1)
 
-        for _ in range(50):
-            a = (rng.standard_normal(harmonics) + 1j * rng.standard_normal(harmonics)) \
-                * rng.uniform(0, 1, harmonics) ** 2
-            t, drop = _best_turn(a)
+        rows = (rng.standard_normal((50, harmonics)) + 1j * rng.standard_normal((50, harmonics))) \
+            * rng.uniform(0, 1, (50, harmonics)) ** 2
+        for a, t, drop in zip(rows, *_best_turn(rows)):
             assert abs(change(a, t) + drop) <= 1e-12
             assert -drop <= change(a, grid).min() + 1e-12
 
@@ -192,6 +204,74 @@ class TestOptimizeAngles:
         s = initial_spectrum(plus_tableau(3))
         with pytest.raises(Exception):
             grid_min(s)
+
+    @pytest.mark.parametrize("points", [2.5, 0, True])
+    def test_grid_points_validated(self, points):
+        with pytest.raises(ValidationError):
+            grid_min(initial_spectrum(plus_tableau(1)), points=points)
+
+    def test_grid_points_as_whole_float(self):
+        s = initial_spectrum(plus_tableau(1))
+        assert grid_min(s, points=8.0)[1] == grid_min(s, points=8)[1]
+
+
+def _sweep_cases():
+    """(n, restarts, max_iters, tol): four settings per n = 1..6 out of
+    restarts {0, 1, 2, 16} x max_iters {1, 2, 8, 100} x tol {1e-10, 1e-3},
+    then a few at n = 7 and 8."""
+    grid = list(itertools.product((0, 1, 2, 16), (1, 2, 8, 100), (1e-10, 1e-3)))
+    cases = [(n, *grid[i]) for n in range(1, 7) for i in range(len(grid)) if (i + n) % 8 == 0]
+    return cases + [(7, 2, 8, 1e-10), (7, 16, 2, 1e-3), (8, 1, 2, 1e-10), (8, 16, 1, 1e-10)]
+
+
+class TestBatchedSweeps:
+    @pytest.mark.parametrize("alpha", [2, 3, 4])
+    @pytest.mark.parametrize("small_batches", [False, True], ids=["cap", "3-row"])
+    def test_match_the_per_start_reference(self, alpha, small_batches, monkeypatch):
+        # every start's angles and sweep count, and the winner's rotation,
+        # spectrum and F, bit for bit as the per-start loop gives them
+        rng = np.random.default_rng(70 + alpha)
+        for k, (n, restarts, max_iters, tol) in enumerate(_sweep_cases()):
+            if small_batches:
+                if n > 6:
+                    continue
+                monkeypatch.setattr(magicforge.optimizer, "_BATCH_ENTRIES", 3 * 4**n)
+            s = generic_spectrum(n, rng) if k % 2 else \
+                initial_spectrum(random_stabilizer(n, int(rng.integers(1 << 30))))
+            cfg = OptimizerConfig(alpha=alpha, restarts=restarts, max_iters=max_iters, tol=tol,
+                                  seed=k)
+            draw = np.random.default_rng([cfg.seed, k])
+            starts = [np.zeros(n)] + [draw.uniform(0.0, 1.0, n) for _ in range(restarts)]
+            ref = [sweep_reference(s.values, w0, alpha, max_iters, tol) for w0 in starts]
+            w = np.array(starts)
+            sweeps = _sweeps(s, w, cfg)
+            for (w_ref, sweeps_ref), w_row, sweeps_row in zip(ref, w, sweeps):
+                assert w_row.tobytes() == w_ref.tobytes() and sweeps_row == sweeps_ref, (n, k)
+            afters = [apply_block(s, LayerBlock(n, None, RotationVector.continuous(w_ref)))
+                      for w_ref, _ in ref]
+            fs = [f_alpha(a, alpha) for a in afters]
+            best = int(np.argmin(fs))  # the first of the least
+            rotation, after, f, total = _optimize_angles_full(s, cfg, stream=(k,))
+            assert rotation == RotationVector.continuous(ref[best][0])
+            assert np.array_equal(after.values.view(np.int64), afters[best].values.view(np.int64))
+            assert f.hex() == fs[best].hex() and total == sum(sw for _, sw in ref), (n, k)
+
+    def test_memory_stays_within_the_batch_cap(self):
+        # 201 starts at n = 8 would take 201 * 512 KiB as one batch; a batch of
+        # at most _BATCH_ENTRIES entries with its pair copies and temporaries,
+        # and a few whole spectra (the input, one transfer with its temporaries,
+        # the best so far) stay under three batches plus four spectra (5 MiB;
+        # 2.6 MiB measured)
+        n = 8
+        s = generic_spectrum(n, np.random.default_rng(80))
+        cfg = OptimizerConfig(restarts=200, max_iters=1)
+        tracemalloc.start()
+        try:
+            _optimize_angles_full(s, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (3 * _BATCH_ENTRIES + 4 * 4**n)
 
 
 class TestPrecondition:
@@ -358,11 +438,12 @@ class TestPipeline:
         # z is 0, +-1 or +-i, so a_1 = sum z^4 / 4 >= 0 and f(t) = f(0) - a_1 (1 - cos 4t)
         s = initial_spectrum(random_stabilizer(n, seed))
         for j in range(n):
-            a = _harmonics(s.values, n, j, 2)
+            (a,) = _harmonics(*xy_pair(s.values, n, j), 2)
             assert a.imag[0] == 0 and a.real[0] >= 0
-        rotation, after, f, sweeps = _sweep(s, np.zeros(n), OptimizerConfig())
-        assert sweeps >= 1 and any(rotation.values)
-        assert f < 2.0**n and f == f_alpha(after, 2)
+        w = np.zeros((1, n))
+        (sweeps,) = _sweeps(s, w, OptimizerConfig())
+        assert sweeps >= 1 and w.any()
+        assert objective(s, w[0], 2) < 2.0**n
 
     def test_f_before_reuses_the_last_f_after(self, monkeypatch):
         # layer 1's f_before is layer 0's f_after, memoised on the spectrum it handed on
@@ -377,45 +458,41 @@ class TestPipeline:
         assert any(s is results[0].spectrum_after for s in summed)
         assert results[1].f_before == results[0].f_after
 
-    def test_two_rotations_per_start(self, monkeypatch):
-        # each start rotates its first point once and transfers its final point
-        # once, through apply_block; the sweeps between turn the vector in place
-        calls, transfers = 0, []
-        real = magicforge.transfer.rotate_layer
+    def test_one_transfer_per_start(self, monkeypatch):
+        # each start ends in one transfer of its final angles through apply_block,
+        # and the layer's spectrum is its winner's transfer, bit for bit
+        transfers = []
         real_block = magicforge.optimizer.apply_block
 
-        def counting(values, angles):
-            nonlocal calls
-            calls += 1
-            return real(values, angles)
-
         def transferring(s, block):
-            transfers.append(block)
-            return real_block(s, block)
-
-        monkeypatch.setattr(magicforge.optimizer, "rotate_layer", counting)
-        monkeypatch.setattr(magicforge.transfer, "rotate_layer", counting)
-        monkeypatch.setattr(magicforge.optimizer, "apply_block", transferring)
-        cfg = OptimizerConfig(restarts=1, max_iters=8, step=0.05, clifford_pool=4, seed=3)
-        results = run_pipeline(random_stabilizer(5, 1), 2, cfg)
-        starts = (cfg.restarts + 1) * len(results)
-        assert calls == 2 * starts
-        rotations = [b.w for b in transfers if b.w is not None]
-        assert len(rotations) == starts
-        assert all(b.clifford is None for b in transfers if b.w is not None)
-        assert all(any(r.block.w is w for w in rotations) for r in results)
-
-    def test_f_after_is_the_f_its_start_was_ranked_by(self, monkeypatch):
-        # the lowest F over a layer's starts is its f_after, bit for bit
-        ranked = []
-        real = magicforge.optimizer._sweep
-
-        def recording(s, w0, config):
-            out = real(s, w0, config)
-            ranked.append(out[-2])
+            out = real_block(s, block)
+            transfers.append((s, block, out))
             return out
 
-        monkeypatch.setattr(magicforge.optimizer, "_sweep", recording)
+        monkeypatch.setattr(magicforge.optimizer, "apply_block", transferring)
+        cfg = OptimizerConfig(restarts=3, max_iters=8, clifford_pool=4, seed=3)
+        results = run_pipeline(random_stabilizer(5, 1), 2, cfg)
+        starts = [t for t in transfers if t[1].w is not None]
+        assert len(starts) == (cfg.restarts + 1) * len(results)
+        assert all(block.clifford is None for _, block, _ in starts)
+        for res in results:
+            (s, block, out), = [t for t in starts if t[2] is res.spectrum_after]
+            assert block.w is res.block.w
+            want = real_block(s, LayerBlock(s.n, None, RotationVector.continuous(block.w.values)))
+            assert np.array_equal(out.values.view(np.int64), want.values.view(np.int64))
+
+    def test_f_after_is_the_f_its_start_was_ranked_by(self, monkeypatch):
+        # the least F over a layer's starts is its f_after, bit for bit
+        ranked = []
+        real_block = magicforge.optimizer.apply_block
+
+        def transferring(s, block):
+            out = real_block(s, block)
+            if block.clifford is None:
+                ranked.append(out)
+            return out
+
+        monkeypatch.setattr(magicforge.optimizer, "apply_block", transferring)
         for alpha in (2, 3, 4):
             cfg = OptimizerConfig(alpha=alpha, restarts=2, max_iters=8, clifford_pool=4,
                                   seed=alpha)
@@ -426,9 +503,10 @@ class TestPipeline:
                     results = run_pipeline(random_stabilizer(n, seed), 2, cfg)
                     assert len(ranked) == starts * len(results)
                     for layer, res in enumerate(results):
-                        best = min(ranked[layer * starts:(layer + 1) * starts])
-                        assert best.hex() == res.f_after.hex(), (alpha, n, seed, layer)
-                        assert res.f_after == f_alpha(res.spectrum_after, alpha)
+                        afters = ranked[layer * starts:(layer + 1) * starts]
+                        fs = [f_alpha(a, alpha) for a in afters]
+                        assert min(fs).hex() == res.f_after.hex(), (alpha, n, seed, layer)
+                        assert res.spectrum_after is afters[fs.index(min(fs))]
 
     @pytest.mark.parametrize("max_iters", [1, 2, 8])
     def test_every_layer_runs_a_sweep(self, max_iters):

@@ -31,6 +31,7 @@ from magicforge.transfer import (
     LayerBlock,
     ParsedCircuit,
     _below,
+    _fold,
     _fwht,
     _gate_qubits,
     _gate_table,
@@ -138,6 +139,18 @@ class TestCliffordOp:
             for _ in range(10):
                 p = PauliLabel(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)))
                 assert inv.conjugate(c.conjugate(p)) == p
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_inverse_fold_matches_the_expanded_gate_list(self, n):
+        # folding backwards with S as S^dagger gives the images of folding
+        # forwards through inverse()'s list, where S^dagger is written S S S
+        rng = np.random.default_rng([4, n])
+        for _ in range(6):
+            c = random_clifford(n, rng, length=int(rng.integers(3 * n * n + 2 * n + 1)))
+            rows = [(int(x), int(z), int(h)) for x, z, h in zip(
+                rng.integers(1 << n, size=2 * n + 2), rng.integers(1 << n, size=2 * n + 2),
+                rng.integers(2, size=2 * n + 2))]
+            assert _fold(n, rows, c.gates, inverse=True) == _fold(n, rows, c.inverse().gates)
 
     def test_heisenberg_table_is_pullback(self):
         # table convention is the other direction: C^dagger P(v) C
@@ -346,13 +359,16 @@ class TestRotateLayer:
         assert np.array_equal(v, np.arange(16, dtype=float))
 
     def test_xy_pair_layout(self):
-        # index x * 2**n + z; the pair holds x_j = 1 with z_j = 0 and z_j = 1
+        # index x * 2**n + z; the pair holds x_j = 1 with z_j = 0 and z_j = 1,
+        # row by row, in label order within each row
         n = 3
-        v = np.arange(4**n, dtype=float)
+        rows = np.arange(3 * 4**n, dtype=float).reshape(3, 4**n)
         for j in range(n):
-            p, q = xy_pair(v, n, j)
-            xs_j = {i for i in range(4**n) if (i >> (n + j)) & 1}
-            assert set(p.ravel()) == {i for i in xs_j if not (i >> j) & 1}
+            p, q = xy_pair(rows, n, j)
+            assert p.shape[0] == 3 and np.shares_memory(p, rows)
+            xs_j = [i for i in range(4**n) if (i >> (n + j)) & 1 and not (i >> j) & 1]
+            for r in range(3):
+                assert p[r].ravel().tolist() == [r * 4**n + i for i in xs_j]
             assert np.array_equal(q, p + (1 << j))
 
 
