@@ -228,11 +228,13 @@ class RotationVector:
 
     @classmethod
     def dyadic(cls, numerators, resolution: int) -> "RotationVector":
-        """Angles k / 2**resolution, stored exactly."""
+        """Angles k / 2**resolution, stored exactly; k and resolution are whole numbers."""
+        ks = [whole_number(k, "rotation k") for k in numerators]
+        resolution = whole_number(resolution, "rotation m")
         if not 1 <= resolution <= MAX_RESOLUTION:
             raise ValidationError(f"resolution {resolution} outside 1..{MAX_RESOLUTION}")
         scale = 1 << resolution
-        return cls.continuous([(int(k) % scale) / scale for k in numerators])
+        return cls.continuous([k % scale / scale for k in ks])
 
     @classmethod
     def continuous(cls, values) -> "RotationVector":
@@ -246,8 +248,7 @@ class RotationVector:
     def from_json(cls, obj: Mapping) -> "RotationVector":
         try:
             if "k" in obj:
-                return cls.dyadic([whole_number(k, "rotation k") for k in obj["k"]],
-                                  whole_number(obj["m"], "rotation m"))
+                return cls.dyadic(obj["k"], obj["m"])
             if "w" in obj:
                 return cls.continuous([float(v) for v in obj["w"]])
         except (KeyError, TypeError, ValueError) as exc:

@@ -91,10 +91,7 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real) \
-                or not (self.alpha >= 2 and float(self.alpha).is_integer()):
-            raise ValidationError(f"alpha must be an integer >= 2, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", int(self.alpha))  # 2.0 is accepted, as 2
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))  # 2.0 is accepted, as 2
         for name, low in (("restarts", 0), ("max_iters", 1), ("clifford_pool", 0), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:

@@ -147,10 +147,13 @@ def exact_sum(x) -> float:
 
 
 def _check_alpha(alpha) -> int:
-    """``alpha`` as an int, when it is a whole number >= 2."""
-    if int(alpha) != alpha or alpha < 2:
-        raise ValidationError(f"alpha must be an integer >= 2, got {alpha!r}")
-    return int(alpha)
+    """``alpha`` as an int, when it is a whole number >= 2 (not None, NaN or inf)."""
+    try:
+        if int(alpha) == alpha and alpha >= 2:
+            return int(alpha)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"alpha must be an integer >= 2, got {alpha!r}")
 
 
 def f_alpha(s: PauliSpectrum, alpha: int = 2) -> float:

@@ -126,19 +126,19 @@ def plus_tableau(n: int) -> StabilizerTableau:
 
 
 def product_tableau(n: int, frozen: Mapping[int, int]) -> StabilizerTableau:
-    """|v>_S tensor |+> elsewhere; ``frozen`` maps 1-based qubits to bit values."""
+    """|v>_S tensor |+> elsewhere; ``frozen`` maps qubits 1..n to bits 0 or 1."""
     if not isinstance(frozen, Mapping):
         raise ValidationError("frozen must map 1-based qubit indices to bit values")
-    rows, h = [], []
-    for j in range(n):
-        if j + 1 in frozen:
-            bit = int(frozen[j + 1]) & 1
-            rows.append(PauliLabel(n, 0, 1 << j))
-            h.append(bit)
-        else:
-            rows.append(PauliLabel(n, 1 << j, 0))
-            h.append(0)
-    return StabilizerTableau(n, tuple(rows), tuple(h))
+    bits = {}
+    for q, bit in frozen.items():
+        q, bit = whole_number(q, "frozen qubit"), whole_number(bit, "frozen bit")
+        if not 1 <= q <= n:
+            raise ValidationError(f"frozen qubit {q} outside 1..{n}")
+        if bit not in (0, 1):
+            raise ValidationError(f"frozen bit must be 0 or 1, got {bit}")
+        bits[q - 1] = bit
+    rows = [PauliLabel(n, 0, 1 << j) if j in bits else PauliLabel(n, 1 << j, 0) for j in range(n)]
+    return StabilizerTableau(n, tuple(rows), tuple(bits.get(j, 0) for j in range(n)))
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,13 @@ def construct_zero_magic(t: StabilizerTableau, k: int) -> ZeroMagicCertificate:
     return ZeroMagicCertificate(t, k, gate, level, values, nul, confirmed)
 
 
+def _restrict(f: PhasePolynomial, s_mask: int, v_mask: int) -> PhasePolynomial:
+    """f with the qubits of s_mask frozen at their bits in v_mask: a term with a
+    qubit frozen at 0 vanishes, and any other loses its frozen qubits (all 1)."""
+    return PhasePolynomial(f.n, [(m, a & ~s_mask, c) for (m, a), c in f.terms.items()
+                                 if not a & s_mask & ~v_mask])
+
+
 def zero_magic_state_for_gate(f: PhasePolynomial) -> StabilizerTableau:
     """Find a frozen-product stabilizer state on which the gate adds no magic.
 
@@ -133,21 +140,13 @@ def zero_magic_state_for_gate(f: PhasePolynomial) -> StabilizerTableau:
     k = hierarchy_level(f)
     if k < 3:
         raise ValidationError(f"gate has level {k} <= 2; it never adds magic")
-    vals, m = value_numerators(f)
     for s_len in range(1, n):
         for subset in itertools.combinations(range(n), s_len):
-            s_mask = 0
-            for q in subset:
-                s_mask |= 1 << q
+            s_mask = sum(1 << q for q in subset)
             for assign in itertools.product((0, 1), repeat=s_len):
-                v_mask = 0
-                for q, bit in zip(subset, assign):
-                    v_mask |= bit << q
-                frozen_vals = [vals[(b & ~s_mask) | v_mask] for b in range(1 << n)]
-                if hierarchy_level(from_values(n, frozen_vals, m)) <= 2:
-                    tab = product_tableau(
-                        n, {q + 1: (v_mask >> q) & 1 for q in subset}
-                    )
+                v_mask = sum(bit << q for q, bit in zip(subset, assign))
+                if hierarchy_level(_restrict(f, s_mask, v_mask)) <= 2:
+                    tab = product_tableau(n, {q + 1: bit for q, bit in zip(subset, assign)})
                     out = apply_diagonal(statevector(tab), f)
                     if nullity(oracle_spectrum(out)) > 1e-9:
                         raise RuntimeError("restriction said Clifford but oracle disagrees")

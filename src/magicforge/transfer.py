@@ -50,8 +50,9 @@ bit-sliced stabilizer tableau with the Aaronson-Gottesman update per gate
 `CliffordOp.heisenberg_table` builds the lookup table for all 4**n labels:
 it folds only the 2n generators Z_k and X_j back through the gates (the
 fold walks them in reverse, with S as S^dagger) and hands their images to
-the product kernel.  The per-gate image fold lives on as a test-side
-reference.
+the product kernel.  `CliffordOp` is frozen and keeps no table: each
+application builds one, so a pipeline's results hold one spectrum per
+layer.  The per-gate image fold lives on as a test-side reference.
 
 Every product over all subsets of a row list goes through one kernel,
 `_products`: entry s is the product of the rows whose bits are set in s,
@@ -90,7 +91,7 @@ its messages on a miss.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -256,13 +257,13 @@ def _group(n: int, rows: Sequence[PauliLabel], h: Sequence[int]) -> tuple[np.nda
     return label, ph >> 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class CliffordOp:
-    """A Clifford circuit as an ordered gate list; qubit indices are 0-based."""
+    """A Clifford circuit as an ordered gate list; qubit indices are 0-based.
+    Frozen: the gates are validated once, into shared canonical tuples."""
 
     n: int
     gates: tuple[tuple, ...] = ()
-    _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_QUBITS:
@@ -285,7 +286,7 @@ class CliffordOp:
                 name, qs = _gate_qubits(self.n, gate)
                 canon = by_gate[(name, *qs)]
             gates.append(canon)
-        self.gates = tuple(gates)
+        object.__setattr__(self, "gates", tuple(gates))
 
     def inverse(self) -> "CliffordOp":
         """C^dagger: the gates reversed, with S^dagger written as S S S."""
@@ -310,10 +311,8 @@ class CliffordOp:
 
         Conjugates the 2n generators only (O(gates * n) integer work), then
         multiplies out all 4**n labels with `_products` (O(4**n) numpy
-        work).  Cached on the instance.
+        work).  Built anew on every call; the instance keeps no table.
         """
-        if "heis" in self._tables:
-            return self._tables["heis"]
         n = self.n
         if n > MAX_SPECTRUM_QUBITS:
             raise CapacityError(f"label tables cap is n={MAX_SPECTRUM_QUBITS}, got {n}")
@@ -325,9 +324,7 @@ class CliffordOp:
         ph = (ph + _xz_phase(n)) & 3
         if np.any(ph & 1):
             raise RuntimeError("Clifford conjugation produced imaginary phases")
-        sign = 1.0 - ph  # ph is 0 or 2
-        self._tables["heis"] = (perm, sign)
-        return perm, sign
+        return perm, 1.0 - ph  # ph is 0 or 2
 
 
 def clifford_conjugate(c: CliffordOp, p: PauliLabel) -> tuple[int, PauliLabel]:

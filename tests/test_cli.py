@@ -76,7 +76,7 @@ def mixed_circuit_json(n, seed):
 
 def deviation_comment(path):
     prefix = "# max_abs_deviation_vs_oracle: "
-    (line,) = [line for line in open(path).read().splitlines() if line.startswith(prefix)]
+    (line,) = [line for line in Path(path).read_text().splitlines() if line.startswith(prefix)]
     return float(line[len(prefix):])
 
 
@@ -95,16 +95,16 @@ class TestSpectrum:
         assert man["command"] == "spectrum" and man["tool"] == "magicforge"
         oracle_man = read_manifest_line(out + ".oracle.csv")
         assert oracle_man["command"] == "spectrum"
-        body = open(out).read()
+        body = Path(out).read_text()
         assert "x_bits,z_bits,re,im,abs2" in body
         assert "source: shallow" in body
-        assert "source: oracle" in open(out + ".oracle.csv").read()
+        assert "source: oracle" in Path(out + ".oracle.csv").read_text()
 
     def test_deterministic_bytes(self, circuit_file, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         main(["spectrum", circuit_file, "-o", a])
         main(["spectrum", circuit_file, "-o", b])
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
     def test_gate_before_clifford_runs_the_fold(self, tmp_path):
         # a gate that is not the last layer: the primary file still comes from the fold
@@ -118,7 +118,7 @@ class TestSpectrum:
         }))
         out = str(tmp_path / "spec.csv")
         assert main(["spectrum", str(path), "-o", out]) == 0
-        assert "# source: transfer" in open(out).read().splitlines()
+        assert "# source: transfer" in Path(out).read_text().splitlines()
         assert deviation_comment(out) <= 1e-10
 
     def test_mixed_circuit_at_the_cap(self, tmp_path):
@@ -127,7 +127,7 @@ class TestSpectrum:
         path.write_text(json.dumps(mixed_circuit_json(8, 3)))
         out = str(tmp_path / "spec.csv")
         assert main(["spectrum", str(path), "-o", out]) == 0
-        assert "# source: transfer" in open(out).read().splitlines()
+        assert "# source: transfer" in Path(out).read_text().splitlines()
         assert deviation_comment(out) <= 1e-10
 
     def test_atomic_write_pieces(self, tmp_path, capsys):
@@ -207,7 +207,7 @@ class TestMagic:
     def test_json_payload(self, circuit_file, tmp_path):
         out = str(tmp_path / "magic.json")
         assert main(["magic", circuit_file, "--alpha", "2", "3", "-o", out]) == 0
-        data = json.loads(open(out).read())
+        data = json.loads(Path(out).read_text())
         assert data["n"] == 1 and data["method"] == "shallow"
         by_alpha = {r["alpha"]: r for r in data["results"]}
         assert abs(by_alpha[2]["F_alpha"] - 1.5) < 1e-12
@@ -247,7 +247,7 @@ class TestMagic:
         monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or real(xs))
         assert main(["magic", str(path), "--alpha", "2", "3", "-o", out]) == 0
         assert len(calls) == 2
-        by_alpha = {r["alpha"]: r for r in json.loads(open(out).read())["results"]}
+        by_alpha = {r["alpha"]: r for r in json.loads(Path(out).read_text())["results"]}
         for a in (2, 3):
             f = by_alpha[a]["F_alpha"]
             assert by_alpha[a]["M_alpha"] == math.log2(f * 2.0 ** (-6 * a)) / (1 - a) - 6
@@ -273,7 +273,7 @@ class TestMagic:
         path, out = tmp_path / "c.json", str(tmp_path / "magic.json")
         path.write_text(json.dumps(body))
         assert main(["magic", str(path), "-o", out]) == 0
-        data = json.loads(open(out).read())
+        data = json.loads(Path(out).read_text())
         assert data["method"] == "transfer"
         assert abs(data["results"][0]["F_alpha"] - want) <= 1e-10
 
@@ -367,7 +367,7 @@ class TestOptimize:
             "--config", str(cfg), "-o", out,
         ])
         assert code == 0
-        lines = [l for l in open(out).read().splitlines() if not l.startswith("#")]
+        lines = [l for l in Path(out).read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "layer,f_before,f_after,support,nullity"
         assert len(lines) == 3
         first = lines[1].split(",")
@@ -377,14 +377,14 @@ class TestOptimize:
     def test_trajectory_bytes_match_csv_writer(self, tableau_file, tmp_path):
         out = str(tmp_path / "traj.csv")
         assert main(["optimize", tableau_file, "--layers", "2", "--seed", "3", "-o", out]) == 0
-        tab = StabilizerTableau.from_json(json.loads(open(tableau_file).read()))
+        tab = StabilizerTableau.from_json(json.loads(Path(tableau_file).read_text()))
         results = run_pipeline(tab, 2, config_from_dict({"seed": 3}))
         rows = [["layer", "f_before", "f_after", "support", "nullity"]] + [
             (i, repr(r.f_before), repr(r.f_after), support_size(r.spectrum_after),
              repr(nullity(r.spectrum_after)))
             for i, r in enumerate(results)
         ]
-        manifest_line, body = open(out).read().split("\n", 1)
+        manifest_line, body = Path(out).read_text().split("\n", 1)
         assert manifest_line.startswith("# manifest: ")
         assert body == csv_writer_text(rows)
 
@@ -431,7 +431,7 @@ class TestVerify:
         out = str(tmp_path / "verify.json")
         code = main(["verify", "--n-max", "2", "--cases", "5", "-o", out])
         assert code == 0
-        data = json.loads(open(out).read())
+        data = json.loads(Path(out).read_text())
         assert data["passed"] is True
         assert data["max_abs_deviation"] <= data["tolerance"]
 
@@ -450,7 +450,7 @@ class TestZeroMagic:
         tab.write_text(json.dumps({"n": 3, "generators": ["+ZII", "+IXI", "+IIX"]}))
         out = str(tmp_path / "cert.json")
         assert main(["zero-magic", str(tab), "--k", "3", "-o", out]) == 0
-        data = json.loads(open(out).read())
+        data = json.loads(Path(out).read_text())
         assert data["level"] == 3
         assert data["stabilizer_confirmed"] is True
         assert abs(data["f_alpha"]["2"] - 8.0) < 1e-9
@@ -466,7 +466,7 @@ class TestNogo:
     def test_witness_payload(self, block_file, tmp_path):
         out = str(tmp_path / "wit.json")
         assert main(["nogo", block_file, "-o", out]) == 0
-        data = json.loads(open(out).read())
+        data = json.loads(Path(out).read_text())
         assert data["increase"]["delta"] > 1e-6
         assert data["decrease"]["delta"] < -1e-6
         assert data["block"]["sqr"] == {"w": [0.125]}
@@ -521,7 +521,7 @@ class TestSupport:
         path.write_text(json.dumps({"m": 3, "k": [1, 3]}))
         out = str(tmp_path / "s.json")
         assert main(["support", str(path), "-o", out]) == 0
-        data = json.loads(open(out).read())
+        data = json.loads(Path(out).read_text())
         assert data["n"] == 2 and data["ceiling"] == 9 and data["counted"] == 9
 
     def test_clifford_angles(self, tmp_path):
@@ -607,7 +607,7 @@ class TestErrors:
         path.write_text(json.dumps({"m": 3.0, "k": [1.0, 3]}))
         out = str(tmp_path / "s.json")
         assert main(["support", str(path), "-o", out]) == 0
-        data = json.loads(open(out).read())
+        data = json.loads(Path(out).read_text())
         assert data["n"] == 2 and data["ceiling"] == 9 and data["counted"] == 9
 
     @pytest.mark.parametrize("body", [
@@ -700,7 +700,7 @@ class TestParser:
         assert main(["magic", circuit_file, "--alpha", "3", "-o", outs[0]]) == 0
         assert main(["magic", circuit_file, "-o", outs[1]]) == 0
         assert _build_parser.cache_info().misses == 1
-        first, second = (json.loads(open(out).read()) for out in outs)
+        first, second = (json.loads(Path(out).read_text()) for out in outs)
         assert [r["alpha"] for r in first["results"]] == [3]
         assert first["manifest"]["options"] == {"alpha": [3]}
         assert [r["alpha"] for r in second["results"]] == [2]

@@ -181,6 +181,15 @@ class TestRotationVector:
     def test_numerators_wrap(self):
         assert RotationVector.dyadic((9,), 3).values == (0.125,)
 
+    @pytest.mark.parametrize("k", [0.5, True, 1.5, "1", None])
+    def test_dyadic_rejects_non_whole_numerator(self, k):
+        # never truncated to an angle: 0.5 would read as 0.0, True as 1/8
+        with pytest.raises(ValidationError):
+            RotationVector.dyadic([k], 3)
+
+    def test_dyadic_reads_whole_floats(self):
+        assert RotationVector.dyadic([3.0], 3.0) == RotationVector.dyadic([3], 3)
+
     def test_dyadic_resolution_range(self):
         for m in (0, MAX_RESOLUTION + 1):
             with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 """Angle sweeps, Clifford preconditioning, and the greedy layer pipeline."""
 
+import gc
 import itertools
 import tracemalloc
 
@@ -108,7 +109,8 @@ class TestObjective:
                 direct = f_alpha(apply_block(s, LayerBlock(n, None, rotation)), alpha)
                 assert objective(s, w, alpha).hex() == direct.hex(), (n, w)
 
-    @pytest.mark.parametrize("alpha", [1, 0, True, 2.5])
+    @pytest.mark.parametrize("alpha", [1, 0, True, 2.5, None, float("nan"), float("inf"),
+                                       float("-inf")])
     def test_bad_alpha_rejected(self, alpha):
         # the gradient validates alpha as F_alpha does, instead of a zero or a rounded one
         s = initial_spectrum(plus_tableau(2))
@@ -515,6 +517,25 @@ class TestPipeline:
             for res in run_pipeline(random_stabilizer(n, seed), 2, cfg):
                 assert 1 <= res.iterations <= max_iters * (cfg.restarts + 1)
 
+    def test_results_hold_one_spectrum_per_layer(self):
+        # twelve n = 8 layers hold their twelve 512 KiB spectra, 6 MiB, and none
+        # of their Heisenberg tables, which would add 1 MiB per layer
+        cfg = OptimizerConfig(restarts=1, clifford_pool=4, max_iters=8, seed=1)
+        run_pipeline(random_stabilizer(8, 2), 1, cfg)  # the per-n tables, built once
+        tracemalloc.start()
+        try:
+            results = run_pipeline(random_stabilizer(8, 1), 12, cfg)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 7 * 2**20
+        # replaying the blocks with fresh tables gives every f_after bit for bit
+        s = initial_spectrum(random_stabilizer(8, 1))
+        for res in results:
+            s = apply_block(s, res.block)
+            assert f_alpha(s, 2).hex() == res.f_after.hex()
+
     def test_cap_before_any_dense_allocation(self):
         tracemalloc.start()
         try:
@@ -547,6 +568,12 @@ class TestConfig:
             OptimizerConfig(restarts=-1)
         with pytest.raises(ValidationError):
             OptimizerConfig(step=-0.1)
+
+    @pytest.mark.parametrize("alpha", [None, float("nan"), float("inf"), float("-inf"), True,
+                                       False, 1, 2.5, "2", 2 + 0j])
+    def test_bad_alpha_rejected(self, alpha):
+        with pytest.raises(ValidationError, match="alpha must be an integer >= 2"):
+            OptimizerConfig(alpha=alpha)
 
     @pytest.mark.parametrize("field", ["step", "tol"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True])

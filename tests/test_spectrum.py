@@ -345,11 +345,32 @@ class TestMagicPolynomialConsistency:
                 assert abs(total - want) < 1e-8
 
 
+# None, NaN and the infinities raised TypeError, ValueError and OverflowError
+BAD_ALPHAS = [None, float("nan"), float("inf"), float("-inf"), True, 1, 2.5, "2"]
+
+
 class TestFunctionals:
     def test_f_alpha_requires_integer_alpha(self):
         s = closed(plus_tableau(1), make_gate("T", [1], 1))
         with pytest.raises(ValidationError):
             f_alpha(s, 1)
+
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS)
+    def test_f_alpha_bad_alpha_is_bad_input(self, alpha):
+        s = closed(plus_tableau(1), make_gate("T", [1], 1))
+        with pytest.raises(ValidationError, match="alpha must be an integer >= 2"):
+            f_alpha(s, alpha)
+
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS)
+    def test_sre_bad_alpha_is_bad_input(self, alpha):
+        s = closed(plus_tableau(1), make_gate("T", [1], 1))
+        with pytest.raises(ValidationError, match="alpha must be an integer >= 2"):
+            sre(s, alpha)
+
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS)
+    def test_flat_bound_bad_alpha_is_bad_input(self, alpha):
+        with pytest.raises(ValidationError, match="alpha must be an integer >= 2"):
+            flat_bound(3, alpha)
 
     def test_stabilizer_state_values(self):
         s = closed(plus_tableau(2), make_gate("Z", [1], 2))

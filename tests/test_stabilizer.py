@@ -82,6 +82,17 @@ class TestTableauBasics:
         with pytest.raises(ValidationError):
             product_tableau(2, [1])
 
+    @pytest.mark.parametrize("frozen", [{5: 0, 1: 0}, {0: 1}, {-1: 0}, {1: 2}, {1: -1},
+                                        {1: 0.5}, {1: True}, {True: 0}, {1.5: 0}, {"1": 0}])
+    def test_product_rejects_bad_qubit_or_bit(self, frozen):
+        # a qubit outside 1..n or a bit other than 0 or 1 is an error, never
+        # skipped or truncated
+        with pytest.raises(ValidationError):
+            product_tableau(3, frozen)
+
+    def test_product_reads_whole_floats(self):
+        assert product_tableau(2, {2.0: 1.0}) == product_tableau(2, {2: 1})
+
 
 class TestCanonicalize:
     def test_rank_split(self):

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from magicforge.diagonal_gates import (
+    PhasePolynomial,
     RotationVector,
+    from_values,
     hierarchy_level,
     make_gate,
     random_polynomial,
+    value_numerators,
 )
 from magicforge.errors import CapacityError, SearchError, ValidationError
 from magicforge.oracle import (
@@ -29,6 +32,7 @@ from magicforge.stabilizer import (
     zeros_tableau,
 )
 from magicforge.theorems import (
+    _restrict,
     construct_zero_magic,
     conjugate_diagonal_by_frame,
     no_ordering_witness,
@@ -119,6 +123,30 @@ class TestZeroMagicStateForGate:
     def test_clifford_rejected(self):
         with pytest.raises(ValidationError):
             zero_magic_state_for_gate(make_gate("CZ", [1, 2], 2))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_restriction_matches_the_value_table(self, n):
+        # every frozen subset and assignment, against restricting the value table
+        rng = np.random.default_rng(40 + n)
+        for _ in range(4):
+            f = random_polynomial(n, rng)
+            vals, m = value_numerators(f)
+            for s_mask in range(1 << n):
+                v_mask = s_mask
+                while True:  # every submask of s_mask
+                    want = from_values(n, [vals[(b & ~s_mask) | v_mask] for b in range(1 << n)], m)
+                    got = _restrict(f, s_mask, v_mask)
+                    assert got.terms == want.terms, (f, s_mask, v_mask)
+                    if not v_mask:
+                        break
+                    v_mask = (v_mask - 1) & s_mask
+
+    def test_no_tamer_at_the_cap(self):
+        # T on every qubit plus a CCZ: no frozen product state works
+        n = MAX_SPECTRUM_QUBITS
+        gate = PhasePolynomial(n, [(3, 1 << j, 1) for j in range(n)] + [(1, 7, 1)])
+        with pytest.raises(SearchError):
+            zero_magic_state_for_gate(gate)
 
 
 class TestNoGo:

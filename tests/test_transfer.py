@@ -1,5 +1,6 @@
 """Heisenberg conjugation and the spectrum transfer map for full blocks."""
 
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -206,6 +207,23 @@ class TestCliffordOp:
     def test_heisenberg_table_cap(self):
         with pytest.raises(CapacityError):
             CliffordOp(9, ()).heisenberg_table()
+
+    def test_gates_cannot_be_reassigned_after_use(self):
+        # swapping the gates of an applied op must not leave a table of the old
+        # gates in use: the gates are fixed at construction, and no table is kept
+        c = CliffordOp(1, (("H", 0),))
+        s = apply_block(initial_spectrum(zeros_tableau(1)), LayerBlock(1, c, None))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.gates = (("S", 0),)
+        assert [f.name for f in dataclasses.fields(CliffordOp)] == ["n", "gates"]
+        assert c.gates == (("H", 0),)
+        assert s.values.tolist() == initial_spectrum(plus_tableau(1)).values.tolist()
+
+    def test_heisenberg_table_built_per_call(self):
+        c = random_clifford(4, np.random.default_rng(6))
+        (perm, sign), (perm2, sign2) = c.heisenberg_table(), c.heisenberg_table()
+        assert perm is not perm2 and sign is not sign2
+        assert np.array_equal(perm, perm2) and np.array_equal(sign, sign2)
 
     def test_vectorized_matches_scalar_per_gate(self):
         # one gate's table against the reference image fold, all labels
