@@ -2,7 +2,8 @@
 
 Subcommands: spectrum, magic, optimize, verify, zero-magic, nogo, support.
 Every output (JSON or CSV) embeds the run manifest: tool version, command,
-input paths, seed, and the effective options.  Outputs contain no
+input paths, the effective options and, for the commands that draw random
+numbers (optimize, verify, nogo), the seed.  Outputs contain no
 timestamps, so identical manifests produce byte-identical files.  File
 outputs are written atomically (temp file in the target directory, then
 rename).
@@ -61,15 +62,11 @@ class VerificationFailure(MagicforgeError):
     """A CLI-level check did not pass; maps to exit code 1."""
 
 
-def _manifest(command: str, inputs: list[str], seed: int, options: dict) -> dict:
-    return {
-        "tool": "magicforge",
-        "version": __version__,
-        "command": command,
-        "inputs": inputs,
-        "seed": seed,
-        "options": options,
-    }
+def _manifest(command: str, inputs: list[str], options: dict, seed: int | None = None) -> dict:
+    """The run manifest; only the commands that draw random numbers give a seed."""
+    manifest = {"tool": "magicforge", "version": __version__, "command": command,
+                "inputs": inputs, "options": options}
+    return manifest if seed is None else {**manifest, "seed": seed}
 
 
 @functools.cache
@@ -158,7 +155,7 @@ def _spectrum_csv(s: PauliSpectrum, manifest: dict, comments: list[str]) -> Iter
 
 def _cmd_spectrum(args) -> int:
     parsed = circuit_from_json(_load_json(args.circuit))
-    manifest = _manifest("spectrum", [args.circuit], args.seed, {})
+    manifest = _manifest("spectrum", [args.circuit], {})
     spec = parsed.spectrum()
     oracle_spec = oracle_spectrum(_oracle_run(parsed))
     dev = float(np.max(np.abs(spec.values - oracle_spec.values)))
@@ -174,7 +171,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_magic(args) -> int:
     parsed = circuit_from_json(_load_json(args.circuit))
     alphas = sorted(set(args.alpha))
-    manifest = _manifest("magic", [args.circuit], args.seed, {"alpha": alphas})
+    manifest = _manifest("magic", [args.circuit], {"alpha": alphas})
     spec = parsed.spectrum()
     results = []
     for a in alphas:
@@ -205,12 +202,8 @@ def _cmd_optimize(args) -> int:
     cfg_dict = _load_json(args.config) if args.config else {}
     cfg_dict.setdefault("seed", args.seed)
     config = config_from_dict(cfg_dict)
-    manifest = _manifest(
-        "optimize",
-        [args.tableau] + ([args.config] if args.config else []),
-        args.seed,
-        {"layers": args.layers, "config": cfg_dict},
-    )
+    manifest = _manifest("optimize", [args.tableau] + ([args.config] if args.config else []),
+                         {"layers": args.layers, "config": cfg_dict}, args.seed)
     results = run_pipeline(tab, args.layers, config)
     rows = [
         (i, repr(res.f_before), repr(res.f_after),
@@ -241,10 +234,8 @@ def _verify_case(n: int, seed_parts: tuple) -> float:
 def _cmd_verify(args) -> int:
     if args.n_max > MAX_SPECTRUM_QUBITS:
         raise CapacityError(f"verify cap is n={MAX_SPECTRUM_QUBITS}, got --n-max {args.n_max}")
-    manifest = _manifest(
-        "verify", [], args.seed,
-        {"n_max": args.n_max, "cases": args.cases, "tolerance": _TOLERANCE_VERIFY},
-    )
+    options = {"n_max": args.n_max, "cases": args.cases, "tolerance": _TOLERANCE_VERIFY}
+    manifest = _manifest("verify", [], options, args.seed)
     devs = [
         _verify_case(n, (args.seed, n, i))
         for n in range(1, args.n_max + 1) for i in range(args.cases)
@@ -269,7 +260,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_zero_magic(args) -> int:
     tab = StabilizerTableau.from_json(_load_json(args.tableau))
-    manifest = _manifest("zero-magic", [args.tableau], args.seed, {"k": args.k})
+    manifest = _manifest("zero-magic", [args.tableau], {"k": args.k})
     cert = construct_zero_magic(tab, args.k)
     payload = {
         "manifest": manifest,
@@ -306,10 +297,8 @@ def _block_to_json(block: LayerBlock) -> dict:
 
 def _cmd_nogo(args) -> int:
     block = _block_from_json(_load_json(args.block))
-    manifest = _manifest(
-        "nogo", [args.block], args.seed,
-        {"alpha": args.alpha, "trials": args.trials},
-    )
+    manifest = _manifest("nogo", [args.block], {"alpha": args.alpha, "trials": args.trials},
+                         args.seed)
     wit = nogo_witness(block, alpha=args.alpha, trials=args.trials, seed=args.seed)
 
     def state_payload(ws):
@@ -339,7 +328,7 @@ def _cmd_support(args) -> int:
     w = RotationVector.from_json(body)
     if w.n > MAX_SPECTRUM_QUBITS:
         raise CapacityError(f"support cap is n={MAX_SPECTRUM_QUBITS}, got n={w.n}")
-    manifest = _manifest("support", [args.rotation], args.seed, {})
+    manifest = _manifest("support", [args.rotation], {})
     ceiling = support_ceiling(w)
     layer = LayerBlock(w.n, None, w)
     counted = support_size(apply_block(initial_spectrum(plus_tableau(w.n)), layer))
@@ -377,8 +366,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"magicforge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=_seed, default=0, help="single seed for all randomness")
+    def common(p, seeded=False):
+        if seeded:  # only the commands that draw random numbers
+            p.add_argument("--seed", type=_seed, default=0, help="single seed for all randomness")
         p.add_argument("-o", "--output", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("spectrum", help="exact spectrum and oracle check as CSV")
@@ -396,13 +386,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("tableau", help="initial stabilizer tableau JSON path")
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--config", default=None, help="optimizer config JSON path")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("verify", help="random closed-form vs oracle sweep")
     p.add_argument("--n-max", type=_positive_int, default=5, dest="n_max")
     p.add_argument("--cases", type=_positive_int, default=200, help="cases per qubit count")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("zero-magic", help="level-k gate that adds no magic to a state")
@@ -415,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("block", help="block JSON path ({'n', 'clifford', 'sqr'})")
     p.add_argument("--alpha", type=int, default=2)
     p.add_argument("--trials", type=_positive_int, default=200)
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=_cmd_nogo)
 
     p = sub.add_parser("support", help="rotation-layer support ceiling vs attained count")

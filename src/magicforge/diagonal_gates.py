@@ -54,6 +54,8 @@ def _normalize_terms(n: int, raw: Iterable[tuple[int, int, int]]) -> dict[tuple[
     full = (1 << n) - 1
     by_mask: dict[int, tuple[int, int]] = {}  # a -> (m, numerator) at that m
     for m, a, c in raw:
+        if not type(m) is type(a) is type(c) is int:
+            m, a, c = (whole_number(v, f"term {what}") for v, what in zip((m, a, c), "mac"))
         if not 1 <= m <= MAX_RESOLUTION:
             raise ValidationError(f"resolution m={m} outside 1..{MAX_RESOLUTION}")
         if not 0 <= a <= full:
@@ -84,6 +86,8 @@ class PhasePolynomial:
     terms: Mapping[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            object.__setattr__(self, "n", whole_number(self.n, "polynomial n"))
         if not 1 <= self.n <= 62:
             raise ValidationError(f"n={self.n} outside 1..62")
         if isinstance(self.terms, Mapping):
@@ -218,6 +222,8 @@ class RotationVector:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            object.__setattr__(self, "n", whole_number(self.n, "angle count"))
         values = tuple(float(v) for v in self.values)
         if len(values) != self.n:
             raise ValidationError(f"angle count {len(values)} != n={self.n}")

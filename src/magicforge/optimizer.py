@@ -248,11 +248,15 @@ def _pool_gates(n: int, count: int, rng: np.random.Generator) -> list[tuple[tupl
 
 
 def _axis_scores(s: PauliSpectrum) -> np.ndarray:
-    """s(P) = (sum g - WHT(g)) / 2 for every axis P(x, z), at label z << n | x."""
+    """s(P) = (sum g - WHT(g)) / 2 for every axis P(x, z), at label z << n | x.
+    The transform runs on g as a matrix [x, z]: over z on its transpose, then over x."""
     g = (s.values ** 2 - 2.0 ** (-s.n)) ** 2
-    walsh = g.reshape(-1, 1).copy()
+    size = 1 << s.n
+    walsh = g.reshape(size, size).T.copy()
     _fwht(walsh)
-    return (g.sum() - walsh[:, 0]) / 2
+    walsh = walsh.T.copy()
+    _fwht(walsh)
+    return (g.sum() - walsh.ravel()) / 2
 
 
 def _pool_score(axis_scores: np.ndarray, n: int, gates: tuple[tuple, ...]) -> float:

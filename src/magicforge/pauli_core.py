@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .diagonal_gates import whole_number
 from .errors import ValidationError
 
 MAX_QUBITS = 32
@@ -39,6 +40,9 @@ class PauliLabel:
     phase_exp: int = 0
 
     def __post_init__(self) -> None:
+        if not type(self.n) is type(self.x) is type(self.z) is type(self.phase_exp) is int:
+            for name in ("n", "x", "z", "phase_exp"):
+                object.__setattr__(self, name, whole_number(getattr(self, name), f"label {name}"))
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValidationError(f"n={self.n} outside 1..{MAX_QUBITS}")
         full = (1 << self.n) - 1

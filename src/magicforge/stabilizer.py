@@ -1,23 +1,23 @@
 """Stabilizer tableaux with exact sign tracking.
 
-A tableau holds n commuting, independent generator rows.  Row i is the signed
-operator ``(-1)^h[i] * P(x_i, z_i)`` where the row label itself is kept at
-``phase_exp = 0``; all sign information lives in the ``h`` bits.  Internally
-the algorithms absorb ``h`` into ``phase_exp = 2*h`` so that ``pauli_mul``
-composes rows exactly.
+A tableau holds n commuting, independent generator rows: row i is the signed
+operator ``(-1)^h[i] * P(x_i, z_i)``, its label kept at ``phase_exp = 0`` and
+its sign in the ``h`` bits.  The reductions work on the ``(x, z, h)`` rows
+that `transfer._fold` takes: a gate group is one fold of the work list, and
+a row product is one `pauli_mul`, in `_row_mul`.
 
 Canonical form: generators are re-chosen (row operations only, same group) so
 the x-parts of the mixed rows are in reduced row echelon form with pivots in
 ascending qubit order, followed by r pure-Z rows whose z-parts are in RREF.
 r is the pure-Z rank; the state's support has 2**(n - r) basis states.
+`canonical_frame` builds from it the affine Clifford taking the state to
+|0>^r |+>^(n-r) (Dehaene and De Moor, PRA 68, 042318, 2003).
 
 `tableau_expectation` reads the whole group, all 2**n products of the rows
-from `transfer._group`, so it is capped at n = 16.  `canonicalize` no
-longer reads the group (it only row-reduces, O(n**2) label products), but
-it keeps the same n = 16 cap: every consumer of a canonical tableau stops
-at or below it (the spectra at n = 8), so a higher cap would widen the
-documented limit for no caller.  Plain tableau construction and row
-validation work to the 32-qubit mask cap.
+from `transfer._group`, so it is capped at n = 16.  `canonicalize` only
+row-reduces, O(n**2) row products, but keeps that cap, since every consumer
+of a canonical tableau stops at or below it.  Plain tableau construction and
+row validation work to the 32-qubit mask cap.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 from .diagonal_gates import whole_number
 from .errors import CapacityError, ValidationError
 from .pauli_core import (
+    MAX_QUBITS,
     PauliLabel,
     commutes,
     pauli_from_text,
@@ -43,7 +44,6 @@ MAX_CANONICAL_QUBITS = 16
 
 
 def _f2_rank(vectors: list[int]) -> int:
-    rank = 0
     basis: list[int] = []
     for v in vectors:
         for b in basis:
@@ -51,8 +51,7 @@ def _f2_rank(vectors: list[int]) -> int:
         if v:
             basis.append(v)
             basis.sort(reverse=True)
-            rank += 1
-    return rank
+    return len(basis)
 
 
 @dataclass(frozen=True)
@@ -64,36 +63,33 @@ class StabilizerTableau:
     h: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        n = whole_number(self.n, "tableau n")
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValidationError(f"n={n} outside 1..{MAX_QUBITS}")
+        object.__setattr__(self, "n", n)
         rows = tuple(self.rows)
-        h = tuple(int(b) & 1 for b in self.h)
-        if len(rows) != self.n or len(h) != self.n:
-            raise ValidationError(f"need exactly n={self.n} rows and sign bits")
+        h = tuple(whole_number(b, "sign bit") for b in self.h)
+        if not set(h) <= {0, 1}:
+            raise ValidationError(f"sign bits must be 0 or 1, got {list(self.h)!r}")
+        if len(rows) != n or len(h) != n:
+            raise ValidationError(f"need exactly n={n} rows and sign bits")
         for i, row in enumerate(rows):
-            if row.n != self.n:
-                raise ValidationError(f"row {i} is on {row.n} qubits, tableau on {self.n}")
+            if row.n != n:
+                raise ValidationError(f"row {i} is on {row.n} qubits, tableau on {n}")
             if row.phase_exp != 0:
                 raise ValidationError(f"row {i} must be a phase_exp=0 label; signs go in h")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
+        for i in range(n):
+            for j in range(i + 1, n):
                 if not commutes(rows[i], rows[j]):
                     raise ValidationError(f"rows {i} and {j} anticommute")
-        vecs = [(row.x << self.n) | row.z for row in rows]
-        if _f2_rank(vecs) != self.n:
+        if _f2_rank([(row.x << n) | row.z for row in rows]) != n:
             raise ValidationError("generator rows are not independent")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "h", h)
 
-    def signed_rows(self) -> list[PauliLabel]:
-        """Rows with the sign absorbed as phase_exp = 2*h, ready for pauli_mul."""
-        return [
-            PauliLabel(self.n, row.x, row.z, 2 * hb) for row, hb in zip(self.rows, self.h)
-        ]
-
     def to_json(self) -> dict:
-        gens = []
-        for row, hb in zip(self.rows, self.h):
-            text = pauli_to_text(PauliLabel(self.n, row.x, row.z, 2 * hb))
-            gens.append(text)
+        gens = [pauli_to_text(PauliLabel(self.n, row.x, row.z, 2 * hb))
+                for row, hb in zip(self.rows, self.h)]
         return {"n": self.n, "generators": gens}
 
     @classmethod
@@ -115,18 +111,18 @@ class StabilizerTableau:
 
 def zeros_tableau(n: int) -> StabilizerTableau:
     """|0...0>: generators Z_1 .. Z_n, all positive."""
-    rows = tuple(PauliLabel(n, 0, 1 << j) for j in range(n))
-    return StabilizerTableau(n, rows, (0,) * n)
+    n = whole_number(n, "qubit count")
+    return product_tableau(n, dict.fromkeys(range(1, n + 1), 0))
 
 
 def plus_tableau(n: int) -> StabilizerTableau:
     """|+...+>: generators X_1 .. X_n, all positive."""
-    rows = tuple(PauliLabel(n, 1 << j, 0) for j in range(n))
-    return StabilizerTableau(n, rows, (0,) * n)
+    return product_tableau(n, {})
 
 
 def product_tableau(n: int, frozen: Mapping[int, int]) -> StabilizerTableau:
     """|v>_S tensor |+> elsewhere; ``frozen`` maps qubits 1..n to bits 0 or 1."""
+    n = whole_number(n, "qubit count")
     if not isinstance(frozen, Mapping):
         raise ValidationError("frozen must map 1-based qubit indices to bit values")
     bits = {}
@@ -152,50 +148,48 @@ class CanonicalTableau:
     h: tuple[int, ...]
 
 
-def _rref_rows(work: list[PauliLabel], n: int, start: int, part: str) -> int:
-    """In-place RREF of work[start:] on the x or z part; returns pivot count."""
+def _row_mul(n: int, a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The product of two commuting signed rows (x, z, h), as a signed row."""
+    p = pauli_mul(PauliLabel(n, a[0], a[1], 2 * a[2]), PauliLabel(n, b[0], b[1], 2 * b[2]))
+    if p.phase_exp & 1:
+        raise RuntimeError("row product with an imaginary phase")
+    return p.x, p.z, p.phase_exp >> 1
+
+
+def _rref_rows(work: list[tuple[int, int, int]], n: int, start: int, part: str) -> int:
+    """In-place RREF of the signed rows work[start:] on their x or z part;
+    returns the pivot count."""
+    k = "xz".index(part)
     count = start
     for bit in range(n):
-        sel = None
-        for i in range(count, len(work)):
-            word = work[i].x if part == "x" else work[i].z
-            if (word >> bit) & 1:
-                sel = i
-                break
+        sel = next((i for i in range(count, len(work)) if (work[i][k] >> bit) & 1), None)
         if sel is None:
             continue
         work[count], work[sel] = work[sel], work[count]
         for i in range(start, len(work)):
-            if i == count:
-                continue
-            word = work[i].x if part == "x" else work[i].z
-            if (word >> bit) & 1:
-                work[i] = pauli_mul(work[i], work[count])
+            if i != count and (work[i][k] >> bit) & 1:
+                work[i] = _row_mul(n, work[i], work[count])
         count += 1
     return count - start
+
+
+def _signed_rows(t) -> list[tuple[int, int, int]]:
+    """The (x, z, h) rows of a tableau, as `_fold` takes them."""
+    return [(row.x, row.z, hb) for row, hb in zip(t.rows, t.h)]
 
 
 def canonicalize(t: StabilizerTableau) -> CanonicalTableau:
     """Block-canonical generators of the same group, with the pure-Z rank."""
     if t.n > MAX_CANONICAL_QUBITS:
         raise CapacityError(f"canonicalize cap is n={MAX_CANONICAL_QUBITS}, got {t.n}")
-    work = t.signed_rows()
     n = t.n
+    work = _signed_rows(t)
     n_mixed = _rref_rows(work, n, 0, "x")
-    for row in work[n_mixed:]:
-        if row.x:
-            raise RuntimeError("x elimination left a mixed row below the block")
+    if any(x for x, _, _ in work[n_mixed:]):
+        raise RuntimeError("x elimination left a mixed row below the block")
     _rref_rows(work, n, n_mixed, "z")
-    r = n - n_mixed
-
-    rows, h = [], []
-    for row in work:
-        if row.phase_exp % 2 != 0:
-            raise RuntimeError("canonicalization produced a non-Hermitian row")
-        rows.append(PauliLabel(n, row.x, row.z, 0))
-        h.append(row.phase_exp // 2)
-
-    return CanonicalTableau(n, r, tuple(rows), tuple(h))
+    rows = tuple(PauliLabel(n, x, z) for x, z, _ in work)
+    return CanonicalTableau(n, n - n_mixed, rows, tuple(h for _, _, h in work))
 
 
 def pure_z_rank(t: StabilizerTableau) -> int:
@@ -247,67 +241,44 @@ def canonical_frame(t: StabilizerTableau):
     """
     c = canonicalize(t)
     n, r = c.n, c.r
-    work = [PauliLabel(n, row.x, row.z, 2 * hb) for row, hb in zip(c.rows, c.h)]
+    work = _signed_rows(c)
     n_mixed = n - r
     gates: list[tuple] = []
 
     def emit(*gs: tuple) -> None:
-        nonlocal work
         gates.extend(gs)
-        rows = _fold(n, [(p.x, p.z, p.phase_exp >> 1) for p in work], gs)
-        work = [PauliLabel(n, x, z, 2 * h) for x, z, h in rows]
+        work[:] = _fold(n, work, gs)
 
     # 1) keep only the pivot column in each mixed row's x-part
-    pivots = [(row.x & -row.x).bit_length() - 1 for row in work[:n_mixed]]
-    for i in range(n_mixed):
-        extra = work[i].x & ~(1 << pivots[i])
-        for q in range(n):
-            if (extra >> q) & 1:
-                emit(("CX", pivots[i], q))
+    pivots = [(x & -x).bit_length() - 1 for x, _, _ in work[:n_mixed]]
+    for i, piv in enumerate(pivots):
+        extra = work[i][0] & ~(1 << piv)
+        emit(*(("CX", piv, q) for q in range(n) if (extra >> q) & 1))
     # 2) move pivot i to qubit r + i via CX swaps
     perm = list(range(n))  # perm[qubit] = where that wire currently sits
-
-    def swap(a: int, b: int) -> None:
-        if a != b:
-            emit(("CX", a, b), ("CX", b, a), ("CX", a, b))
-
     for i, piv in enumerate(sorted(pivots)):
-        target = r + i
-        cur = perm.index(piv)
+        cur, target = perm.index(piv), r + i
         if cur != target:
-            swap(cur, target)
+            emit(("CX", cur, target), ("CX", target, cur), ("CX", cur, target))
             perm[cur], perm[target] = perm[target], perm[cur]
-    # re-read mixed pivots; re-sort mixed rows into pivot order r..n-1
-    work[:n_mixed] = sorted(work[:n_mixed], key=lambda row: row.x)
+    # re-sort mixed rows into pivot order r..n-1 (their x-parts are distinct)
+    work[:n_mixed] = sorted(work[:n_mixed])
     # 3) pure rows now live on qubits 0..r-1; re-reduce their z-parts to I_r
     _rref_rows(work, n, n_mixed, "z")
-    # 4) clear the z-parts of the mixed rows
+    # 4) clear the z-parts of the mixed rows: S Z takes a Y on qubit q back to
+    # X, and CZ(q, o) clears z_o; only row i has an x bit on q
     for i in range(n_mixed):
-        q = r + i
-        if (work[i].z >> q) & 1:
-            emit(("S", q), ("Z", q))
-        zrest = work[i].z & ~(1 << q)
-        for other in range(n):
-            if (zrest >> other) & 1:
-                emit(("CZ", q, other))
-    # 5) sign cleanup
-    for i in range(n_mixed):
-        if work[i].phase_exp == 2:
-            emit(("Z", r + i))
-    for j in range(n_mixed, n):
-        if work[j].phase_exp == 2:
-            lead = (work[j].z & -work[j].z).bit_length() - 1
-            emit(("X", lead))
+        q, z = r + i, work[i][1]
+        y = [("S", q), ("Z", q)] if (z >> q) & 1 else []
+        emit(*y, *(("CZ", q, o) for o in range(n) if o != q and (z >> o) & 1))
+    # 5) sign cleanup: rows are now X_(r+i) and Z_j, so each gate flips one sign
+    emit(*[("Z", r + i) for i, (_, _, h) in enumerate(work[:n_mixed]) if h],
+         *[("X", (z & -z).bit_length() - 1) for _, z, h in work[n_mixed:] if h])
 
-    for i in range(n_mixed):
-        if work[i] != PauliLabel(n, 1 << (r + i), 0, 0):
-            raise RuntimeError("frame reduction failed on a mixed row")
-    for j in range(n_mixed, n):
-        expect_z = 1 << (j - n_mixed)
-        if work[j] != PauliLabel(n, 0, expect_z, 0):
-            raise RuntimeError("frame reduction failed on a pure row")
-
-    target = product_tableau(n, {q: 0 for q in range(1, r + 1)})
+    # the target lists the pure rows Z_1 .. Z_r first, the work list last
+    target = product_tableau(n, dict.fromkeys(range(1, r + 1), 0))
+    if work[n_mixed:] + work[:n_mixed] != _signed_rows(target):
+        raise RuntimeError("frame reduction failed to reach the product form")
     return CliffordOp(n, tuple(gates)), target
 
 
@@ -315,7 +286,7 @@ def apply_clifford(t: StabilizerTableau, c: CliffordOp) -> StabilizerTableau:
     """Tableau of (circuit c)|state>: conjugate each generator forward."""
     if c.n != t.n:
         raise ValidationError(f"circuit on {c.n} qubits, tableau on {t.n}")
-    rows = _fold(t.n, [(row.x, row.z, hb) for row, hb in zip(t.rows, t.h)], c.gates)
+    rows = _fold(t.n, _signed_rows(t), c.gates)
     labels = tuple(PauliLabel(t.n, x, z) for x, z, _ in rows)
     return StabilizerTableau(t.n, labels, tuple(h for _, _, h in rows))
 

@@ -266,6 +266,8 @@ class CliffordOp:
     gates: tuple[tuple, ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            object.__setattr__(self, "n", whole_number(self.n, "qubit count"))
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValidationError(f"n={self.n} outside 1..{MAX_QUBITS}")
         if not isinstance(self.gates, (list, tuple)):

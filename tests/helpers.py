@@ -319,6 +319,22 @@ def pool_score_reference(values: np.ndarray, perm: np.ndarray) -> float:
     return float(np.sum(xw * (values[perm] ** 2 - 2.0 ** (-n)) ** 2))
 
 
+def axis_scores_reference(values: np.ndarray) -> np.ndarray:
+    """Preconditioner axis scores (sum g - WHT(g)) / 2 with g = (a^2 - 2^-n)^2,
+    the Walsh-Hadamard transform taken over the flat length-4**n vector, one
+    butterfly level per label bit from the lowest."""
+    n = (len(values).bit_length() - 1) // 2
+    g = (values ** 2 - 2.0 ** (-n)) ** 2
+    walsh = g.copy()
+    half = 1
+    while half < len(walsh):
+        pairs = walsh.reshape(-1, 2, half)
+        p, q = pairs[:, 0].copy(), pairs[:, 1].copy()
+        pairs[:, 0], pairs[:, 1] = p + q, p - q
+        half <<= 1
+    return (g.sum() - walsh) / 2
+
+
 def graph_gate_circuit_json(n: int, seed: int) -> dict:
     """Circuit JSON of a random graph state (CZ on each pair with probability
     1/2) and one level-4 phase gate: the terms 1/2 b1b2b3b4, 1/4 on a weight-3

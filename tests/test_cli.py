@@ -1,5 +1,6 @@
 """End-to-end command line behavior: files, manifests, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -461,6 +462,29 @@ class TestZeroMagic:
         assert main(["zero-magic", str(tab), "--k", "3"]) == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
 
+    @pytest.mark.parametrize("generators, k, digest", [
+        (["-XXXZ", "+ZIZZ", "-ZIZI", "-ZZII"], 3,
+         "cf729c4492784e38ece7de2a7aec8df7bda2fd9ec081d8cf9150401829a43070"),
+        (["+IYXZIX", "-IIIZII", "-XIYIZZ", "-XIYZIZ", "-YIXZII", "-YZXIIZ"], 4,
+         "c8195e461f579946bd4764cfa813c0f5fa981cf74552d00254cfce709c6ca98f"),
+        (["+XXYXXYZX", "+XZXYXYYI", "+YYYZIIYI", "-XXIIIXYI", "+XZIZYYIZ", "-ZYZIYIYZ",
+          "-IIXZXYZX", "-XZZXZZYY"], 5,
+         "81a45e9643f61bf5d9859bdd0737b82ff32f48f35d83cfe9e7fa378b077ca0f3"),
+    ], ids=["n4", "n6", "n8"])
+    def test_gate_json_is_pinned(self, generators, k, digest, tmp_path):
+        # the gate depends on which frame gates canonical_frame picks: a
+        # reduction that picks others changes this JSON, so it is pinned
+        # (sha256 of the sorted-key JSON of the gate)
+        tab = {"n": len(generators), "generators": generators}
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(tab))
+        out = tmp_path / "cert.json"
+        assert main(["zero-magic", str(path), "--k", str(k), "-o", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["tableau"] == tab and data["level"] == k
+        text = json.dumps(data["gate"], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestNogo:
     def test_witness_payload(self, block_file, tmp_path):
@@ -651,6 +675,19 @@ class TestErrors:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_seed_on_a_command_without_randomness_exits_2(self, circuit_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["magic", circuit_file, "--seed", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_empty_tableau_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "tab.json"
+        path.write_text(json.dumps({"n": 0, "generators": []}))
+        assert main(["optimize", str(path), "--layers", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "ValidationError" and "n=0" in err["error"]
+
     def test_internal_value_error_is_not_bad_input(self, circuit_file, monkeypatch):
         # a fault inside the program is a crash, not exit code 2
         def broken(*args, **kwargs):
@@ -705,6 +742,28 @@ class TestParser:
         assert first["manifest"]["options"] == {"alpha": [3]}
         assert [r["alpha"] for r in second["results"]] == [2]
         assert second["manifest"]["options"] == {"alpha": [2]}
+
+    def test_only_commands_that_draw_random_numbers_record_a_seed(
+            self, circuit_file, tableau_file, block_file, tmp_path):
+        tab3 = tmp_path / "t3.json"
+        tab3.write_text(json.dumps({"n": 3, "generators": ["+ZII", "+IXI", "+IIX"]}))
+        rot = tmp_path / "w.json"
+        rot.write_text(json.dumps({"m": 3, "k": [1, 3]}))
+        runs = {
+            "spectrum": [circuit_file], "magic": [circuit_file], "support": [str(rot)],
+            "zero-magic": [str(tab3), "--k", "3"], "optimize": [tableau_file, "--layers", "1"],
+            "verify": ["--n-max", "1", "--cases", "1"], "nogo": [block_file],
+        }
+        seeded = {}
+        for command, args in runs.items():
+            out = tmp_path / f"{command}.out"
+            assert main([command, *args, "-o", str(out)]) == 0
+            text = out.read_text()
+            manifest = (read_manifest_line(out) if text.startswith("# manifest: ")
+                        else json.loads(text)["manifest"])
+            seeded[command] = "seed" in manifest
+        assert seeded == {"spectrum": False, "magic": False, "support": False,
+                          "zero-magic": False, "optimize": True, "verify": True, "nogo": True}
 
 
 class TestEntryPoint:

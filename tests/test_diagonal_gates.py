@@ -23,6 +23,19 @@ from helpers import diagonal_matrix, rotation_matrix
 
 
 class TestNormalization:
+    @pytest.mark.parametrize("n, terms", [(True, [(2, 1, 1)]), (1.5, [(2, 1, 1)]),
+                                          (2, [(2, 1.5, 1)]), (2, [(2.5, 1, 1)]),
+                                          (2, [(2, 1, 0.5)]), (2, [(2, True, 1)]),
+                                          (2, {(2, 1): 1.5})])
+    def test_rejects_non_whole_fields(self, n, terms):
+        with pytest.raises(ValidationError):
+            PhasePolynomial(n, terms)
+
+    def test_reads_whole_floats(self):
+        f = PhasePolynomial(2.0, [(2.0, 1.0, np.int64(1))])
+        assert f == PhasePolynomial(2, [(2, 1, 1)]) and type(f.n) is int
+        assert repr(f) == "PhasePolynomial(n=2, 1/2^2*b[01])"
+
     def test_merge_same_mask(self):
         # 1/8 + 1/8 = 1/4 on the same monomial
         f = PhasePolynomial(1, [(3, 1, 1), (3, 1, 1)])
@@ -177,6 +190,15 @@ class TestRotationVector:
     def test_dyadic_angles(self):
         w = RotationVector.dyadic((1, 3), 3)
         assert tuple(Fraction(v) for v in w.values) == (Fraction(1, 8), Fraction(3, 8))
+
+    @pytest.mark.parametrize("n", [True, 1.5, "1", None])
+    def test_rejects_non_whole_angle_count(self, n):
+        with pytest.raises(ValidationError):
+            RotationVector(n, (0.1,))
+
+    def test_reads_a_whole_float_angle_count(self):
+        w = RotationVector(2.0, (0.1, 0.2))
+        assert w == RotationVector(2, (0.1, 0.2)) and type(w.n) is int
 
     def test_numerators_wrap(self):
         assert RotationVector.dyadic((9,), 3).values == (0.125,)

@@ -43,7 +43,12 @@ from magicforge.transfer import (
     xy_pair,
 )
 
-from helpers import pool_score_reference, submask_objective, sweep_reference
+from helpers import (
+    axis_scores_reference,
+    pool_score_reference,
+    submask_objective,
+    sweep_reference,
+)
 
 
 def generic_spectrum(n, rng):
@@ -312,6 +317,14 @@ class TestPrecondition:
                 perm, _ = CliffordOp(n, gates).heisenberg_table()
                 ref = pool_score_reference(s.values, perm)
                 assert abs(_pool_score(axis_scores, n, gates) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_axis_scores_match_the_flat_transform_bit_for_bit(self, n):
+        # the matrix form runs the same butterflies in the same level order
+        rng = np.random.default_rng([41, n])
+        for s in [initial_spectrum(random_stabilizer(n, n)), generic_spectrum(n, rng),
+                  generic_spectrum(n, rng)]:
+            assert np.array_equal(_axis_scores(s), axis_scores_reference(s.values))
 
     def test_builds_no_heisenberg_table(self, monkeypatch):
         calls = []

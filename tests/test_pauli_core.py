@@ -132,3 +132,15 @@ class TestValidation:
     def test_qubit_cap(self):
         with pytest.raises(ValidationError):
             PauliLabel(33, 0, 0)
+
+    @pytest.mark.parametrize("args", [(2, 1.5, 0), (2, 0, "1"), (True, 1, 0), (1.5, 1, 0),
+                                      (2, True, 0), (2, 0, 0, 0.5), (2, 0, 0, None)])
+    def test_rejects_non_whole_fields(self, args):
+        # never kept as given: 1.5 as a mask, True as a qubit count
+        with pytest.raises(ValidationError):
+            PauliLabel(*args)
+
+    def test_reads_whole_floats(self):
+        p = PauliLabel(2.0, 1.0, np.int64(2), 2.0)
+        assert p == PauliLabel(2, 1, 2, 2) and pauli_to_text(p) == "-XZ"
+        assert all(type(v) is int for v in (p.n, p.x, p.z, p.phase_exp))

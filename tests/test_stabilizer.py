@@ -1,5 +1,8 @@
 """Tableau handling: canonical form, group table, frames, expectations."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,32 @@ class TestTableauBasics:
     def test_rejects_wrong_count(self):
         with pytest.raises(ValidationError):
             StabilizerTableau(2, (PauliLabel(2, 0, 1),), (0,))
+
+    @pytest.mark.parametrize("h", [(2, 0), (0.5, 1), (-1, 0), (True, 0), ("1", 0)])
+    def test_rejects_bad_sign_bits(self, h):
+        # a sign bit other than the whole number 0 or 1 is an error, never truncated
+        with pytest.raises(ValidationError):
+            StabilizerTableau(2, zeros_tableau(2).rows, h)
+
+    @pytest.mark.parametrize("make", [
+        lambda: StabilizerTableau(0, (), ()),
+        lambda: StabilizerTableau(True, zeros_tableau(1).rows, (0,)),
+        lambda: StabilizerTableau(1.5, zeros_tableau(1).rows, (0,)),
+        lambda: zeros_tableau(True),
+        lambda: zeros_tableau(33),
+        lambda: plus_tableau(0),
+        lambda: plus_tableau(2.5),
+        lambda: product_tableau(-1, {}),
+    ], ids=["n0", "n-bool", "n-float", "zeros-bool", "zeros-33", "plus-0", "plus-float",
+            "product-negative"])
+    def test_rejects_bad_qubit_count(self, make):
+        with pytest.raises(ValidationError):
+            make()
+
+    def test_reads_whole_floats(self):
+        tab = StabilizerTableau(2.0, zeros_tableau(2).rows, (1.0, 0))
+        assert tab == product_tableau(2, {1: 1, 2: 0}) and type(tab.n) is int
+        assert zeros_tableau(2.0) == zeros_tableau(2)
 
     def test_json_round_trip(self):
         for tab in random_cases(per_n=5):
@@ -281,6 +310,90 @@ class TestCanonicalFrame:
                     assert body == "I" * j + "X" + "I" * (tab.n - j - 1)
 
 
+def frame_moves_to_target(tab):
+    """The frame of tab, after checking against the oracle that it takes the
+    state to the target |0>^r |+>^(n-r)."""
+    frame, target = canonical_frame(tab)
+    r = pure_z_rank(tab)
+    assert target == product_tableau(tab.n, dict.fromkeys(range(1, r + 1), 0))
+    moved = apply_gates(statevector(tab), frame.gates)
+    assert overlap2(moved, statevector(target)) > 1 - 1e-10, tab.to_json()
+    return frame
+
+
+def graph_tableau(n, rng):
+    """A random graph state: |+...+> and CZ on each pair with probability 1/2."""
+    edges = tuple(("CZ", a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5)
+    return apply_clifford(plus_tableau(n), CliffordOp(n, edges))
+
+
+class TestCanonicalFrameEdgeCases:
+    # each case reaches one branch of the reduction; the oracle checks the frame
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_full_rank(self, n):
+        frame = frame_moves_to_target(zeros_tableau(n))
+        assert frame.gates == ()
+        ones = product_tableau(n, dict.fromkeys(range(1, n + 1), 1))
+        frame = frame_moves_to_target(ones)
+        assert sorted(frame.gates) == [("X", q) for q in range(n)]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_graph_state_with_y_on_its_own_qubit(self, n):
+        # S on qubit q turns its row into a Y there: the frame undoes it with S Z
+        rng = np.random.default_rng([31, n])
+        for _ in range(4):
+            tab = graph_tableau(n, rng)
+            ys = {int(q) for q in rng.choice(n, size=1 + int(rng.integers(n)), replace=False)}
+            tab = apply_clifford(tab, CliffordOp(n, tuple(("S", q) for q in sorted(ys))))
+            assert pure_z_rank(tab) == 0
+            frame = frame_moves_to_target(tab)
+            assert {g[1] for g in frame.gates if g[0] == "S"} == ys
+            assert {g[1] for g in frame.gates if g[0] == "Z"} == ys
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_negative_mixed_rows(self, n):
+        # Z on qubit q of a graph state negates its row; CZ keeps the signs
+        rng = np.random.default_rng([32, n])
+        for _ in range(4):
+            flips = {q for q in range(n) if rng.random() < 0.5} or {0}
+            tab = apply_clifford(graph_tableau(n, rng),
+                                 CliffordOp(n, tuple(("Z", q) for q in sorted(flips))))
+            assert sum(tab.h) == len(flips)
+            frame = frame_moves_to_target(tab)
+            assert {g[1] for g in frame.gates if g[0] == "Z"} == flips
+            assert not any(g[0] in ("S", "X") for g in frame.gates)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_negative_pure_and_mixed_rows(self, n):
+        # |0>, |1>, |+>, |-> on random qubits, the frozen ones moved to the front
+        rng = np.random.default_rng([33, n])
+        for _ in range(4):
+            frozen = {q + 1: int(rng.integers(2)) for q in range(n) if rng.random() < 0.5}
+            minus = [q for q in range(n) if q + 1 not in frozen and rng.random() < 0.5]
+            tab = apply_clifford(product_tableau(n, frozen),
+                                 CliffordOp(n, tuple(("Z", q) for q in minus)))
+            frame = frame_moves_to_target(tab)
+            names = [g[0] for g in frame.gates]
+            assert names.count("X") == sum(frozen.values())
+            assert names.count("Z") == len(minus)
+
+    def test_reductions_are_pinned(self):
+        # canonicalize's rows and signs and the frame's gate list over
+        # random_stabilizer(n, s), n = 1..8, s = 0..9: a reduction that picks
+        # other generators or other frame gates changes this digest
+        digest = hashlib.sha256()
+        for n in range(1, 9):
+            for s in range(10):
+                tab = random_stabilizer(n, s)
+                c = canonicalize(tab)
+                frame, _ = canonical_frame(tab)
+                digest.update(json.dumps([c.r, [[p.x, p.z] for p in c.rows], list(c.h),
+                                          [list(g) for g in frame.gates]]).encode())
+        assert digest.hexdigest() == \
+            "6146b34e27f20d943b56125cafbbd9587ef2a543c8914c767461daf991b4c379"
+
+
 class TestApplyClifford:
     def test_matches_dense(self):
         rng = np.random.default_rng(17)
@@ -329,8 +442,7 @@ class TestRandomStabilizer:
 
     def test_rows_commute(self):
         tab = random_stabilizer(5, 23)
-        rows = tab.signed_rows()
-        assert all(commutes(a, b) for a in rows for b in rows)
+        assert all(commutes(a, b) for a in tab.rows for b in tab.rows)
 
 
 class TestPureZRank:

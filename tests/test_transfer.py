@@ -349,6 +349,15 @@ class TestGateValidation:
         assert type(stored) is tuple and stored[0] == stored[0].upper()
         assert all(type(q) is int for q in stored[1:])
 
+    @pytest.mark.parametrize("n", [True, 1.5, "2", None])
+    def test_rejects_non_whole_qubit_count(self, n):
+        with pytest.raises(ValidationError):
+            CliffordOp(n, ())
+
+    def test_reads_a_whole_float_qubit_count(self):
+        c = CliffordOp(2.0, (("CX", 0, 1),))
+        assert c == CliffordOp(2, (("CX", 0, 1),)) and type(c.n) is int
+
     def test_table_lists_every_valid_gate(self):
         by_gate, by_code = _gate_table(3)
         assert len(by_gate) == 4 * 3 + 2 * 3 * 2
