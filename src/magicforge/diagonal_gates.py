@@ -37,6 +37,9 @@ from .errors import CapacityError, ValidationError
 
 MAX_RESOLUTION = 30
 MAX_TABLE_QUBITS = 16
+# qubits of a bit-mask label, tableau, Clifford circuit or rotation layer; it
+# lives here, not in pauli_core, since pauli_core imports this module
+MAX_QUBITS = 32
 
 
 def whole_number(value, what: str) -> int:
@@ -149,26 +152,6 @@ def hierarchy_level(f: PhasePolynomial) -> int:
     return max(((m - 1) + a.bit_count() for (m, a) in f.terms), default=0)
 
 
-def theta_diff(f: PhasePolynomial, b: int, x: int) -> Fraction:
-    """theta(b) - theta(b XOR x) in turns, reduced into [0, 1).
-
-    Only monomials meeting x can contribute, so this is exact and cheap.
-    """
-    full = (1 << f.n) - 1
-    if not 0 <= b <= full or not 0 <= x <= full:
-        raise ValidationError(f"b={b} or x={x} out of range for n={f.n}")
-    total = Fraction(0)
-    bx = b ^ x
-    for (m, a), c in f.terms.items():
-        if a & x == 0:
-            continue
-        hi = 1 if b & a == a else 0
-        lo = 1 if bx & a == a else 0
-        if hi != lo:
-            total += Fraction(c * (hi - lo), 1 << m)
-    return total % 1
-
-
 def value_numerators(f: PhasePolynomial) -> tuple[np.ndarray, int]:
     """Value table of theta over all 2**n basis states.
 
@@ -211,11 +194,13 @@ def from_values(n: int, values, m: int) -> PhasePolynomial:
 class RotationVector:
     """Per-qubit Z-rotation angles for a single-qubit-rotation layer.
 
-    Angles are floats in turns, reduced into [0, 1): qubit j picks up
-    ``exp(2*pi*i*w_j)`` on ``|1>``.  Entry order follows qubits 1..n.  A
-    float64 holds every dyadic angle k / 2**m with m <= MAX_RESOLUTION
-    exactly, so `dyadic` stores into the same field and `sqr_to_poly`
-    reads the exact fractions back off ``values``.
+    A layer has 1..MAX_QUBITS angles, each an int, a float or a numpy
+    number (not a bool or a string).  They are stored as floats in turns,
+    reduced into [0, 1): qubit j picks up ``exp(2*pi*i*w_j)`` on ``|1>``.
+    Entry order follows qubits 1..n.  A float64 holds every dyadic angle
+    k / 2**m with m <= MAX_RESOLUTION exactly, so `dyadic` stores into the
+    same field and `sqr_to_poly` reads the exact fractions back off
+    ``values``.
     """
 
     n: int
@@ -224,9 +209,15 @@ class RotationVector:
     def __post_init__(self) -> None:
         if type(self.n) is not int:
             object.__setattr__(self, "n", whole_number(self.n, "angle count"))
-        values = tuple(float(v) for v in self.values)
+        if not 1 <= self.n <= MAX_QUBITS:
+            raise ValidationError(f"a rotation layer needs 1..{MAX_QUBITS} angles, got {self.n}")
+        values = tuple(self.values)
         if len(values) != self.n:
             raise ValidationError(f"angle count {len(values)} != n={self.n}")
+        for v in values:
+            if not isinstance(v, (float, int, np.floating, np.integer)) or isinstance(v, bool):
+                raise ValidationError(f"angles must be real numbers, got {v!r}")
+        values = tuple(map(float, values))
         if not all(map(math.isfinite, values)):
             raise ValidationError(f"angles must be finite, got {list(values)!r}")
         # v % 1.0 rounds up to 1.0 for a tiny negative v; the second % maps it to 0.0
@@ -256,7 +247,7 @@ class RotationVector:
             if "k" in obj:
                 return cls.dyadic(obj["k"], obj["m"])
             if "w" in obj:
-                return cls.continuous([float(v) for v in obj["w"]])
+                return cls.continuous(obj["w"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed rotation JSON: {exc}") from exc
         raise ValidationError("rotation JSON needs either {'m','k'} or {'w'}")

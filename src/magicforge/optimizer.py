@@ -47,7 +47,6 @@ objective against the submask-sum reference there and the dense oracle.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -55,8 +54,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
-from .diagonal_gates import RotationVector, whole_number
+from .errors import ValidationError
+from .diagonal_gates import RotationVector
 from .spectrum import PauliSpectrum, _check_alpha, f_alpha
 from .transfer import (
     CliffordOp,
@@ -71,8 +70,6 @@ from .transfer import (
 
 if TYPE_CHECKING:
     from .stabilizer import StabilizerTableau
-
-MAX_GRID_QUBITS = 2
 
 # spectrum entries one batch of starts holds: 1 MiB of float64, which keeps a
 # batch and its pair copies in cache (2 rows at n = 8, 8 at n = 7; larger
@@ -225,12 +222,6 @@ def _optimize_angles_full(s: PauliSpectrum, config: OptimizerConfig, stream=(0,)
     return *best, best_f, total
 
 
-def optimize_angles(s: PauliSpectrum, config: OptimizerConfig = OptimizerConfig()):
-    """Best angles for one rotation layer: (w_star, f_star)."""
-    rotation, _, f, _ = _optimize_angles_full(s, config)
-    return np.array(rotation.values), f
-
-
 def _pool_gates(n: int, count: int, rng: np.random.Generator) -> list[tuple[tuple, ...]]:
     """``count`` gate strings drawn in bulk with `transfer.random_clifford`'s
     default distribution: 3n^2 + 2n gates, each with probability 1/2 (if
@@ -324,25 +315,6 @@ def run_pipeline(t: "StabilizerTableau", n_layers: int,
         results.append(res)
         s = res.spectrum_after
     return results
-
-
-def grid_min(s: PauliSpectrum, alpha: int = 2, points: int = 256):
-    """Exhaustive angle grid (k/points per qubit): (w_best, f_best).
-
-    Meant as an optimizer oracle at n <= 2; cost is points**n objective calls.
-    """
-    if s.n > MAX_GRID_QUBITS:
-        raise CapacityError(f"grid scan cap is n={MAX_GRID_QUBITS}, got {s.n}")
-    points = whole_number(points, "points")
-    if points < 1:
-        raise ValidationError("points must be positive")
-    best_w, best_f = None, np.inf
-    for ks in itertools.product(range(points), repeat=s.n):
-        w = np.array([k / points for k in ks], dtype=np.float64)
-        f = objective(s, w, alpha)
-        if f < best_f:
-            best_w, best_f = w, f
-    return best_w, best_f
 
 
 def config_from_dict(obj: dict) -> OptimizerConfig:

@@ -199,9 +199,3 @@ def oracle_spectrum(st: DenseState) -> "PauliSpectrum":
         raise RuntimeError(f"non-Hermitian expectation at x={x:#x}; max imag {worst[x]}")
     return PauliSpectrum(n, rows.real.T.reshape(-1))
 
-
-def overlap2(a: DenseState, b: DenseState) -> float:
-    """|<a|b>|^2, for phase-insensitive state comparisons in tests."""
-    if a.n != b.n:
-        raise ValidationError("state sizes differ")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)

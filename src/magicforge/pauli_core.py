@@ -20,10 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagonal_gates import whole_number
+from .diagonal_gates import MAX_QUBITS, whole_number
 from .errors import ValidationError
-
-MAX_QUBITS = 32
 
 _LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _MASK_BITS = {v: k for k, v in _LETTER.items()}
@@ -86,12 +84,6 @@ def commutes(p: PauliLabel, q: PauliLabel) -> bool:
 def to_index(p: PauliLabel) -> int:
     """Flat index x * 2**n + z into a length-4**n spectrum array."""
     return (p.x << p.n) | p.z
-
-
-def from_index(index: int, n: int) -> PauliLabel:
-    if not 0 <= index < 1 << (2 * n):
-        raise ValidationError(f"index {index} out of range for n={n}")
-    return PauliLabel(n, index >> n, index & ((1 << n) - 1))
 
 
 def pauli_to_text(p: PauliLabel) -> str:

@@ -168,9 +168,17 @@ def f_alpha(s: PauliSpectrum, alpha: int = 2) -> float:
 
 
 def sre(s: PauliSpectrum, alpha: int = 2) -> float:
-    """Stabilizer Renyi entropy M_alpha; 0 exactly on stabilizer states."""
+    """Stabilizer Renyi entropy M_alpha = (log2 F - n) / (1 - alpha); 0
+    exactly on stabilizer states.
+
+    While n alpha <= 1022, F >= 1 keeps the scaled F 2**(-n alpha) a normal
+    float, and that form is the one evaluated; past it the scaled value is
+    subnormal or 0, and the equal log form is evaluated instead.
+    """
     f = f_alpha(s, alpha)
     a = int(alpha)
+    if s.n * a > 1022:
+        return (math.log2(f) - s.n) / (1 - a)
     return math.log2(f * 2.0 ** (-s.n * a)) / (1 - a) - s.n
 
 

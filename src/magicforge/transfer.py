@@ -44,9 +44,10 @@ the two kernels agree.  The i^(x.z) exponents of all 4**n labels
 Every Clifford conjugation goes through one kernel, `_fold`: it pushes
 signed Hermitian rows (-1)^h P(x, z) forward, C (.) C^dagger, as a
 bit-sliced stabilizer tableau with the Aaronson-Gottesman update per gate
-(quant-ph/0406196).  `CliffordOp.conjugate` folds one label,
-`stabilizer.apply_clifford` and `canonical_frame` fold tableau rows, and
-`theorems.conjugate_diagonal_by_frame` folds the n generators Z_i.
+(quant-ph/0406196).  `stabilizer.apply_clifford` and `canonical_frame`
+fold tableau rows, `theorems.conjugate_diagonal_by_frame` folds the n
+generators Z_i, and the optimizer's pool scores fold each candidate's n
+Z generators back.
 `CliffordOp.heisenberg_table` builds the lookup table for all 4**n labels:
 it folds only the 2n generators Z_k and X_j back through the gates (the
 fold walks them in reverse, with S as S^dagger) and hands their images to
@@ -297,17 +298,6 @@ class CliffordOp:
             inv += [gate] * (3 if gate[0] == "S" else 1)
         return CliffordOp(self.n, tuple(inv))
 
-    def conjugate(self, p: PauliLabel) -> PauliLabel:
-        """C p C^dagger with exact phase.
-
-        Writes p = i^o (-1)^h P(x, z) with o = phase_exp & 1 and folds the
-        Hermitian row (x, z, h); the factor i^o passes through unchanged.
-        """
-        if p.n != self.n:
-            raise ValidationError(f"label on {p.n} qubits, circuit on {self.n}")
-        ((x, z, h),) = _fold(self.n, [(p.x, p.z, p.phase_exp >> 1)], self.gates)
-        return PauliLabel(self.n, x, z, 2 * h + (p.phase_exp & 1))
-
     def heisenberg_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(perm, sign) with C^dagger P(v) C = sign[v] * P(perm[v]) for all labels.
 
@@ -327,19 +317,6 @@ class CliffordOp:
         if np.any(ph & 1):
             raise RuntimeError("Clifford conjugation produced imaginary phases")
         return perm, 1.0 - ph  # ph is 0 or 2
-
-
-def clifford_conjugate(c: CliffordOp, p: PauliLabel) -> tuple[int, PauliLabel]:
-    """Forward image as a (sign, canonical label) pair: c p c^dagger = sign * image.
-
-    Only defined for Hermitian inputs (even phase_exp); the sign absorbs the
-    whole residual phase, so the returned image always has phase_exp 0.
-    """
-    out = c.conjugate(p)
-    if out.phase_exp % 2:
-        raise ValidationError("sign split needs a Hermitian label (even phase_exp)")
-    sign = 1 if out.phase_exp == 0 else -1
-    return sign, PauliLabel(out.n, out.x, out.z, 0)
 
 
 def random_clifford(n: int, rng: np.random.Generator, length: int | None = None) -> CliffordOp:
@@ -559,24 +536,6 @@ def apply_block(s: "PauliSpectrum", block: LayerBlock) -> "PauliSpectrum":
     if block.n != s.n:
         raise ValidationError(f"block on {block.n} qubits, spectrum on {s.n}")
     return PauliSpectrum(s.n, _apply_layers(s.values, block.layers))
-
-
-def transfer_orthogonality_check(block: LayerBlock, trials: int, seed: int = 0) -> float:
-    """Max norm deviation of the raw block map over random unit vectors.
-
-    The vectors are generic, not physical spectra; the map must still be an
-    isometry of R^(4**n).
-    """
-    if block.n > MAX_SPECTRUM_QUBITS:
-        raise CapacityError(f"transfer cap is n={MAX_SPECTRUM_QUBITS}, got {block.n}")
-    rng = np.random.default_rng(seed)
-    size = 1 << (2 * block.n)
-    worst = 0.0
-    for _ in range(trials):
-        g = rng.standard_normal(size)
-        g /= np.linalg.norm(g)
-        worst = max(worst, abs(float(np.linalg.norm(_apply_layers(g, block.layers))) - 1.0))
-    return worst
 
 
 @dataclass(frozen=True)

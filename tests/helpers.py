@@ -1,8 +1,12 @@
 """Dense linear-algebra builders for cross-checking, written from definitions.
 
-Everything here is constructed from 2x2 matrices and numpy.kron, with no
-imports from the package's numeric code paths, so tests that compare package
-output against these helpers exercise a genuinely independent route.
+Everything here up to the last section is constructed from 2x2 matrices,
+numpy.kron and the package's plain data types, with no imports from its
+numeric code paths, so tests that compare package output against these
+helpers exercise a genuinely independent route.  The last section holds the
+two probes that drive package kernels on purpose: `grid_min` scans
+`optimizer.objective` over an angle grid, and `transfer_orthogonality_check`
+runs the block map on generic unit vectors.
 
 Conventions under test: basis index bit j holds the value of qubit j+1
 (qubit 1 is the least significant bit), and a Pauli label means
@@ -13,11 +17,17 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from magicforge.diagonal_gates import whole_number
+from magicforge.errors import CapacityError, ValidationError
+from magicforge.optimizer import objective
 from magicforge.pauli_core import PauliLabel
+from magicforge.transfer import MAX_SPECTRUM_QUBITS, _apply_layers
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -61,6 +71,11 @@ def kron_chain(mats: list[np.ndarray]) -> np.ndarray:
     for m in mats:
         out = np.kron(m, out)
     return out
+
+
+def from_index(index: int, n: int) -> PauliLabel:
+    """The phase-0 label at flat index x * 2**n + z, the inverse of `to_index`."""
+    return PauliLabel(n, index >> n, index & ((1 << n) - 1))
 
 
 def pauli_matrix(p: PauliLabel) -> np.ndarray:
@@ -121,6 +136,16 @@ def diagonal_matrix(f) -> np.ndarray:
     """Dense diagonal of a phase polynomial from its exact per-state values."""
     angles = [float(f.evaluate(b)) for b in range(1 << f.n)]
     return np.diag(np.exp(2j * np.pi * np.array(angles)))
+
+
+def theta_diff(f, b: int, x: int) -> Fraction:
+    """theta(b) - theta(b XOR x) in turns, reduced into [0, 1), exactly from
+    the polynomial's terms: only monomials meeting x can contribute."""
+    total, bx = Fraction(0), b ^ x
+    for (m, a), c in f.terms.items():
+        if a & x:
+            total += Fraction(c * ((b & a == a) - (bx & a == a)), 1 << m)
+    return total % 1
 
 
 def rotation_matrix(w) -> np.ndarray:
@@ -292,6 +317,12 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> float:
     return abs(np.vdot(u, v)) ** 2
 
 
+def overlap2(a, b) -> float:
+    """|<a|b>|^2 of two `DenseState`s, for phase-insensitive comparisons."""
+    assert a.n == b.n, "state sizes differ"
+    return float(fidelity(a.amplitudes, b.amplitudes))
+
+
 def csv_writer_text(rows) -> str:
     """Rows as the standard csv.writer writes them, each line ending in \\n."""
     buf = io.StringIO()
@@ -430,3 +461,43 @@ def sweep_reference(values: np.ndarray, w0, alpha: int, max_iters: int, tol: flo
         if total < tol:
             break
     return w, sweeps
+
+
+# the probes that drive package kernels
+
+MAX_GRID_QUBITS = 2
+
+
+def grid_min(s, alpha: int = 2, points: int = 256):
+    """Exhaustive angle grid (k/points per qubit) of `optimizer.objective`:
+    (w_best, f_best), the minimum every optimizer sweep must reach.  It costs
+    points**n objective calls, so n is capped at MAX_GRID_QUBITS."""
+    if s.n > MAX_GRID_QUBITS:
+        raise CapacityError(f"grid scan cap is n={MAX_GRID_QUBITS}, got {s.n}")
+    points = whole_number(points, "points")
+    if points < 1:
+        raise ValidationError("points must be positive")
+    best_w, best_f = None, np.inf
+    for ks in itertools.product(range(points), repeat=s.n):
+        w = np.array([k / points for k in ks], dtype=np.float64)
+        f = objective(s, w, alpha)
+        if f < best_f:
+            best_w, best_f = w, f
+    return best_w, best_f
+
+
+def transfer_orthogonality_check(block, trials: int, seed: int = 0) -> float:
+    """Max norm deviation of the raw block map over random unit vectors.
+
+    The vectors are generic, not physical spectra; the map must still be an
+    isometry of R^(4**n).  The cap is checked before any vector is drawn.
+    """
+    if block.n > MAX_SPECTRUM_QUBITS:
+        raise CapacityError(f"transfer cap is n={MAX_SPECTRUM_QUBITS}, got {block.n}")
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        g = rng.standard_normal(1 << (2 * block.n))
+        g /= np.linalg.norm(g)
+        worst = max(worst, abs(float(np.linalg.norm(_apply_layers(g, block.layers))) - 1.0))
+    return worst

@@ -17,7 +17,7 @@ from magicforge.oracle import (
     oracle_spectrum,
     statevector,
 )
-from magicforge.optimizer import OptimizerConfig, grid_min, objective, objective_grad, run_pipeline
+from magicforge.optimizer import OptimizerConfig, objective, objective_grad, run_pipeline
 from magicforge.spectrum import (
     f_alpha,
     flat_bound,
@@ -42,8 +42,9 @@ from magicforge.transfer import (
     apply_block,
     initial_spectrum,
     random_clifford,
-    transfer_orthogonality_check,
 )
+
+from helpers import grid_min, transfer_orthogonality_check
 
 
 def test_criterion_01_closed_form_signed_vs_oracle():

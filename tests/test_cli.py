@@ -263,6 +263,15 @@ class TestMagic:
         assert captured.out == ""
         assert json.loads(captured.err)["kind"] == "ValidationError"
 
+    @pytest.mark.parametrize("alpha", ["300", str(10**20)])
+    def test_alpha_past_the_normal_range(self, alpha, tmp_path):
+        path, out = tmp_path / "c.json", str(tmp_path / "magic.json")
+        path.write_text(json.dumps({"n": 4, "layers": [{"sqr": {"w": [0.1, 0.2, 0.3, 0.05]}}]}))
+        assert main(["magic", str(path), "--alpha", alpha, "-o", out]) == 0
+        (result,) = json.loads(Path(out).read_text())["results"]
+        f, a = result["F_alpha"], int(alpha)
+        assert abs(result["M_alpha"] - (math.log2(f) - 4) / (1 - a)) <= 1e-15
+
     def test_mixed_circuit_never_calls_the_oracle(self, tmp_path, monkeypatch):
         body = mixed_circuit_json(6, 4)
         want = f_alpha(oracle_spectrum(_oracle_run(circuit_from_json(body))), 2)
@@ -568,6 +577,22 @@ class TestSupport:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("command", ["support", "magic"])
+    @pytest.mark.parametrize("w, n, message", [
+        ([], 1, "1..32 angles"),
+        (["0.125", True], 2, "real numbers"),
+        ([0.125, True], 2, "real numbers"),
+        ("0.125", 5, "real numbers"),
+    ], ids=["none", "str", "bool", "text"])
+    def test_rotation_without_real_angles_exits_2(self, command, w, n, message, tmp_path,
+                                                  capsys):
+        path = tmp_path / "in.json"
+        body = {"w": w} if command == "support" else {"n": n, "layers": [{"sqr": {"w": w}}]}
+        path.write_text(json.dumps(body))
+        assert main([command, str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "ValidationError" and message in err["error"]
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["magic", "/nonexistent/x.json"]) == 2
         err = json.loads(capsys.readouterr().err)

@@ -14,12 +14,12 @@ from magicforge.diagonal_gates import (
     make_gate,
     random_polynomial,
     sqr_to_poly,
-    theta_diff,
     value_numerators,
 )
 from magicforge.errors import ValidationError
+from magicforge.pauli_core import MAX_QUBITS
 
-from helpers import diagonal_matrix, rotation_matrix
+from helpers import diagonal_matrix, rotation_matrix, theta_diff
 
 
 class TestNormalization:
@@ -244,6 +244,26 @@ class TestRotationVector:
     def test_mode_validation(self):
         with pytest.raises(ValidationError):
             RotationVector(2, (0.5,))
+
+    @pytest.mark.parametrize("values", [(), ("0.125",), (0.125, True), (False,), (None,),
+                                        (0.1, [0.2]), (1j,), "0.1"],
+                             ids=["none", "str", "bool", "false", "None", "list", "complex",
+                                  "text"])
+    def test_rejects_missing_or_non_real_angles(self, values):
+        with pytest.raises(ValidationError):
+            RotationVector.continuous(values)
+        with pytest.raises(ValidationError):
+            RotationVector.from_json({"w": values if isinstance(values, str) else list(values)})
+
+    def test_angle_count_cap(self):
+        assert RotationVector.continuous((0.1,) * MAX_QUBITS).n == MAX_QUBITS
+        with pytest.raises(ValidationError, match="1..32 angles"):
+            RotationVector.continuous((0.1,) * (MAX_QUBITS + 1))
+
+    def test_accepts_real_number_types(self):
+        w = RotationVector.continuous((1, 0.25, np.float64(0.5), np.float32(0.75), np.int64(2)))
+        assert w.values == (0.0, 0.25, 0.5, 0.75, 0.0)
+        assert all(type(v) is float for v in w.values)
 
 
 class TestSqrToPoly:

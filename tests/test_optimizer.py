@@ -22,10 +22,8 @@ from magicforge.optimizer import (
     _pool_score,
     _sweeps,
     config_from_dict,
-    grid_min,
     objective,
     objective_grad,
-    optimize_angles,
     optimize_layer,
     precondition_clifford,
     run_pipeline,
@@ -45,6 +43,7 @@ from magicforge.transfer import (
 
 from helpers import (
     axis_scores_reference,
+    grid_min,
     pool_score_reference,
     submask_objective,
     sweep_reference,
@@ -135,26 +134,26 @@ class TestObjective:
 class TestOptimizeAngles:
     def test_single_qubit_reaches_known_minimum(self):
         s = initial_spectrum(plus_tableau(1))
-        w, f = optimize_angles(s, OptimizerConfig(restarts=8, seed=0))
+        _, _, f, _ = _optimize_angles_full(s, OptimizerConfig(restarts=8, seed=0))
         assert 1.5 - 1e-9 <= f <= 1.5 + 1e-6
 
     def test_never_worse_than_identity_angles(self):
         rng = np.random.default_rng(2)
         for n in (1, 2):
             s = initial_spectrum(random_stabilizer(n, int(rng.integers(1 << 30))))
-            _, f = optimize_angles(s, OptimizerConfig(restarts=4, seed=1))
+            _, _, f, _ = _optimize_angles_full(s, OptimizerConfig(restarts=4, seed=1))
             assert f <= f_alpha(s, 2) + 1e-12
 
     def test_deterministic(self):
         s = initial_spectrum(plus_tableau(2))
         cfg = OptimizerConfig(restarts=4, seed=3)
-        w1, f1 = optimize_angles(s, cfg)
-        w2, f2 = optimize_angles(s, cfg)
-        assert np.array_equal(w1, w2) and f1 == f2
+        w1, _, f1, _ = _optimize_angles_full(s, cfg)
+        w2, _, f2, _ = _optimize_angles_full(s, cfg)
+        assert w1.values == w2.values and f1 == f2
 
     def test_grid_confirms_descent_minimum(self):
         s = initial_spectrum(plus_tableau(1))
-        _, f_desc = optimize_angles(s, OptimizerConfig(restarts=8, seed=0))
+        _, _, f_desc, _ = _optimize_angles_full(s, OptimizerConfig(restarts=8, seed=0))
         _, f_grid = grid_min(s, points=256)
         assert f_desc <= f_grid + 1e-6
 
@@ -164,7 +163,8 @@ class TestOptimizeAngles:
         for n, points in ((1, 256), (2, 48)):
             for _ in range(2):
                 s = generic_spectrum(n, rng)
-                _, f = optimize_angles(s, OptimizerConfig(alpha=alpha, restarts=4, seed=alpha))
+                config = OptimizerConfig(alpha=alpha, restarts=4, seed=alpha)
+                _, _, f, _ = _optimize_angles_full(s, config)
                 _, f_grid = grid_min(s, alpha, points)
                 assert f <= f_grid + 1e-9
 

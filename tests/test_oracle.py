@@ -17,7 +17,6 @@ from magicforge.oracle import (
     apply_rotation,
     expectation,
     oracle_spectrum,
-    overlap2,
     statevector,
 )
 from magicforge.pauli_core import PauliLabel, to_index
@@ -28,6 +27,7 @@ from helpers import (
     circuit_matrix,
     diagonal_matrix,
     fidelity,
+    overlap2,
     pauli_matrix,
     rotation_matrix,
     stabilizer_dense,

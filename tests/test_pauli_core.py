@@ -9,7 +9,6 @@ from magicforge.errors import ValidationError
 from magicforge.pauli_core import (
     PauliLabel,
     commutes,
-    from_index,
     pauli_from_text,
     pauli_mul,
     pauli_to_text,
@@ -17,7 +16,7 @@ from magicforge.pauli_core import (
     to_index,
 )
 
-from helpers import pauli_matrix
+from helpers import from_index, pauli_matrix
 
 
 def all_labels(n, phases=(0,)):
@@ -114,8 +113,10 @@ class TestIndexing:
         assert to_index(PauliLabel(2, 0b10, 0b01)) == 0b1001
 
     def test_index_bounds(self):
+        # the flat indices of n = 2 labels run over 0..15, and none lies past them
+        assert to_index(PauliLabel(2, 0b11, 0b11)) == 15
         with pytest.raises(ValidationError):
-            from_index(16, 2)
+            PauliLabel(2, 0b100, 0)
 
 
 class TestValidation:

@@ -1,0 +1,98 @@
+"""The public surface: README's Python example runs as written, and every
+exported name has a caller in the package or is a listed entry point."""
+
+import ast
+import math
+import re
+from pathlib import Path
+
+import magicforge
+
+REPO = Path(__file__).resolve().parents[1]
+
+# exported for scripts and tests, with no caller in src/ or magicbench/;
+# README's "Python API" section lists the same names
+ENTRY_POINTS = (
+    "make_gate",
+    "is_graph_type",
+    "tableau_expectation",
+    "objective",
+    "objective_grad",
+    "zero_magic_state_for_gate",
+    "no_ordering_witness",
+    "expectation",
+)
+
+
+def readme_section(title: str) -> str:
+    text = (REPO / "README.md").read_text()
+    start = text.index(f"\n## {title}\n")
+    return text[start:text.index("\n## ", start + 1)]
+
+
+class _Loads(ast.NodeVisitor):
+    """Names a module loads, as a bare name or an attribute, outside the
+    function or class that defines the same name."""
+
+    def __init__(self):
+        self.names: set[str] = set()
+        self._inside: list[str] = []
+
+    def visit_FunctionDef(self, node):
+        self._inside.append(node.name)
+        self.generic_visit(node)
+        self._inside.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def _load(self, name: str) -> None:
+        if name not in self._inside:
+            self.names.add(name)
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._load(node.id)
+
+    def visit_Attribute(self, node):
+        self._load(node.attr)
+        self.generic_visit(node)
+
+
+def package_loads() -> set[str]:
+    package = Path(magicforge.__file__).parent
+    loads = _Loads()
+    for path in [*package.glob("*.py"), *(REPO / "magicbench").glob("*.py")]:
+        if path.name != "__init__.py":
+            loads.visit(ast.parse(path.read_text()))
+    return loads.names
+
+
+def test_every_public_name_is_called_or_an_entry_point():
+    loads = package_loads()
+    uncalled = [name for name in magicforge.__all__ if name not in loads]
+    assert sorted(uncalled) == sorted(ENTRY_POINTS), \
+        "a public name without a caller is dead, or belongs in ENTRY_POINTS and README"
+
+
+def test_readme_lists_the_entry_points():
+    (paragraph,) = [p for p in readme_section("Python API").split("\n\n")
+                    if "no caller inside the package" in p]
+    assert sorted(set(re.findall(r"`([A-Za-z_]\w*)`", paragraph))) == sorted(ENTRY_POINTS)
+
+
+def test_readme_example_states_its_values():
+    source = readme_section("Python API").split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, shown = {}, {}
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            shown[ast.get_source_segment(source, stmt)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert list(shown) == ["mf.f_alpha(spec, 2)", "mf.sre(spec, 2)", "mf.flat_bound(2, 2)",
+                           "res[-1].f_after", "mf.apply_clifford(tab, c).to_json()"]
+    assert abs(shown["mf.f_alpha(spec, 2)"] - 1.75) <= 1e-12
+    assert abs(shown["mf.sre(spec, 2)"] - (2 - math.log2(1.75))) <= 1e-12
+    assert abs(shown["mf.flat_bound(2, 2)"] - 1.75) <= 1e-12
+    assert abs(shown["res[-1].f_after"] - 1.5) <= 1e-12
+    assert shown["mf.apply_clifford(tab, c).to_json()"] == {"n": 2, "generators": ["+XX", "+IX"]}

@@ -12,7 +12,6 @@ from magicforge.diagonal_gates import (
     make_gate,
     random_polynomial,
     sqr_to_poly,
-    theta_diff,
 )
 from magicforge.errors import ValidationError
 from magicforge.oracle import apply_diagonal, apply_rotation, oracle_spectrum, statevector
@@ -45,7 +44,7 @@ from magicforge.transfer import (
     random_clifford,
 )
 
-from helpers import coset_reference, spectrum_csv_reference
+from helpers import coset_reference, spectrum_csv_reference, theta_diff
 
 
 def closed(tab, f):
@@ -366,6 +365,24 @@ class TestFunctionals:
         s = closed(plus_tableau(1), make_gate("T", [1], 1))
         with pytest.raises(ValidationError, match="alpha must be an integer >= 2"):
             sre(s, alpha)
+
+    @pytest.mark.parametrize("alpha", [260, 300, 10**20])
+    def test_sre_past_the_normal_range(self, alpha):
+        # n alpha > 1022: F 2**(-n alpha) is subnormal or 0, and M_alpha comes
+        # from the equal form (log2 F - n) / (1 - alpha), finite
+        w = RotationVector.continuous((0.1, 0.2, 0.3, 0.05))
+        s = apply_block(initial_spectrum(plus_tableau(4)), LayerBlock(4, None, w))
+        m = sre(s, alpha)
+        assert math.isfinite(m)
+        assert abs(m - (math.log2(f_alpha(s, alpha)) - 4) / (1 - alpha)) <= 1e-15
+
+    @pytest.mark.parametrize("n, alpha", [(8, 3), (2, 511)])
+    def test_sre_keeps_the_scaled_form_while_it_is_normal(self, n, alpha):
+        # up to n alpha = 1022 the value is the scaled form's, bit for bit
+        w = RotationVector.continuous(np.linspace(0.05, 0.45, n))
+        s = apply_block(initial_spectrum(plus_tableau(n)), LayerBlock(n, None, w))
+        f = f_alpha(s, alpha)
+        assert sre(s, alpha) == math.log2(f * 2.0 ** (-n * alpha)) / (1 - alpha) - n
 
     @pytest.mark.parametrize("alpha", BAD_ALPHAS)
     def test_flat_bound_bad_alpha_is_bad_input(self, alpha):

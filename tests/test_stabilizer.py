@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from magicforge.errors import CapacityError, ValidationError
-from magicforge.oracle import apply_gates, oracle_spectrum, overlap2, statevector
+from magicforge.oracle import apply_gates, oracle_spectrum, statevector
 from magicforge.pauli_core import PauliLabel, commutes, pauli_mul
 from magicforge.stabilizer import (
     StabilizerTableau,
@@ -29,6 +29,7 @@ from helpers import (
     conjugate_reference,
     fidelity,
     group_reference,
+    overlap2,
     pauli_matrix,
     stabilizer_dense,
 )

@@ -17,7 +17,7 @@ from magicforge.oracle import (
     oracle_spectrum,
     statevector,
 )
-from magicforge.pauli_core import MAX_QUBITS, PauliLabel, from_index, pauli_to_text, to_index
+from magicforge.pauli_core import MAX_QUBITS, PauliLabel, to_index
 from magicforge.spectrum import f_alpha, shallow_spectrum
 from magicforge.stabilizer import (
     apply_clifford,
@@ -39,22 +39,22 @@ from magicforge.transfer import (
     _xz_phase,
     apply_block,
     circuit_from_json,
-    clifford_conjugate,
     initial_spectrum,
     phase_layer,
     random_clifford,
     rotate_layer,
-    transfer_orthogonality_check,
     xy_pair,
 )
 
 from helpers import (
     circuit_matrix,
     conjugate_reference,
+    from_index,
     graph_gate_circuit_json,
     pauli_matrix,
     random_clifford_reference,
     submask_mix,
+    transfer_orthogonality_check,
 )
 
 
@@ -62,62 +62,69 @@ GATES_1Q = [("H", 0), ("S", 0), ("X", 0), ("Z", 0)]
 GATES_2Q = [("CX", 0, 1), ("CX", 1, 0), ("CZ", 0, 1)]
 
 
+def signed_matrix(n: int, row: tuple[int, int, int]) -> np.ndarray:
+    """Dense (-1)^h P(x, z) of one signed row (x, z, h)."""
+    x, z, h = row
+    return pauli_matrix(PauliLabel(n, x, z, 2 * h))
+
+
+def all_rows(n: int) -> list[tuple[int, int, int]]:
+    return [(x, z, h) for x in range(1 << n) for z in range(1 << n) for h in (0, 1)]
+
+
+def random_rows(n: int, count: int, rng: np.random.Generator) -> list[tuple[int, int, int]]:
+    return [(int(x), int(z), int(h)) for x, z, h in zip(
+        rng.integers(1 << n, size=count), rng.integers(1 << n, size=count),
+        rng.integers(2, size=count))]
+
+
+def assert_fold_is_conjugation(n: int, gates, rows) -> None:
+    """`_fold` takes each row to u P u^dagger, and with inverse=True to
+    u^dagger P u, for the dense matrix u of the gate list."""
+    u = circuit_matrix(n, gates)
+    for inverse, left, right in ((False, u, u.conj().T), (True, u.conj().T, u)):
+        for row, image in zip(rows, _fold(n, rows, gates, inverse=inverse)):
+            want = left @ signed_matrix(n, row) @ right
+            assert np.allclose(signed_matrix(n, image), want), (gates, row, inverse)
+
+
+def reference_row(gates, n: int, row: tuple[int, int, int]) -> tuple[int, int, int]:
+    """`conjugate_reference` of one signed row, as a signed row."""
+    q = conjugate_reference(gates, PauliLabel(n, row[0], row[1], 2 * row[2]))
+    assert q.phase_exp in (0, 2)
+    return q.x, q.z, q.phase_exp >> 1
+
+
 class TestConjugateLabel:
-    # CliffordOp.conjugate pushes forward: u p u^dagger
+    # every Clifford conjugation is one `_fold` of signed Hermitian rows
 
     @pytest.mark.parametrize("gate", GATES_1Q)
     def test_single_qubit_exhaustive(self, gate):
-        for x in range(2):
-            for z in range(2):
-                for ph in range(4):
-                    p = PauliLabel(1, x, z, ph)
-                    got = pauli_matrix(CliffordOp(p.n, (gate,)).conjugate(p))
-                    u = circuit_matrix(1, [gate])
-                    want = u @ pauli_matrix(p) @ u.conj().T
-                    assert np.allclose(got, want), (gate, pauli_to_text(p))
+        assert_fold_is_conjugation(1, (gate,), all_rows(1))
 
     @pytest.mark.parametrize("gate", GATES_2Q)
     def test_two_qubit_exhaustive(self, gate):
-        for x in range(4):
-            for z in range(4):
-                p = PauliLabel(2, x, z)
-                got = pauli_matrix(CliffordOp(p.n, (gate,)).conjugate(p))
-                u = circuit_matrix(2, [gate])
-                want = u @ pauli_matrix(p) @ u.conj().T
-                assert np.allclose(got, want), (gate, pauli_to_text(p))
+        assert_fold_is_conjugation(2, (gate,), all_rows(2))
 
     def test_embedded_in_larger_register(self):
-        p = PauliLabel(3, 0b101, 0b011, 1)
-        got = pauli_matrix(CliffordOp(p.n, (("CX", 2, 0),)).conjugate(p))
-        u = circuit_matrix(3, [("CX", 2, 0)])
-        assert np.allclose(got, u @ pauli_matrix(p) @ u.conj().T)
+        assert_fold_is_conjugation(3, (("CX", 2, 0),), [(0b101, 0b011, 1), (0b110, 0b001, 0)])
 
 
 class TestCliffordConjugateSplit:
+    # a folded row splits an image into a sign (-1)^h and a phase-free label
+
     def test_known_single_qubit_images(self):
-        h = CliffordOp(1, (("H", 0),))
-        s = CliffordOp(1, (("S", 0),))
-        x, y, z = PauliLabel(1, 1, 0), PauliLabel(1, 1, 1), PauliLabel(1, 0, 1)
-        assert clifford_conjugate(h, x) == (1, z)
-        assert clifford_conjugate(s, x) == (1, y)
-        assert clifford_conjugate(s, y) == (-1, x)
+        x, y, z = (1, 0), (1, 1), (0, 1)
+        assert _fold(1, [(*x, 0)], (("H", 0),)) == [(*z, 0)]
+        assert _fold(1, [(*x, 0), (*y, 0)], (("S", 0),)) == [(*y, 0), (*x, 1)]
+        # back through S^dagger: Y -> X and X -> -Y
+        assert _fold(1, [(*y, 0), (*x, 0)], (("S", 0),), inverse=True) == [(*x, 0), (*y, 1)]
 
     def test_sign_times_image_matches_dense(self):
-        rng = np.random.default_rng(7)
+        # all 4**n labels of one circuit in one fold, both directions
         n = 4
-        c = random_clifford(n, rng)
-        u = circuit_matrix(n, c.gates)
-        for idx in range(4**n):
-            p = from_index(idx, n)
-            sign, image = clifford_conjugate(c, p)
-            assert image.phase_exp == 0
-            want = u @ pauli_matrix(p) @ u.conj().T
-            assert np.allclose(sign * pauli_matrix(image), want), pauli_to_text(p)
-
-    def test_rejects_odd_phase(self):
-        c = CliffordOp(1, ())
-        with pytest.raises(ValidationError):
-            clifford_conjugate(c, PauliLabel(1, 1, 0, 1))
+        c = random_clifford(n, np.random.default_rng(7))
+        assert_fold_is_conjugation(n, c.gates, [(x, z, 0) for x in range(16) for z in range(16)])
 
 
 class TestCliffordOp:
@@ -125,21 +132,16 @@ class TestCliffordOp:
         rng = np.random.default_rng(0)
         for n in (1, 2, 3):
             c = random_clifford(n, rng)
-            u = circuit_matrix(n, c.gates)
-            for _ in range(20):
-                p = PauliLabel(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)),
-                               int(rng.integers(4)))
-                got = pauli_matrix(c.conjugate(p))
-                assert np.allclose(got, u @ pauli_matrix(p) @ u.conj().T)
+            assert_fold_is_conjugation(n, c.gates, random_rows(n, 20, rng))
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(1)
         for n in (1, 2, 3):
             c = random_clifford(n, rng)
-            inv = c.inverse()
-            for _ in range(10):
-                p = PauliLabel(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)))
-                assert inv.conjugate(c.conjugate(p)) == p
+            rows = random_rows(n, 10, rng)
+            images = _fold(n, rows, c.gates)
+            assert _fold(n, images, c.gates, inverse=True) == rows
+            assert _fold(n, images, c.inverse().gates) == rows
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_inverse_fold_matches_the_expanded_gate_list(self, n):
@@ -148,9 +150,7 @@ class TestCliffordOp:
         rng = np.random.default_rng([4, n])
         for _ in range(6):
             c = random_clifford(n, rng, length=int(rng.integers(3 * n * n + 2 * n + 1)))
-            rows = [(int(x), int(z), int(h)) for x, z, h in zip(
-                rng.integers(1 << n, size=2 * n + 2), rng.integers(1 << n, size=2 * n + 2),
-                rng.integers(2, size=2 * n + 2))]
+            rows = random_rows(n, 2 * n + 2, rng)
             assert _fold(n, rows, c.gates, inverse=True) == _fold(n, rows, c.inverse().gates)
 
     def test_heisenberg_table_is_pullback(self):
@@ -194,15 +194,15 @@ class TestCliffordOp:
                     assert sign[v] == (1 if q.phase_exp == 0 else -1), (n, c.gates, v)
 
     def test_conjugate_matches_reference_to_cap(self):
-        # dense checks stop at n = 4; above it, labels with all four phases
+        # dense checks stop at n = 4; above it, against the per-gate reference
         rng = np.random.default_rng(8)
         for n in range(5, 9):
             for _ in range(3):
                 c = random_clifford(n, rng)
-                for _ in range(40):
-                    p = PauliLabel(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)),
-                                   int(rng.integers(4)))
-                    assert c.conjugate(p) == conjugate_reference(c.gates, p), (n, c.gates, p)
+                inv = c.inverse().gates
+                rows = random_rows(n, 40, rng)
+                assert _fold(n, rows, c.gates) == [reference_row(c.gates, n, r) for r in rows]
+                assert _fold(n, rows, c.gates, inverse=True) == [reference_row(inv, n, r) for r in rows]
 
     def test_heisenberg_table_cap(self):
         with pytest.raises(CapacityError):
@@ -243,10 +243,9 @@ class TestCliffordOp:
                     assert sign[v] == (1 if q.phase_exp == 0 else -1)
 
     def test_identity(self):
-        c = CliffordOp(2, ())
-        assert c.gates == ()
-        p = PauliLabel(2, 1, 2, 3)
-        assert c.conjugate(p) == p
+        assert CliffordOp(2, ()).gates == ()
+        rows = [(1, 2, 1), (3, 0, 0)]
+        assert _fold(2, rows, ()) == rows and _fold(2, rows, (), inverse=True) == rows
 
     def test_random_clifford_deterministic(self):
         a = random_clifford(3, np.random.default_rng(9))
