@@ -200,7 +200,9 @@ def _cmd_magic(args) -> int:
 def _cmd_optimize(args) -> int:
     tab = StabilizerTableau.from_json(_load_json(args.tableau))
     cfg_dict = _load_json(args.config) if args.config else {}
-    cfg_dict.setdefault("seed", args.seed)
+    if "seed" in cfg_dict:
+        raise ValidationError(f"{args.config}: the optimizer seed is set with --seed only")
+    cfg_dict["seed"] = args.seed
     config = config_from_dict(cfg_dict)
     manifest = _manifest("optimize", [args.tableau] + ([args.config] if args.config else []),
                          {"layers": args.layers, "config": cfg_dict}, args.seed)

@@ -48,14 +48,13 @@ objective against the submask-sum reference there and the dense oracle.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError
-from .diagonal_gates import RotationVector
+from .diagonal_gates import RotationVector, whole_number
 from .spectrum import PauliSpectrum, _check_alpha, f_alpha
 from .transfer import (
     CliffordOp,
@@ -90,13 +89,14 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))  # 2.0 is accepted, as 2
         for name, low in (("restarts", 0), ("max_iters", 1), ("clifford_pool", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            value = whole_number(getattr(self, name), name)  # 2.0 is accepted, as 2
+            if value < low:
                 raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, value)
         for name in ("step", "tol"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not 0 < value < math.inf:
+            if not isinstance(value, (float, int, np.floating, np.integer)) \
+                    or isinstance(value, bool) or not 0 < value < math.inf:
                 raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
 
 

@@ -80,7 +80,7 @@ def statevector(t: "StabilizerTableau") -> DenseState:
     n = t.n
     if n > MAX_STATE_QUBITS:
         raise CapacityError(f"statevector cap is n={MAX_STATE_QUBITS}, got {n}")
-    gens = [(row.x, row.z, (row.phase_exp + 2 * hb) & 3) for row, hb in zip(t.rows, t.h)]
+    gens = [(x, z, 2 * h) for x, z, h in t.rows]
     for b0 in range(1 << n):
         v = np.zeros(1 << n, dtype=np.complex128)
         v[b0] = 1.0

@@ -1,10 +1,10 @@
 """Stabilizer tableaux with exact sign tracking.
 
-A tableau holds n commuting, independent generator rows: row i is the signed
-operator ``(-1)^h[i] * P(x_i, z_i)``, its label kept at ``phase_exp = 0`` and
-its sign in the ``h`` bits.  The reductions work on the ``(x, z, h)`` rows
-that `transfer._fold` takes: a gate group is one fold of the work list, and
-a row product is one `pauli_mul`, in `_row_mul`.
+A tableau holds n commuting, independent signed rows ``(x, z, h)``: row i is
+the operator ``(-1)^h * P(x, z)`` (Aaronson and Gottesman, PRA 70, 052328,
+2004).  That is the row form `transfer._fold` and `transfer._group` take, so
+the reductions start from ``t.rows`` as it is: a gate group is one fold of
+the work list, and a row product is one `pauli_mul`, in `_row_mul`.
 
 Canonical form: generators are re-chosen (row operations only, same group) so
 the x-parts of the mixed rows are in reduced row echelon form with pivots in
@@ -56,40 +56,38 @@ def _f2_rank(vectors: list[int]) -> int:
 
 @dataclass(frozen=True)
 class StabilizerTableau:
-    """n signed commuting independent Pauli generators on n qubits."""
+    """n signed commuting independent Pauli generators on n qubits: row
+    (x, z, h) is the operator (-1)^h P(x, z)."""
 
     n: int
-    rows: tuple[PauliLabel, ...]
-    h: tuple[int, ...]
+    rows: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
         n = whole_number(self.n, "tableau n")
         if not 1 <= n <= MAX_QUBITS:
             raise ValidationError(f"n={n} outside 1..{MAX_QUBITS}")
         object.__setattr__(self, "n", n)
-        rows = tuple(self.rows)
-        h = tuple(whole_number(b, "sign bit") for b in self.h)
-        if not set(h) <= {0, 1}:
-            raise ValidationError(f"sign bits must be 0 or 1, got {list(self.h)!r}")
-        if len(rows) != n or len(h) != n:
-            raise ValidationError(f"need exactly n={n} rows and sign bits")
-        for i, row in enumerate(rows):
-            if row.n != n:
-                raise ValidationError(f"row {i} is on {row.n} qubits, tableau on {n}")
-            if row.phase_exp != 0:
-                raise ValidationError(f"row {i} must be a phase_exp=0 label; signs go in h")
+        rows, labels = [], []
+        for i, row in enumerate(self.rows):
+            if not isinstance(row, (tuple, list)) or len(row) != 3:
+                raise ValidationError(f"row {i} must be a triple (x, z, h), got {row!r}")
+            p, h = PauliLabel(n, row[0], row[1]), whole_number(row[2], "sign bit")
+            if h not in (0, 1):
+                raise ValidationError(f"sign bits must be 0 or 1, got {row[2]!r} in row {i}")
+            rows.append((p.x, p.z, h))
+            labels.append(p)
+        if len(rows) != n:
+            raise ValidationError(f"need exactly n={n} rows, got {len(rows)}")
         for i in range(n):
             for j in range(i + 1, n):
-                if not commutes(rows[i], rows[j]):
+                if not commutes(labels[i], labels[j]):
                     raise ValidationError(f"rows {i} and {j} anticommute")
-        if _f2_rank([(row.x << n) | row.z for row in rows]) != n:
+        if _f2_rank([(x << n) | z for x, z, _ in rows]) != n:
             raise ValidationError("generator rows are not independent")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "rows", tuple(rows))
 
     def to_json(self) -> dict:
-        gens = [pauli_to_text(PauliLabel(self.n, row.x, row.z, 2 * hb))
-                for row, hb in zip(self.rows, self.h)]
+        gens = [pauli_to_text(PauliLabel(self.n, x, z, 2 * h)) for x, z, h in self.rows]
         return {"n": self.n, "generators": gens}
 
     @classmethod
@@ -99,14 +97,13 @@ class StabilizerTableau:
             texts = list(obj["generators"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed tableau JSON: {exc}") from exc
-        rows, h = [], []
+        rows = []
         for s in texts:
             p = pauli_from_text(str(s), n)
             if p.phase_exp % 2 != 0:
                 raise ValidationError(f"generator {s!r} has an imaginary sign")
-            rows.append(PauliLabel(n, p.x, p.z, 0))
-            h.append(p.phase_exp // 2)
-        return cls(n, tuple(rows), tuple(h))
+            rows.append((p.x, p.z, p.phase_exp >> 1))
+        return cls(n, tuple(rows))
 
 
 def zeros_tableau(n: int) -> StabilizerTableau:
@@ -133,19 +130,18 @@ def product_tableau(n: int, frozen: Mapping[int, int]) -> StabilizerTableau:
         if bit not in (0, 1):
             raise ValidationError(f"frozen bit must be 0 or 1, got {bit}")
         bits[q - 1] = bit
-    rows = [PauliLabel(n, 0, 1 << j) if j in bits else PauliLabel(n, 1 << j, 0) for j in range(n)]
-    return StabilizerTableau(n, tuple(rows), tuple(bits.get(j, 0) for j in range(n)))
+    return StabilizerTableau(n, tuple((0, 1 << j, bits[j]) if j in bits else (1 << j, 0, 0)
+                                      for j in range(n)))
 
 
 @dataclass(frozen=True)
 class CanonicalTableau:
-    """Canonicalized tableau: the re-chosen generators, mixed block first
-    (x-parts in RREF), then r pure-Z rows (z-parts in RREF)."""
+    """Canonicalized tableau: the re-chosen signed rows (x, z, h), mixed block
+    first (x-parts in RREF), then r pure-Z rows (z-parts in RREF)."""
 
     n: int
     r: int
-    rows: tuple[PauliLabel, ...]
-    h: tuple[int, ...]
+    rows: tuple[tuple[int, int, int], ...]
 
 
 def _row_mul(n: int, a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -173,29 +169,23 @@ def _rref_rows(work: list[tuple[int, int, int]], n: int, start: int, part: str) 
     return count - start
 
 
-def _signed_rows(t) -> list[tuple[int, int, int]]:
-    """The (x, z, h) rows of a tableau, as `_fold` takes them."""
-    return [(row.x, row.z, hb) for row, hb in zip(t.rows, t.h)]
-
-
 def canonicalize(t: StabilizerTableau) -> CanonicalTableau:
     """Block-canonical generators of the same group, with the pure-Z rank."""
     if t.n > MAX_CANONICAL_QUBITS:
         raise CapacityError(f"canonicalize cap is n={MAX_CANONICAL_QUBITS}, got {t.n}")
     n = t.n
-    work = _signed_rows(t)
+    work = list(t.rows)
     n_mixed = _rref_rows(work, n, 0, "x")
     if any(x for x, _, _ in work[n_mixed:]):
         raise RuntimeError("x elimination left a mixed row below the block")
     _rref_rows(work, n, n_mixed, "z")
-    rows = tuple(PauliLabel(n, x, z) for x, z, _ in work)
-    return CanonicalTableau(n, n - n_mixed, rows, tuple(h for _, _, h in work))
+    return CanonicalTableau(n, n - n_mixed, tuple(work))
 
 
 def pure_z_rank(t: StabilizerTableau) -> int:
     """Rank r of the pure-Z part, the kernel of the rows' x parts, so n minus
     their rank; n - r is the support dimension."""
-    return t.n - _f2_rank([row.x for row in t.rows])
+    return t.n - _f2_rank([x for x, _, _ in t.rows])
 
 
 def is_graph_type(t: StabilizerTableau):
@@ -211,10 +201,10 @@ def is_graph_type(t: StabilizerTableau):
     if c.r != 0:
         return False, None, None
     # at r = 0 the RREF x-block is the identity: row j is (-1)^h_j X_j Z^z_j
-    adjacency = tuple(row.z for row in c.rows)
+    adjacency = tuple(z for _, z, _ in c.rows)
     if any((z >> j) & 1 for j, z in enumerate(adjacency)):
         return False, None, None
-    return True, adjacency, tuple(c.h)
+    return True, adjacency, tuple(h for _, _, h in c.rows)
 
 
 def tableau_expectation(t: StabilizerTableau, p: PauliLabel) -> int:
@@ -225,7 +215,7 @@ def tableau_expectation(t: StabilizerTableau, p: PauliLabel) -> int:
         raise ValidationError("expectation of a non-Hermitian label is not a sign")
     if t.n > MAX_CANONICAL_QUBITS:
         raise CapacityError(f"tableau_expectation cap is n={MAX_CANONICAL_QUBITS}, got {t.n}")
-    label, sign = _group(t.n, t.rows, t.h)
+    label, sign = _group(t.n, t.rows)
     hit = np.flatnonzero(label == to_index(p))
     if not hit.size:
         return 0
@@ -241,7 +231,7 @@ def canonical_frame(t: StabilizerTableau):
     """
     c = canonicalize(t)
     n, r = c.n, c.r
-    work = _signed_rows(c)
+    work = list(c.rows)
     n_mixed = n - r
     gates: list[tuple] = []
 
@@ -277,7 +267,7 @@ def canonical_frame(t: StabilizerTableau):
 
     # the target lists the pure rows Z_1 .. Z_r first, the work list last
     target = product_tableau(n, dict.fromkeys(range(1, r + 1), 0))
-    if work[n_mixed:] + work[:n_mixed] != _signed_rows(target):
+    if work[n_mixed:] + work[:n_mixed] != list(target.rows):
         raise RuntimeError("frame reduction failed to reach the product form")
     return CliffordOp(n, tuple(gates)), target
 
@@ -286,9 +276,7 @@ def apply_clifford(t: StabilizerTableau, c: CliffordOp) -> StabilizerTableau:
     """Tableau of (circuit c)|state>: conjugate each generator forward."""
     if c.n != t.n:
         raise ValidationError(f"circuit on {c.n} qubits, tableau on {t.n}")
-    rows = _fold(t.n, _signed_rows(t), c.gates)
-    labels = tuple(PauliLabel(t.n, x, z) for x, z, _ in rows)
-    return StabilizerTableau(t.n, labels, tuple(h for _, _, h in rows))
+    return StabilizerTableau(t.n, _fold(t.n, t.rows, c.gates))
 
 
 def random_stabilizer(n: int, seed: int) -> StabilizerTableau:

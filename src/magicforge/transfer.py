@@ -98,7 +98,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .pauli_core import MAX_QUBITS, PauliLabel
+from .pauli_core import MAX_QUBITS
 from .diagonal_gates import PhasePolynomial, RotationVector, value_numerators, whole_number
 
 if TYPE_CHECKING:
@@ -249,10 +249,10 @@ def _products(n: int, rows: Sequence[tuple[int, int, int]]) -> tuple[np.ndarray,
     return label, ph & 3
 
 
-def _group(n: int, rows: Sequence[PauliLabel], h: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def _group(n: int, rows: Sequence[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
     """(label, s): the group element of subset k of the commuting signed rows
     (-1)^h P(x, z) is (-1)^s[k] P(label[k]), as laid out by `_products`."""
-    label, ph = _products(n, [(row.x, row.z, hb) for row, hb in zip(rows, h)])
+    label, ph = _products(n, rows)
     if np.any(ph & 1):
         raise RuntimeError("stabilizer group product with an imaginary phase")
     return label, ph >> 1
@@ -513,8 +513,8 @@ def _apply_layers(values: np.ndarray, layers: Sequence[tuple]) -> np.ndarray:
 
 def _group_values(t) -> np.ndarray:
     """Spectrum vector of the stabilizer state with rows (-1)^h P(x, z): +-1
-    on the group, 0 off it.  Takes any object with ``n``, ``rows`` and ``h``."""
-    label, sign = _group(t.n, t.rows, t.h)
+    on the group, 0 off it.  Takes any object with ``n`` and (x, z, h) ``rows``."""
+    label, sign = _group(t.n, t.rows)
     values = np.zeros(1 << (2 * t.n), dtype=np.float64)
     values[label] = 1.0 - 2.0 * sign
     return values

@@ -121,9 +121,9 @@ def stabilizer_dense(tableau) -> np.ndarray:
     n = tableau.n
     dim = 1 << n
     proj = np.eye(dim, dtype=complex)
-    for row, hb in zip(tableau.rows, tableau.h):
+    for x, z, hb in tableau.rows:
         sign = -1.0 if hb else 1.0
-        proj = proj @ (np.eye(dim, dtype=complex) + sign * pauli_matrix(row)) / 2.0
+        proj = proj @ (np.eye(dim, dtype=complex) + sign * pauli_matrix(PauliLabel(n, x, z))) / 2.0
     for col in range(dim):
         v = proj[:, col]
         norm = np.linalg.norm(v)
@@ -284,11 +284,11 @@ def group_reference(t) -> list[PauliLabel]:
 
     Element k is the product of the rows whose bits are set in k, higher rows
     on the left, with the sign in phase_exp: a walk of one label product per
-    element over any object with ``n``, ``rows`` and ``h``.
+    element over any object with ``n`` and signed rows ``(x, z, h)``.
     """
     elems = [PauliLabel(t.n, 0, 0, 0)]
-    for row, hb in zip(t.rows, t.h):
-        signed = PauliLabel(t.n, row.x, row.z, 2 * hb)
+    for x, z, hb in t.rows:
+        signed = PauliLabel(t.n, x, z, 2 * hb)
         elems += [_label_mul(signed, e) for e in elems]
     return elems
 

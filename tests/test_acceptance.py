@@ -4,7 +4,6 @@ Each test prints one summary line (visible with -s or on failure) and holds
 a single top-level assertion theme, so a red line maps to one criterion.
 """
 
-import math
 import time
 
 import numpy as np
@@ -37,7 +36,6 @@ from magicforge.theorems import (
     support_ceiling,
 )
 from magicforge.transfer import (
-    CliffordOp,
     LayerBlock,
     apply_block,
     initial_spectrum,

@@ -426,6 +426,28 @@ class TestOptimize:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
 
+    def test_config_seed_exits_2(self, tableau_file, tmp_path, capsys):
+        # one seed source: a config-file seed would silently override --seed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5, "restarts": 1}))
+        out = tmp_path / "traj.csv"
+        code = main(["optimize", tableau_file, "--layers", "1", "--seed", "3",
+                     "--config", str(cfg), "-o", str(out)])
+        assert code == 2 and not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "ValidationError" and "--seed" in err["error"]
+
+    def test_whole_float_counts_run_as_integers(self, tableau_file, tmp_path):
+        bodies = []
+        for counts in ({"restarts": 2.0, "max_iters": 3.0, "clifford_pool": 4.0},
+                       {"restarts": 2, "max_iters": 3, "clifford_pool": 4}):
+            cfg, out = tmp_path / "cfg.json", tmp_path / "traj.csv"
+            cfg.write_text(json.dumps(counts))
+            assert main(["optimize", tableau_file, "--layers", "2", "--config", str(cfg),
+                         "-o", str(out)]) == 0
+            bodies.append(out.read_text().split("\n", 1)[1])
+        assert bodies[0] == bodies[1]
+
     def test_whole_float_alpha_accepted(self, tableau_file, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": 2.0, "restarts": 1}))

@@ -594,3 +594,17 @@ class TestConfig:
         # NaN passes a plain `<= 0` test, and True passes `0 < True < inf`
         with pytest.raises(ValidationError):
             config_from_dict({field: bad})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, False])
+    def test_bad_seed_rejected(self, seed):
+        # the CLI takes its seed from --seed only; the config type still checks it
+        with pytest.raises(ValidationError):
+            config_from_dict({"seed": seed})
+
+    def test_whole_float_counts_read_as_integers(self):
+        cfg = config_from_dict({"restarts": 2.0, "max_iters": 3.0, "clifford_pool": 4.0,
+                                "seed": 5.0})
+        assert cfg == config_from_dict({"restarts": 2, "max_iters": 3, "clifford_pool": 4,
+                                        "seed": 5})
+        assert all(type(getattr(cfg, name)) is int
+                   for name in ("restarts", "max_iters", "clifford_pool", "seed"))

@@ -1,7 +1,6 @@
 """Closed-form spectra and the magic functionals on top of them."""
 
 import math
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np

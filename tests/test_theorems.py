@@ -10,7 +10,6 @@ from magicforge.diagonal_gates import (
     PhasePolynomial,
     RotationVector,
     from_values,
-    hierarchy_level,
     make_gate,
     random_polynomial,
     value_numerators,
