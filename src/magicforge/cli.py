@@ -204,8 +204,10 @@ def _cmd_optimize(args) -> int:
         raise ValidationError(f"{args.config}: the optimizer seed is set with --seed only")
     cfg_dict["seed"] = args.seed
     config = config_from_dict(cfg_dict)
+    # each given key as the config read it, so 2.0 and 2 give one manifest
+    read = {key: getattr(config, key) for key in cfg_dict}
     manifest = _manifest("optimize", [args.tableau] + ([args.config] if args.config else []),
-                         {"layers": args.layers, "config": cfg_dict}, args.seed)
+                         {"layers": args.layers, "config": read}, args.seed)
     results = run_pipeline(tab, args.layers, config)
     rows = [
         (i, repr(res.f_before), repr(res.f_after),

@@ -98,6 +98,7 @@ class OptimizerConfig:
             if not isinstance(value, (float, int, np.floating, np.integer)) \
                     or isinstance(value, bool) or not 0 < value < math.inf:
                 raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
 
 def _harmonics(p: np.ndarray, q: np.ndarray, alpha: int) -> np.ndarray:

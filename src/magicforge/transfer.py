@@ -16,14 +16,20 @@ picture (conjugate the observable, keep the state), which fixes the
 Gamma and the sign both factor over qubits, so the submask sum is a product
 of n commuting 2x2 rotations: qubit j maps the pair (p, q) of entries at
 (x_j, z_j) = (1, 0) and (1, 1) to (c p - s q, s p + c q), with
-c, s = cos, sin(2 pi w_j), and leaves entries with x_j = 0 alone.
-`rotate_layer` applies them as n strided updates, O(n 4**n) work, and
-`xy_pair` is the one place that knows where those pairs sit in the
-x * 2**n + z layout.  `xy_pair` and `_turn`, one such update, take a
-leading row axis, each row with its own angle: `rotate_layer` is a batch
-of one row, and the optimizer's sweeps turn one qubit of every start at
-once with them.  The submask sum itself is kept as a test-side reference,
-and the dense oracle checks whole circuits.
+c, s = cos, sin(2 pi w_j), and leaves entries with x_j = 0 alone.  In
+sector x the layer is thus the Kronecker product of R_j = [[c, -s], [s, c]]
+over the qubits of x, acting on z, and it factors over the two halves of
+the qubits as A[x_hi] (x) B[x_lo] (Van Loan, J. Comput. Appl. Math. 123,
+2000).  `rotate_layer` builds the two stacks of 2**h and 2**l small
+matrices by doubling and applies them as two batched matrix products:
+4**n (2**l + 2**h) multiply-adds on contiguous blocks, against the
+n 4**n of n strided single-qubit passes, and faster at every n up to the
+cap.  `xy_pair`, the one place that knows where qubit j's pairs sit in the
+x * 2**n + z layout, and `_turn`, one such pair update, take a leading row
+axis, each row with its own angle.  They serve only the optimizer's
+one-angle steps: its sweeps turn one qubit of every start at once, and
+`objective_grad` reads each qubit's pairs.  The submask sum itself is kept
+as a test-side reference, and the dense oracle checks whole circuits.
 
 A diagonal gate with phase function theta goes through `phase_layer`.  In
 sector x the spectrum is i^(x.z) times the Walsh-Hadamard transform over z
@@ -37,9 +43,9 @@ small, and each transform keeps its p - q butterfly halves in one
 half-size scratch array that every level reuses.  With theta in units of
 2**-m, each factor is e^(2 pi i k / 2**m) for an integer k, read from a
 table of the 2**m values.  Rotation layers keep the real `rotate_layer`,
-whose pair turns the optimizer minimises in closed form; on dyadic angles
-the two kernels agree.  The i^(x.z) exponents of all 4**n labels
-(`_xz_phase`, one uint8 each) are built once per n.
+whose one-qubit pair turns the optimizer minimises in closed form; on
+dyadic angles the two kernels agree.  The i^(x.z) exponents of all 4**n
+labels (`_xz_phase`, one uint8 each) are built once per n.
 
 Every Clifford conjugation goes through one kernel, `_fold`: it pushes
 signed Hermitian rows (-1)^h P(x, z) forward, C (.) C^dagger, as a
@@ -403,18 +409,35 @@ def xy_pair(rows: np.ndarray, n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     return v[:, :, 1, :, :, 0], v[:, :, 1, :, :, 1]
 
 
+def _kron_stack(angles: Sequence[float]) -> np.ndarray:
+    """The 2**k matrices R_{k-1}^(x_{k-1}) (x) ... (x) R_0^(x_0), one per
+    x < 2**k for k = len(angles), with R_j = [[c, -s], [s, c]] and the
+    identity where x_j = 0; built by doubling, qubit j the high bit of both
+    the stack index and the rows and columns."""
+    stack = np.ones((1, 1, 1))
+    for wj in angles:
+        t = 2.0 * np.pi * wj
+        c, s = np.cos(t), np.sin(t)
+        pair = np.array([[[1.0, 0.0], [0.0, 1.0]], [[c, -s], [s, c]]])
+        k, m = stack.shape[:2]
+        stack = (pair[:, None, :, None, :, None] * stack[None, :, None, :, None, :]).reshape(
+            2 * k, 2 * m, 2 * m)
+    return stack
+
+
 def rotate_layer(values: np.ndarray, angles: Sequence[float]) -> np.ndarray:
     """Spectrum after a Z-rotation layer with the given angles (in turns).
 
-    Works on any real length-4**n vector, n = len(angles), which `xy_pair`
-    views as a batch of one row; returns a new array.
+    Works on any real length-4**n vector, n = len(angles); returns a new
+    array.  Sector x is turned by A[x_hi] (x) B[x_lo], the `_kron_stack`
+    entries of the h = n - l high and l = n // 2 low qubits, as two batched
+    matrix products over the view a[x_hi, x_lo, z_hi, z_lo].
     """
     n = len(angles)
-    out = np.array(values, dtype=np.float64)
-    for j, wj in enumerate(angles):
-        p, q = xy_pair(out, n, j)
-        p[...], q[...] = _turn(p, q, wj)
-    return out
+    low, high = 1 << (n // 2), 1 << (n - n // 2)
+    a = np.asarray(values, dtype=np.float64).reshape(high, low, high, low)
+    lo, hi = _kron_stack(angles[:n // 2]), _kron_stack(angles[n // 2:])
+    return (hi[:, None] @ (a @ lo.transpose(0, 2, 1))).reshape(-1)
 
 
 def _turn(p: np.ndarray, q: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:

@@ -438,15 +438,17 @@ class TestOptimize:
         assert err["kind"] == "ValidationError" and "--seed" in err["error"]
 
     def test_whole_float_counts_run_as_integers(self, tableau_file, tmp_path):
-        bodies = []
-        for counts in ({"restarts": 2.0, "max_iters": 3.0, "clifford_pool": 4.0},
-                       {"restarts": 2, "max_iters": 3, "clifford_pool": 4}):
+        # whole files, manifest line included: counts as int, step and tol as float
+        files = []
+        for counts in ({"restarts": 2.0, "max_iters": 3.0, "clifford_pool": 4.0, "tol": 1},
+                       {"restarts": 2, "max_iters": 3, "clifford_pool": 4, "tol": 1.0}):
             cfg, out = tmp_path / "cfg.json", tmp_path / "traj.csv"
             cfg.write_text(json.dumps(counts))
             assert main(["optimize", tableau_file, "--layers", "2", "--config", str(cfg),
                          "-o", str(out)]) == 0
-            bodies.append(out.read_text().split("\n", 1)[1])
-        assert bodies[0] == bodies[1]
+            files.append(out.read_text())
+        assert files[0] == files[1]
+        assert '"restarts": 2,' in files[0] and '"tol": 1.0' in files[0]
 
     def test_whole_float_alpha_accepted(self, tableau_file, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -822,6 +824,30 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "magicforge" in proc.stdout
+
+    def test_output_does_not_depend_on_blas_threads(self, tmp_path):
+        # the fold's rotation layers are small matrix products; one OpenBLAS
+        # thread and the default threads must give the same bytes
+        n, rng = 8, np.random.default_rng(43)
+        layers = []
+        for _ in range(3):
+            layers.append({"clifford": [list(g) for g in random_clifford(n, rng).gates]})
+            layers.append({"sqr": RotationVector.continuous(tuple(rng.uniform(0, 1, n))).to_json()})
+        circ = tmp_path / "circ.json"
+        circ.write_text(json.dumps({"n": n, "layers": layers}))
+        outputs = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "magicforge.cli", "magic", str(circ), "--alpha", "2", "3"],
+                capture_output=True, cwd=Path(magicforge.__file__).parents[1], env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_main_aliases_run_command(self):
         from magicforge.cli import run_command

@@ -47,6 +47,7 @@ from magicforge.transfer import (
 )
 
 from helpers import (
+    _turn_reference,
     circuit_matrix,
     conjugate_reference,
     from_index,
@@ -379,10 +380,57 @@ class TestRotateLayer:
             w = rng.uniform(0, 1, n)
             assert np.max(np.abs(rotate_layer(v, w) - submask_mix(v, w))) < 1e-12
 
+    @pytest.mark.parametrize("n", range(1, MAX_SPECTRUM_QUBITS + 1))
+    def test_matches_per_qubit_turns(self, n):
+        # the n single-qubit pair updates, one after another
+        rng = np.random.default_rng([12, n])
+        for _ in range(3):
+            v = rng.standard_normal(4**n)
+            w = rng.uniform(0, 1, n)
+            want = v.copy()
+            for j, wj in enumerate(w):
+                _turn_reference(want, n, j, wj)
+            assert np.max(np.abs(rotate_layer(v, w) - want)) < 1e-13
+
+    @pytest.mark.parametrize("n", range(1, MAX_SPECTRUM_QUBITS + 1))
+    def test_matches_oracle_signed(self, n):
+        rng = np.random.default_rng([13, n])
+        st = statevector(random_stabilizer(n, int(rng.integers(1 << 30))))
+        st = apply_gates(st, random_clifford(n, rng).gates)
+        st = apply_rotation(st, RotationVector.continuous(tuple(rng.uniform(0, 1, n))))
+        w = RotationVector.continuous(tuple(rng.uniform(0, 1, n)))
+        out = rotate_layer(oracle_spectrum(st).values, w.values)
+        want = oracle_spectrum(apply_rotation(st, w)).values
+        assert np.max(np.abs(out - want)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, MAX_SPECTRUM_QUBITS + 1))
+    def test_zero_angles_give_back_the_input(self, n):
+        v = np.random.default_rng([14, n]).standard_normal(4**n)
+        kept = v.copy()
+        assert np.array_equal(rotate_layer(v, np.zeros(n)), kept)
+        rotate_layer(v, np.full(n, 0.3))
+        assert np.array_equal(v, kept)
+
     def test_leaves_input_alone(self):
         v = np.arange(16, dtype=float)
         rotate_layer(v, (0.3, 0.1))
         assert np.array_equal(v, np.arange(16, dtype=float))
+
+    def test_peak_at_the_cap(self):
+        # the output and one intermediate of 512 KiB each at n = 8; the
+        # matrix stacks are a few KiB
+        n = MAX_SPECTRUM_QUBITS
+        v = np.random.default_rng(15).standard_normal(4**n)
+        w = np.random.default_rng(16).uniform(0, 1, n)
+        want = rotate_layer(v, w)
+        tracemalloc.start()
+        try:
+            out = rotate_layer(v, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, want)
+        assert peak <= 1.25 * 2**20
 
     def test_xy_pair_layout(self):
         # index x * 2**n + z; the pair holds x_j = 1 with z_j = 0 and z_j = 1,
