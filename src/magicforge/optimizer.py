@@ -17,8 +17,8 @@ harmonics 4k of arg z, so with K = alpha // 2
 One pass over qubit j's pairs gives its exact minimiser (`_best_turn`) and
 df/dw_j = -8 pi sum k Im a_k.  A sweep turns every qubit in place to its
 minimiser (Rotosolve, Ostaszewski, Grant and Benedetti, Quantum 5, 391,
-2021; Nakanishi, Fujii and Todo, PRR 2, 043158, 2020), only where the
-predicted drop is positive.  Sweeps stop after one that drops F by less
+2021; Nakanishi, Fujii and Todo, PRR 2, 043158, 2020), and by 0 where the
+predicted drop is not positive.  Sweeps stop after one that drops F by less
 than ``tol``, or after ``max_iters``; every start runs at least one.
 
 Restarts are uniform in [0,1)^n and w = 0 is always a start.  That start
@@ -30,11 +30,12 @@ the reported minimum never exceeds the input F_alpha.
 All starts of a layer sweep together, as the rows of one (starts, 4**n)
 array (`_sweeps`): each qubit step copies the live rows' pairs out once,
 takes one harmonic pass (`_harmonics`) and one turn (`transfer._turn`) over
-all of them, and writes them back.  Each row turns only where its own drop
-is positive, and leaves the array when its own sweep ends, so every start
-runs exactly the sweeps, in the same arithmetic, that it would alone.  A
-batch holds at most `_BATCH_ENTRIES` entries; further starts go into later
-batches, in order, so memory does not grow with ``restarts``.  Each start
+all of them, and writes them back.  A row whose own drop is not positive
+turns by 0, which keeps every value equal (a zero may change sign), and a
+row leaves the array when its own sweep ends, so every start runs exactly
+the sweeps, in the same arithmetic, that it would alone.  A batch holds at
+most `_BATCH_ENTRIES` entries; further starts go into later batches, in
+order, so memory does not grow with ``restarts``.  Each start
 then ends in its own transfer, `apply_block` of its final angles (reduced
 once, by `RotationVector`), and is ranked by `spectrum.f_alpha` of that
 spectrum; the first start with the least F wins, and its spectrum and F are
@@ -161,7 +162,7 @@ def _sweeps(s: PauliSpectrum, w: np.ndarray, config: OptimizerConfig) -> np.ndar
     ends at each start's final angles.  Returns the sweeps each start ran.
 
     Every qubit step takes one harmonic pass and one turn over the live
-    rows; a row turns only where its own drop is positive, and leaves the
+    rows, by 0 in a row whose own drop is not positive; a row leaves the
     array when its own sweep ends by ``tol`` or ``max_iters``.
     """
     n = s.n
@@ -179,16 +180,10 @@ def _sweeps(s: PauliSpectrum, w: np.ndarray, config: OptimizerConfig) -> np.ndar
             p, q = xy_pair(mixed, n, j)
             pc, qc = p.copy(), q.copy()  # both kernels then run on contiguous rows
             t, drop = _best_turn(_harmonics(pc, qc, config.alpha))
-            if np.minimum.reduce(drop) > 0:
-                p[...], q[...] = _turn(pc, qc, t)
-                at[:, j] += t
-                total += drop
-            else:  # a row at its minimum along this angle stays put
-                turn = drop > 0
-                t, drop = t[turn], drop[turn]
-                p[turn], q[turn] = _turn(pc[turn], qc[turn], t)
-                at[turn, j] += t
-                total[turn] += drop
+            t = np.where(drop > 0, t, 0.0)  # a row at its minimum turns by 0
+            p[...], q[...] = _turn(pc, qc, t)
+            at[:, j] += t
+            total += drop
         done = (total < config.tol) | (sweep == config.max_iters)
         if done.any():
             w[live[done]], sweeps[live[done]] = at[done], sweep
@@ -305,6 +300,7 @@ def optimize_layer(s: PauliSpectrum, config: OptimizerConfig = OptimizerConfig()
 def run_pipeline(t: "StabilizerTableau", n_layers: int,
                  config: OptimizerConfig = OptimizerConfig()) -> list[LayerResult]:
     """Greedy layer-by-layer minimization starting from a stabilizer state."""
+    # read at call time, so a tracer that wraps `transfer.initial_spectrum` sees this call
     from .transfer import initial_spectrum
 
     if n_layers < 1:

@@ -54,6 +54,16 @@ class DenseState:
         object.__setattr__(self, "amplitudes", amps)
 
 
+def _computed(make, n: int, data):
+    """``make(n, data)`` for a state or spectrum this module computed from
+    checked input: one that fails its own check is a fault here, not bad
+    input, so it raises RuntimeError."""
+    try:
+        return make(n, data)
+    except ValidationError as exc:
+        raise RuntimeError(f"oracle output failed its check: {exc}") from exc
+
+
 def _parity(arr: np.ndarray) -> np.ndarray:
     # local on purpose: the oracle keeps its own bit plumbing
     return (np.bitwise_count(arr) & 1).astype(np.int64)
@@ -88,7 +98,7 @@ def statevector(t: "StabilizerTableau") -> DenseState:
             v = 0.5 * (v + _apply_pauli_amps(v, n, x, z, ph))
         norm = float(np.linalg.norm(v))
         if norm > 1e-6:
-            return DenseState(n, v / norm)
+            return _computed(DenseState, n, v / norm)
     raise RuntimeError("projector product annihilated every basis state; tableau is inconsistent")
 
 
@@ -102,7 +112,7 @@ def apply_diagonal(st: DenseState, f: "PhasePolynomial") -> DenseState:
     for (tm, a), c in f.terms.items():
         num += np.where((b & a) == a, c << (m - tm), 0)
     phases = np.exp(2j * np.pi * (num % (1 << m)) / float(1 << m))
-    return DenseState(st.n, st.amplitudes * phases)
+    return _computed(DenseState, st.n, st.amplitudes * phases)
 
 
 def apply_rotation(st: DenseState, w: "RotationVector") -> DenseState:
@@ -113,7 +123,7 @@ def apply_rotation(st: DenseState, w: "RotationVector") -> DenseState:
     angle = np.zeros(1 << st.n, dtype=np.float64)
     for j, wj in enumerate(w.values):
         angle += np.where((b >> j) & 1 == 1, wj, 0.0)
-    return DenseState(st.n, st.amplitudes * np.exp(2j * np.pi * angle))
+    return _computed(DenseState, st.n, st.amplitudes * np.exp(2j * np.pi * angle))
 
 
 def apply_gates(st: DenseState, gates: Iterable[tuple]) -> DenseState:
@@ -158,7 +168,7 @@ def apply_gates(st: DenseState, gates: Iterable[tuple]) -> DenseState:
             amps = np.where(both == 1, -amps, amps)
         else:
             raise ValidationError(f"unsupported Clifford gate {gate[0]!r}")
-    return DenseState(n, amps)
+    return _computed(DenseState, n, amps)
 
 
 def expectation(st: DenseState, x: int, z: int) -> complex:
@@ -197,5 +207,5 @@ def oracle_spectrum(st: DenseState) -> "PauliSpectrum":
     if float(worst.max()) > 1e-10:
         x = int(np.argmax(worst))
         raise RuntimeError(f"non-Hermitian expectation at x={x:#x}; max imag {worst[x]}")
-    return PauliSpectrum(n, rows.real.T.reshape(-1))
+    return _computed(PauliSpectrum, n, rows.real.T.reshape(-1))
 

@@ -5,14 +5,8 @@ A spectrum entry is a(x, z) = <psi| P(x, z) |psi> with the Hermitian label
 P(x, z) = i^(x.z) X^x Z^z, so every entry of every spectrum is real.
 
 `shallow_spectrum` is the paper's ansatz 1, a stabilizer state followed by
-one diagonal gate.  It starts from the state's exact spectrum, +-1 on its
-2**n group elements and 0 elsewhere, and pushes it through the gate with
-`transfer.phase_layer`: in each x sector a Walsh-Hadamard transform over z,
-the gate's phase differences e^(2 pi i (theta(b) - theta(b^x))), and the
-transform back, all sectors in one batch.  One complex work array holds
-the batch: the factor steps run over blocks of its rows, and each transform
-reuses one half-size scratch across its levels.  The result is checked to be real
-to 1e-12.
+one diagonal gate: the circuit fold (`transfer.ParsedCircuit.spectrum`) of
+that one gate layer from the canonical tableau's rows.
 
 `spectrum_csv_rows` formats a spectrum as CSV text: the distinct values
 are formatted once, up front, and the rows are then handed out in pieces
@@ -32,7 +26,7 @@ import numpy as np
 
 from .diagonal_gates import PhasePolynomial
 from .errors import CapacityError, ValidationError
-from .transfer import MAX_SPECTRUM_QUBITS, _group_values, phase_layer
+from .transfer import MAX_SPECTRUM_QUBITS, ParsedCircuit
 
 if TYPE_CHECKING:
     from .stabilizer import CanonicalTableau
@@ -81,13 +75,11 @@ class PauliSpectrum:
 
 
 def shallow_spectrum(c: "CanonicalTableau", f: PhasePolynomial) -> PauliSpectrum:
-    """Exact spectrum of (diagonal gate) applied to the canonicalized state."""
-    n = c.n
-    if n > MAX_SPECTRUM_QUBITS:
-        raise CapacityError(f"shallow_spectrum cap is n={MAX_SPECTRUM_QUBITS}, got {n}")
-    if f.n != n:
-        raise ValidationError(f"gate on {f.n} qubits, state on {n}")
-    return PauliSpectrum(n, phase_layer(_group_values(c), f))
+    """Exact spectrum of (diagonal gate) applied to the canonicalized state:
+    the circuit fold of one gate layer from its rows."""
+    if f.n != c.n:
+        raise ValidationError(f"gate on {f.n} qubits, state on {c.n}")
+    return ParsedCircuit(c.n, c, (("gate", f),)).spectrum()
 
 
 _SUPPORT_THRESHOLD = 1e-12

@@ -22,27 +22,19 @@ over the qubits of x, acting on z, and it factors over the two halves of
 the qubits as A[x_hi] (x) B[x_lo] (Van Loan, J. Comput. Appl. Math. 123,
 2000).  `rotate_layer` builds the two stacks of 2**h and 2**l small
 matrices by doubling and applies them as two batched matrix products:
-4**n (2**l + 2**h) multiply-adds on contiguous blocks, against the
-n 4**n of n strided single-qubit passes, and faster at every n up to the
-cap.  `xy_pair`, the one place that knows where qubit j's pairs sit in the
-x * 2**n + z layout, and `_turn`, one such pair update, take a leading row
-axis, each row with its own angle.  They serve only the optimizer's
+4**n (2**l + 2**h) multiply-adds on contiguous blocks.  `xy_pair`, the one
+place that knows where qubit j's pairs sit in the x * 2**n + z layout, and
+`_turn`, one such pair update, take a leading row axis, each row with its
+own angle.  They serve only the optimizer's
 one-angle steps: its sweeps turn one qubit of every start at once, and
-`objective_grad` reads each qubit's pairs.  The submask sum itself is kept
-as a test-side reference, and the dense oracle checks whole circuits.
+`objective_grad` reads each qubit's pairs.
 
 A diagonal gate with phase function theta goes through `phase_layer`.  In
 sector x the spectrum is i^(x.z) times the Walsh-Hadamard transform over z
 of u_x[b] = conj(psi[b^x]) psi[b], and the gate multiplies u_x[b] by
 e^(2 pi i (theta(b) - theta(b^x))): one batched in-place transform
 (`_fwht`) there, the phase factors, and one back, O(n 4**n) work on any real
-vector.  All of it runs in one complex work array over the nonzero
-sectors.  The three factor steps (i^-(x.z), the gate's phases, and
-i^(x.z) / 2**n) each go over blocks of its rows, so their temporaries stay
-small, and each transform keeps its p - q butterfly halves in one
-half-size scratch array that every level reuses.  With theta in units of
-2**-m, each factor is e^(2 pi i k / 2**m) for an integer k, read from a
-table of the 2**m values.  Rotation layers keep the real `rotate_layer`,
+vector.  Rotation layers keep the real `rotate_layer`,
 whose one-qubit pair turns the optimizer minimises in closed form; on
 dyadic angles the two kernels agree.  The i^(x.z) exponents of all 4**n
 labels (`_xz_phase`, one uint8 each) are built once per n.
@@ -59,7 +51,7 @@ it folds only the 2n generators Z_k and X_j back through the gates (the
 fold walks them in reverse, with S as S^dagger) and hands their images to
 the product kernel.  `CliffordOp` is frozen and keeps no table: each
 application builds one, so a pipeline's results hold one spectrum per
-layer.  The per-gate image fold lives on as a test-side reference.
+layer.
 
 Every product over all subsets of a row list goes through one kernel,
 `_products`: entry s is the product of the rows whose bits are set in s,
@@ -68,20 +60,24 @@ quadratic form (Dehaene and De Moor, PRA 68, 042318, 2003): each new row g
 adds its own phase plus a cross term 2 z_g.x from the entry it multiplies.
 The Heisenberg table is the kernel on the 2n generator images, and a
 stabilizer group is the kernel on its n tableau rows (`_group`), which is
-how `initial_spectrum`, `spectrum.shallow_spectrum` and `tableau_expectation`
-read the group.  The label-by-label group walk lives on as a test-side
-reference.
+how the circuit fold and `stabilizer.tableau_expectation` read the group.
 
-A whole circuit is one fold over its layers (`ParsedCircuit.spectrum`).
-Leading Clifford layers move the initial tableau (`stabilizer.apply_clifford`,
-O(gates n)); from its +-1 group vector, a later Clifford layer is a
-Heisenberg-table gather, ``sqr`` is `rotate_layer` and ``gate`` is
-`phase_layer`, in any order, through one step (`_apply_layers`), which also
-folds a `LayerBlock` as its two layers, `LayerBlock.layers`.  The cap is
-checked before the first 4**n array and `PauliSpectrum` validates once, at
-the end; the dense oracle only checks.  One reader, `_layer_from_json`,
-parses the layer bodies of circuit JSON and of block JSON; `_layer_to_json`
-writes them back.
+A whole circuit is one fold over its layers (`ParsedCircuit.spectrum`), the
+only code that turns a stabilizer state into a spectrum: `initial_spectrum`
+is the fold of no layer, and `spectrum.shallow_spectrum` the fold of one
+gate layer from canonical rows.  Leading Clifford layers `_fold` the signed
+initial rows, O(gates n); the rows were validated when the tableau was
+built, and a Clifford keeps them a valid tableau.  From their +-1 group
+vector, a later Clifford layer is a Heisenberg-table gather, ``sqr`` is
+`rotate_layer` and ``gate`` is `phase_layer`, in any order, through one step
+(`_apply_layers`), which also folds a `LayerBlock` as its two layers,
+`LayerBlock.layers`.  The cap is checked before the first 4**n array, and
+the result is checked once, at the end, by `_computed`: from checked input
+every layer keeps the norm, so a result that fails the `PauliSpectrum`
+check is a fault of the fold (RuntimeError), not bad input; `apply_block`
+ends the same way.  The dense oracle only checks.  One reader,
+`_layer_from_json`, parses the layer bodies of circuit JSON and of block
+JSON; `_layer_to_json` writes them back.
 
 `random_clifford` keeps the stream of its Generator calls (``random``, then
 ``choice(n, 2, replace=False)`` and ``integers(2)``, or ``integers(4)`` and
@@ -534,31 +530,29 @@ def _apply_layers(values: np.ndarray, layers: Sequence[tuple]) -> np.ndarray:
     return values
 
 
-def _group_values(t) -> np.ndarray:
-    """Spectrum vector of the stabilizer state with rows (-1)^h P(x, z): +-1
-    on the group, 0 off it.  Takes any object with ``n`` and (x, z, h) ``rows``."""
-    label, sign = _group(t.n, t.rows)
-    values = np.zeros(1 << (2 * t.n), dtype=np.float64)
-    values[label] = 1.0 - 2.0 * sign
-    return values
+def _computed(n: int, values: np.ndarray) -> "PauliSpectrum":
+    """The fold's output as a `PauliSpectrum`.  Its input passed validation
+    and every layer keeps the norm, so an output that fails the container's
+    check is a fault of the fold, not bad input: RuntimeError."""
+    from .spectrum import PauliSpectrum
+
+    try:
+        return PauliSpectrum(n, values)
+    except ValidationError as exc:
+        raise RuntimeError(f"fold output failed its check: {exc}") from exc
 
 
 def initial_spectrum(t: "StabilizerTableau") -> "PauliSpectrum":
-    """Exact signed spectrum of a stabilizer state: +-1 on the group, 0 off it."""
-    from .spectrum import PauliSpectrum
-
-    if t.n > MAX_SPECTRUM_QUBITS:
-        raise CapacityError(f"spectrum cap is n={MAX_SPECTRUM_QUBITS}, got {t.n}")
-    return PauliSpectrum(t.n, _group_values(t))
+    """Exact signed spectrum of a stabilizer state, +-1 on the group and 0 off
+    it: the circuit fold of no layer."""
+    return ParsedCircuit(t.n, t, ()).spectrum()
 
 
 def apply_block(s: "PauliSpectrum", block: LayerBlock) -> "PauliSpectrum":
     """Push a spectrum through one Clifford + rotation block."""
-    from .spectrum import PauliSpectrum
-
     if block.n != s.n:
         raise ValidationError(f"block on {block.n} qubits, spectrum on {s.n}")
-    return PauliSpectrum(s.n, _apply_layers(s.values, block.layers))
+    return _computed(s.n, _apply_layers(s.values, block.layers))
 
 
 @dataclass(frozen=True)
@@ -566,25 +560,30 @@ class ParsedCircuit:
     """Circuit JSON: initial stabilizer state plus an ordered layer list.
 
     Layers are ("clifford", CliffordOp), ("sqr", RotationVector) or
-    ("gate", PhasePolynomial).  The initial state defaults to |+...+>.
+    ("gate", PhasePolynomial).  The initial state defaults to |+...+>.  The
+    state and every layer must be on the circuit's n qubits.
     """
 
     n: int
     initial: "StabilizerTableau"
     layers: tuple[tuple, ...]
 
+    def __post_init__(self) -> None:
+        if {self.initial.n, *(obj.n for _, obj in self.layers)} != {self.n}:
+            raise ValidationError(f"a circuit state or layer is not on its n={self.n} qubits")
+
     def spectrum(self) -> "PauliSpectrum":
         """Exact signed spectrum of the output state: leading Clifford layers
-        move the tableau, the rest fold from its group; validated once."""
-        from .spectrum import PauliSpectrum
-        from .stabilizer import apply_clifford
-
-        if self.n > MAX_SPECTRUM_QUBITS:
-            raise CapacityError(f"circuit spectrum cap is n={MAX_SPECTRUM_QUBITS}, got {self.n}")
-        state, layers = self.initial, self.layers
+        fold the initial rows, the rest fold from their +-1 group vector."""
+        n, rows, layers = self.n, self.initial.rows, self.layers
+        if n > MAX_SPECTRUM_QUBITS:
+            raise CapacityError(f"circuit spectrum cap is n={MAX_SPECTRUM_QUBITS}, got {n}")
         while layers and layers[0][0] == "clifford":
-            state, layers = apply_clifford(state, layers[0][1]), layers[1:]
-        return PauliSpectrum(self.n, _apply_layers(_group_values(state), layers))
+            rows, layers = _fold(n, rows, layers[0][1].gates), layers[1:]
+        label, sign = _group(n, rows)
+        values = np.zeros(1 << (2 * n), dtype=np.float64)
+        values[label] = 1.0 - 2.0 * sign
+        return _computed(n, _apply_layers(values, layers))
 
 
 def circuit_from_json(obj: Mapping) -> ParsedCircuit:

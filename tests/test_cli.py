@@ -778,6 +778,31 @@ class TestErrors:
         with pytest.raises(RuntimeError, match=message):
             main(["zero-magic", str(path), "--k", "3", "-o", str(tmp_path / "out.json")])
 
+    @pytest.mark.parametrize("command, kernel, body", [
+        ("magic", "rotate_layer", {"n": 1, "layers": [{"sqr": {"w": [0.1]}}]}),
+        ("spectrum", "phase_layer",
+         {"n": 1, "layers": [{"gate": {"terms": [{"m": 3, "a": "1", "c": 1}]}}]}),
+        ("support", "rotate_layer", {"w": [0.1, 0.3]}),
+    ], ids=["magic-rotation", "spectrum-gate", "support-rotation"])
+    def test_fold_fault_is_not_bad_input(self, command, kernel, body, tmp_path, monkeypatch):
+        # a layer kernel that breaks the norm leaves a computed spectrum that
+        # fails its check: a program fault, not exit code 2
+        original = getattr(magicforge.transfer, kernel)
+        monkeypatch.setattr(f"magicforge.transfer.{kernel}", lambda *args: 1.01 * original(*args))
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(body))
+        with pytest.raises(RuntimeError, match="fold output failed its check: spectrum norm"):
+            main([command, str(path), "-o", str(tmp_path / "out")])
+
+    def test_oracle_fault_is_not_bad_input(self, tmp_path, monkeypatch):
+        # an oracle gate that breaks the norm leaves a computed state that
+        # fails its check: a program fault, not exit code 2
+        monkeypatch.setattr("magicforge.oracle._SQRT_HALF", 0.8)
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"n": 1, "layers": [{"clifford": [["H", 0]]}]}))
+        with pytest.raises(RuntimeError, match="oracle output failed its check: state not norm"):
+            main(["spectrum", str(path), "-o", str(tmp_path / "out.csv")])
+
 
 class TestParser:
     def test_consecutive_commands_share_one_parser(self, circuit_file, tmp_path):

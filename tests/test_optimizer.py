@@ -263,6 +263,21 @@ class TestBatchedSweeps:
             assert np.array_equal(after.values.view(np.int64), afters[best].values.view(np.int64))
             assert f.hex() == fs[best].hex() and total == sum(sw for _, sw in ref), (n, k)
 
+    def test_a_qubit_with_no_pairs_keeps_its_start_angle(self):
+        # |0> (x) a generic qubit: qubit 0's pairs are all zero, so every row
+        # has drop 0 there with an unmasked turn of 1/8, and the last start
+        # meets qubit 1 at an exact minimum in its second sweep (drop 0, an
+        # unmasked turn of 1/4); neither turn may reach the angles
+        zero, other = np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 0.6], [0.64, 0.48]])
+        s = PauliSpectrum(2, np.kron(other, zero).ravel())  # [x1 x0, z1 z0]: qubit 0 low
+        starts = np.array([[0.0, 0.0], [0.3, 0.1], [0.7, 0.55], [0.2, 0.9]])
+        w = starts.copy()
+        sweeps = _sweeps(s, w, OptimizerConfig(restarts=3))
+        assert w[:, 0].tobytes() == starts[:, 0].tobytes()
+        for w0, w_row, sweeps_row in zip(starts, w, sweeps):
+            w_ref, sweeps_ref = sweep_reference(s.values, w0, 2, 500, 1e-10)
+            assert w_row.tobytes() == w_ref.tobytes() and sweeps_row == sweeps_ref == 2
+
     def test_memory_stays_within_the_batch_cap(self):
         # 201 starts at n = 8 would take 201 * 512 KiB as one batch; a batch of
         # at most _BATCH_ENTRIES entries with its pair copies and temporaries,

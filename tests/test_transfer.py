@@ -23,6 +23,7 @@ from magicforge.stabilizer import (
     apply_clifford,
     canonicalize,
     plus_tableau,
+    pure_z_rank,
     random_stabilizer,
     zeros_tableau,
 )
@@ -702,6 +703,24 @@ class TestCircuitFold:
             got = parsed.spectrum().values
             assert np.array_equal(got.view(np.int64), s.values.view(np.int64)), n
 
+    def test_two_clifford_prefix_matches_the_tableau_chain(self):
+        # the prefix folds the rows: bit for bit two apply_clifford calls, the
+        # group vector, then the later layers as apply_block steps
+        rng = np.random.default_rng(16)
+        for n in range(1, MAX_SPECTRUM_QUBITS + 1):
+            tab = random_stabilizer(n, int(rng.integers(1 << 30)))
+            while pure_z_rank(tab) < 1:
+                tab = random_stabilizer(n, int(rng.integers(1 << 30)))
+            c1, c2, c3 = (random_clifford(n, rng) for _ in range(3))
+            w1, w2 = (RotationVector.continuous(rng.uniform(0.0, 1.0, n)) for _ in range(2))
+            parsed = ParsedCircuit(n, tab, (("clifford", c1), ("clifford", c2), ("sqr", w1),
+                                            ("clifford", c3), ("sqr", w2)))
+            s = initial_spectrum(apply_clifford(apply_clifford(tab, c1), c2))
+            for block in (LayerBlock(n, None, w1), LayerBlock(n, c3, w2)):
+                s = apply_block(s, block)
+            got = parsed.spectrum().values
+            assert np.array_equal(got.view(np.int64), s.values.view(np.int64)), n
+
     def test_shallow_shape_matches_shallow_spectrum(self):
         rng = np.random.default_rng(12)
         for n in range(1, MAX_SPECTRUM_QUBITS + 1):
@@ -726,7 +745,7 @@ class TestCircuitFold:
     @pytest.mark.parametrize("kinds", [["clifford"], ["clifford", "clifford", "gate"],
                                        ["clifford", "sqr", "gate"], ["clifford", "sqr"]])
     def test_clifford_prefix_moves_the_tableau(self, kinds, monkeypatch):
-        # leading Clifford layers go through apply_clifford, never a 4**n table
+        # leading Clifford layers fold the tableau rows, never a 4**n table
         monkeypatch.setattr(CliffordOp, "heisenberg_table", _refuse_table)
         rng = np.random.default_rng([14, len(kinds)])
         for n in (1, 4, 6):
@@ -743,6 +762,14 @@ class TestCircuitFold:
                   _random_layer("clifford", 3, rng))
         with pytest.raises(AssertionError, match="heisenberg_table called"):
             ParsedCircuit(3, plus_tableau(3), layers).spectrum()
+
+    @pytest.mark.parametrize("layer", [("clifford", CliffordOp(3, (("H", 2),))),
+                                       ("sqr", RotationVector.continuous([0.1, 0.2, 0.3]))],
+                             ids=["clifford", "sqr"])
+    def test_layer_on_other_qubits_rejected(self, layer):
+        # the fold trusts its layers' sizes, so the circuit checks them when built
+        with pytest.raises(ValidationError, match="not on its n=2 qubits"):
+            ParsedCircuit(2, plus_tableau(2), (layer,))
 
     def test_empty_circuit_is_initial_spectrum(self):
         tab = random_stabilizer(3, 5)
