@@ -104,14 +104,6 @@ class PhasePolynomial:
         """Common denominator exponent; 0 for the empty polynomial."""
         return max((m for m, _ in self.terms), default=0)
 
-    def evaluate(self, b: int) -> Fraction:
-        """theta(b) in turns, reduced mod 1."""
-        total = Fraction(0)
-        for (m, a), c in self.terms.items():
-            if b & a == a:
-                total += Fraction(c, 1 << m)
-        return total % 1
-
     def __repr__(self) -> str:  # keep debug output short and sorted
         body = ", ".join(
             f"{c}/2^{m}*b[{a:0{self.n}b}]" for (m, a), c in sorted(self.terms.items())

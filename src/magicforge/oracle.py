@@ -37,7 +37,13 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class DenseState:
-    """Normalized n-qubit statevector; basis index bit j is qubit j+1."""
+    """Normalized n-qubit statevector; basis index bit j is qubit j+1.
+
+    A sweep of the state sums a^2 = 2**n |psi|**4 over its labels, which
+    `PauliSpectrum` checks against 2**n to 1e-9; so |psi| must be within
+    1e-9 / 2**(min(n, MAX_SWEEP_QUBITS) + 3) of 1, half the most that check
+    allows, the other half left for the sweep's rounding.
+    """
 
     n: int
     amplitudes: np.ndarray
@@ -49,7 +55,7 @@ class DenseState:
         if amps.shape != (1 << self.n,):
             raise ValidationError(f"amplitude array has shape {amps.shape}, expected ({1 << self.n},)")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9 / (1 << (min(self.n, MAX_SWEEP_QUBITS) + 3)):
             raise ValidationError(f"state not normalized: |psi| = {norm!r}")
         object.__setattr__(self, "amplitudes", amps)
 

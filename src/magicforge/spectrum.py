@@ -70,9 +70,6 @@ class PauliSpectrum:
     def abs2(self) -> np.ndarray:
         return self.values * self.values
 
-    def entry(self, x: int, z: int) -> float:
-        return self.values[(x << self.n) | z]
-
 
 def shallow_spectrum(c: "CanonicalTableau", f: PhasePolynomial) -> PauliSpectrum:
     """Exact spectrum of (diagonal gate) applied to the canonicalized state:

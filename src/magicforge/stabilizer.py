@@ -10,14 +10,18 @@ Canonical form: generators are re-chosen (row operations only, same group) so
 the x-parts of the mixed rows are in reduced row echelon form with pivots in
 ascending qubit order, followed by r pure-Z rows whose z-parts are in RREF.
 r is the pure-Z rank; the state's support has 2**(n - r) basis states.
-`canonical_frame` builds from it the affine Clifford taking the state to
-|0>^r |+>^(n-r) (Dehaene and De Moor, PRA 68, 042318, 2003).
+Every reduction starts with one x elimination of ``t.rows``, `_rref_rows`:
+`canonicalize` then z-reduces the pure rows, `is_graph_type` reads the graph
+off the mixed rows, and `canonical_frame` builds the affine Clifford taking
+the state to |0>^r |+>^(n-r) (Dehaene and De Moor, PRA 68, 042318, 2003),
+z-reducing the pure rows once, after it has moved them.
 
 `tableau_expectation` reads the whole group, all 2**n products of the rows
 from `transfer._group`, so it is capped at n = 16.  `canonicalize` only
 row-reduces, O(n**2) row products, but keeps that cap, since every consumer
-of a canonical tableau stops at or below it.  Plain tableau construction and
-row validation work to the 32-qubit mask cap.
+of a canonical tableau stops at or below it.  `is_graph_type`,
+`canonical_frame`, plain tableau construction and row validation, all
+O(n**2) row work, run to the 32-qubit mask cap.
 """
 
 from __future__ import annotations
@@ -197,14 +201,14 @@ def is_graph_type(t: StabilizerTableau):
     the h bits of the graph generators.
     Returns (False, None, None) otherwise.
     """
-    c = canonicalize(t)
-    if c.r != 0:
+    work = list(t.rows)
+    if _rref_rows(work, t.n, 0, "x") != t.n:
         return False, None, None
     # at r = 0 the RREF x-block is the identity: row j is (-1)^h_j X_j Z^z_j
-    adjacency = tuple(z for _, z, _ in c.rows)
+    adjacency = tuple(z for _, z, _ in work)
     if any((z >> j) & 1 for j, z in enumerate(adjacency)):
         return False, None, None
-    return True, adjacency, tuple(h for _, _, h in c.rows)
+    return True, adjacency, tuple(h for _, _, h in work)
 
 
 def tableau_expectation(t: StabilizerTableau, p: PauliLabel) -> int:
@@ -229,10 +233,10 @@ def canonical_frame(t: StabilizerTableau):
     Uses only CX, CZ, S, Z, X gates, so the induced basis-state map is affine.
     Returns (CliffordOp, StabilizerTableau).
     """
-    c = canonicalize(t)
-    n, r = c.n, c.r
-    work = list(c.rows)
-    n_mixed = n - r
+    n = t.n
+    work = list(t.rows)
+    n_mixed = _rref_rows(work, n, 0, "x")
+    r = n - n_mixed
     gates: list[tuple] = []
 
     def emit(*gs: tuple) -> None:
@@ -253,7 +257,7 @@ def canonical_frame(t: StabilizerTableau):
             perm[cur], perm[target] = perm[target], perm[cur]
     # re-sort mixed rows into pivot order r..n-1 (their x-parts are distinct)
     work[:n_mixed] = sorted(work[:n_mixed])
-    # 3) pure rows now live on qubits 0..r-1; re-reduce their z-parts to I_r
+    # 3) pure rows now live on qubits 0..r-1; reduce their z-parts to I_r
     _rref_rows(work, n, n_mixed, "z")
     # 4) clear the z-parts of the mixed rows: S Z takes a Y on qubit q back to
     # X, and CZ(q, o) clears z_o; only row i has an x bit on q

@@ -157,10 +157,6 @@ def zero_magic_state_for_gate(f: PhasePolynomial) -> StabilizerTableau:
     )
 
 
-def _negate_rotation(w: RotationVector) -> RotationVector:
-    return RotationVector.continuous([-v for v in w.values])
-
-
 def _oracle_apply_block(st: DenseState, block: LayerBlock) -> DenseState:
     for kind, obj in block.layers:
         st = apply_gates(st, obj.gates) if kind == "clifford" else apply_rotation(st, obj)
@@ -213,7 +209,7 @@ def nogo_witness(block: LayerBlock, alpha: int = 2, trials: int = 200,
         )
     rng = np.random.default_rng([seed, 7])
     inv_blocks = (
-        LayerBlock(n, None, _negate_rotation(block.w)),
+        LayerBlock(n, None, RotationVector.continuous([-v for v in block.w.values])),
         LayerBlock(n, block.clifford.inverse() if block.clifford else None, None),
     )
     up: WitnessState | None = None

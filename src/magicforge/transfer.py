@@ -71,7 +71,9 @@ built, and a Clifford keeps them a valid tableau.  From their +-1 group
 vector, a later Clifford layer is a Heisenberg-table gather, ``sqr`` is
 `rotate_layer` and ``gate`` is `phase_layer`, in any order, through one step
 (`_apply_layers`), which also folds a `LayerBlock` as its two layers,
-`LayerBlock.layers`.  The cap is checked before the first 4**n array, and
+`LayerBlock.layers`.  That step dispatches on a layer's kind alone, so a
+circuit and a block check each kind against its object's type once, when
+built (`_check_kinds`).  The cap is checked before the first 4**n array, and
 the result is checked once, at the end, by `_computed`: from checked input
 every layer keeps the norm, so a result that fails the `PauliSpectrum`
 check is a fault of the fold (RuntimeError), not bad input; `apply_block`
@@ -373,6 +375,24 @@ def _below(u32, state, k: int) -> int:
     return m >> 32
 
 
+# the object each layer kind holds; `_apply_layers` dispatches on the kind
+_LAYER_TYPES = {"clifford": CliffordOp, "sqr": RotationVector, "gate": PhasePolynomial}
+
+
+def _check_kinds(layers: Sequence[tuple]) -> None:
+    """Each layer is a pair (kind, obj) with obj of the type its kind names."""
+    for layer in layers:
+        try:
+            kind, obj = layer
+            ok = isinstance(obj, _LAYER_TYPES[kind])
+        except (TypeError, ValueError, KeyError):
+            ok = False
+        if not ok:
+            raise ValidationError(
+                "a layer is ('clifford', CliffordOp), ('sqr', RotationVector) or "
+                f"('gate', PhasePolynomial), got {layer!r}")
+
+
 @dataclass(frozen=True)
 class LayerBlock:
     """One transfer block: optional Clifford circuit, then optional rotation layer."""
@@ -382,6 +402,7 @@ class LayerBlock:
     w: RotationVector | None = None
 
     def __post_init__(self) -> None:
+        _check_kinds(self.layers)
         if any(obj.n != self.n for _, obj in self.layers):
             raise ValidationError("a block layer is on the wrong number of qubits")
 
@@ -439,9 +460,7 @@ def rotate_layer(values: np.ndarray, angles: Sequence[float]) -> np.ndarray:
 def _turn(p: np.ndarray, q: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     """Pairs (p, q) with a leading row axis, row r turned by t[r] turns (a
     scalar t turns every row): the new arrays (c p - s q, s p + c q)."""
-    if isinstance(t, np.ndarray):  # one angle per row, along the row axis
-        t = t.reshape((-1,) + (1,) * (p.ndim - 1))
-    t = 2.0 * np.pi * t
+    t = 2.0 * np.pi * np.reshape(t, (-1,) + (1,) * (p.ndim - 1))
     c, s = np.cos(t), np.sin(t)
     return c * p - s * q, s * p + c * q
 
@@ -560,8 +579,9 @@ class ParsedCircuit:
     """Circuit JSON: initial stabilizer state plus an ordered layer list.
 
     Layers are ("clifford", CliffordOp), ("sqr", RotationVector) or
-    ("gate", PhasePolynomial).  The initial state defaults to |+...+>.  The
-    state and every layer must be on the circuit's n qubits.
+    ("gate", PhasePolynomial), checked when the circuit is built.  The
+    initial state defaults to |+...+>.  The state and every layer must be on
+    the circuit's n qubits.
     """
 
     n: int
@@ -569,6 +589,7 @@ class ParsedCircuit:
     layers: tuple[tuple, ...]
 
     def __post_init__(self) -> None:
+        _check_kinds(self.layers)
         if {self.initial.n, *(obj.n for _, obj in self.layers)} != {self.n}:
             raise ValidationError(f"a circuit state or layer is not on its n={self.n} qubits")
 

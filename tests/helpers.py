@@ -132,9 +132,19 @@ def stabilizer_dense(tableau) -> np.ndarray:
     raise AssertionError("projector annihilated every basis column")
 
 
+def theta(f, b: int) -> Fraction:
+    """theta(b) in turns, reduced into [0, 1), exactly from the polynomial's
+    terms: the sum of c / 2**m over the monomials a that b contains."""
+    total = Fraction(0)
+    for (m, a), c in f.terms.items():
+        if b & a == a:
+            total += Fraction(c, 1 << m)
+    return total % 1
+
+
 def diagonal_matrix(f) -> np.ndarray:
     """Dense diagonal of a phase polynomial from its exact per-state values."""
-    angles = [float(f.evaluate(b)) for b in range(1 << f.n)]
+    angles = [float(theta(f, b)) for b in range(1 << f.n)]
     return np.diag(np.exp(2j * np.pi * np.array(angles)))
 
 

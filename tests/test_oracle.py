@@ -47,6 +47,22 @@ class TestDenseState:
         with pytest.raises(CapacityError):
             DenseState(13, np.zeros(1 << 13, dtype=complex))
 
+    def test_norm_that_a_sweep_would_reject_is_bad_input(self):
+        # sum a^2 = 2**8 |psi|**4 misses 2**8 by about 5e-7 here
+        with pytest.raises(ValidationError, match="not normalized"):
+            DenseState(8, (1 + 5e-10) * np.full(256, 1 / 16, dtype=complex))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_state_just_inside_the_bound_sweeps_cleanly(self, n):
+        rng = np.random.default_rng([5, n])
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        bound = 1e-9 / (1 << (n + 3))
+        for amps in (np.full(1 << n, 2.0 ** (-n / 2)), psi / np.linalg.norm(psi)):
+            for scale in (1 - 0.99 * bound, 1 + 0.99 * bound):
+                oracle_spectrum(DenseState(n, scale * amps))  # the norm check passes
+            with pytest.raises(ValidationError, match="not normalized"):
+                DenseState(n, (1 + 1.01 * bound) * amps)
+
 
 class TestStatevector:
     def test_known_states(self):

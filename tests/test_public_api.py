@@ -1,5 +1,6 @@
 """The public surface: README's Python example runs as written, and every
-exported name has a caller in the package or is a listed entry point."""
+exported name, and every function, method and class the package defines,
+has a caller in the package or is a listed entry point."""
 
 import ast
 import math
@@ -72,6 +73,25 @@ def test_every_public_name_is_called_or_an_entry_point():
     uncalled = [name for name in magicforge.__all__ if name not in loads]
     assert sorted(uncalled) == sorted(ENTRY_POINTS), \
         "a public name without a caller is dead, or belongs in ENTRY_POINTS and README"
+
+
+def package_definitions() -> set[str]:
+    """Every function, method and class name defined in the package, nested
+    ones included, dunders excluded."""
+    names = set()
+    for path in Path(magicforge.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not (node.name.startswith("__") and node.name.endswith("__")):
+                names.add(node.name)
+    return names
+
+
+def test_every_definition_is_called_or_an_entry_point():
+    loads = package_loads()
+    uncalled = [name for name in package_definitions() if name not in loads]
+    assert sorted(uncalled) == sorted(ENTRY_POINTS), \
+        "a definition without a caller is dead, or belongs in ENTRY_POINTS and README"
 
 
 def test_readme_lists_the_entry_points():

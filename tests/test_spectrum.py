@@ -74,10 +74,6 @@ class TestContainer:
         assert s.values.dtype == np.float64
         assert closed(plus_tableau(1), make_gate("T", [1], 1)).values.dtype == np.float64
 
-    def test_entry_accessor(self):
-        s = closed(plus_tableau(1), make_gate("T", [1], 1))
-        assert abs(s.entry(1, 0) - np.sqrt(0.5)) < 1e-12
-
     @pytest.mark.parametrize("vals", [[1.0, np.nan, 0.0, 0.0], [np.nan] * 4,
                                       [1.0, np.inf, 0.0, 0.0]])
     def test_non_finite_entries_rejected(self, vals):
@@ -305,9 +301,9 @@ class TestSqrPath:
         for j, wj in enumerate(w.values):
             x = 1 << j
             c, sn = np.cos(2 * np.pi * wj), np.sin(2 * np.pi * wj)
-            assert abs(s.entry(x, 0) - c) < 1e-12
-            assert abs(s.entry(x, x) - sn) < 1e-12
-            assert abs(s.entry(0, x)) < 1e-12
+            assert abs(s.values[x << s.n] - c) < 1e-12
+            assert abs(s.values[(x << s.n) | x] - sn) < 1e-12
+            assert abs(s.values[x]) < 1e-12
 
 
 class TestMagicPolynomialConsistency:

@@ -49,6 +49,26 @@ def group_table(t) -> list[PauliLabel]:
             for v, p in zip(label, ph)]
 
 
+def signed_graph_tableau(n, rng):
+    """(tableau, adjacency, signs) of a random signed graph state: generators
+    (-1)^s_j X_j Z^adj_j, mixed by random row products and shuffled, so that
+    a reduction has to find the graph form again."""
+    adj = [0] * n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 0.5:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    signs = [int(s) for s in rng.integers(2, size=n)]
+    rows = [PauliLabel(n, 1 << j, adj[j], 2 * signs[j]) for j in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.choice(n, 2, replace=False)
+        rows[i] = pauli_mul(rows[i], rows[j])
+    order = rng.permutation(n)
+    tab = StabilizerTableau(n, [(rows[k].x, rows[k].z, rows[k].phase_exp // 2) for k in order])
+    return tab, tuple(adj), tuple(signs)
+
+
 class TestTableauBasics:
     def test_rejects_anticommuting(self):
         with pytest.raises(ValidationError):
@@ -248,25 +268,10 @@ class TestGraphType:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_signed_graph_states_read_back(self, n):
-        # generators (-1)^s_j X_j Z^adj_j, mixed by random row products and
-        # shuffled, so that canonicalize has to find the graph form again
         rng = np.random.default_rng([11, n])
         for _ in range(10):
-            adj = [0] * n
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if rng.random() < 0.5:
-                        adj[a] |= 1 << b
-                        adj[b] |= 1 << a
-            signs = [int(s) for s in rng.integers(2, size=n)]
-            rows = [PauliLabel(n, 1 << j, adj[j], 2 * signs[j]) for j in range(n)]
-            for _ in range(3 * n if n > 1 else 0):
-                i, j = rng.choice(n, 2, replace=False)
-                rows[i] = pauli_mul(rows[i], rows[j])
-            order = rng.permutation(n)
-            tab = StabilizerTableau(
-                n, [(rows[k].x, rows[k].z, rows[k].phase_exp // 2) for k in order])
-            assert is_graph_type(tab) == (True, tuple(adj), tuple(signs))
+            tab, adj, signs = signed_graph_tableau(n, rng)
+            assert is_graph_type(tab) == (True, adj, signs)
             # Y on its own qubit: still r = 0, but a nonzero adjacency diagonal
             tab_y = apply_clifford(tab, CliffordOp(n, (("S", int(rng.integers(n))),)))
             assert is_graph_type(tab_y) == (False, None, None)
@@ -313,6 +318,24 @@ class TestCanonicalFrame:
                     assert body == "I" * j + "Z" + "I" * (tab.n - j - 1)
                 else:
                     assert body == "I" * j + "X" + "I" * (tab.n - j - 1)
+
+    @pytest.mark.parametrize("n", [17, 32])
+    def test_past_the_canonicalize_cap(self, n):
+        # the frame and the graph flag are O(n**2) row work and run to the
+        # 32-qubit masks; only canonicalize keeps the n = 16 cap
+        tab = random_stabilizer(n, 3)
+        with pytest.raises(CapacityError):
+            canonicalize(tab)
+        frame, target = canonical_frame(tab)
+        r = pure_z_rank(tab)
+        assert target == product_tableau(n, dict.fromkeys(range(1, r + 1), 0))
+        # n independent moved rows in the target's group: +Z on qubits below r, +X above
+        low = (1 << r) - 1
+        assert all(x & low == 0 and z & ~low == 0 and h == 0
+                   for x, z, h in apply_clifford(tab, frame).rows)
+        graph, adj, signs = signed_graph_tableau(n, np.random.default_rng([14, n]))
+        assert is_graph_type(graph) == (True, adj, signs)
+        assert is_graph_type(zeros_tableau(n)) == (False, None, None)
 
 
 def frame_moves_to_target(tab):
@@ -398,6 +421,29 @@ class TestCanonicalFrameEdgeCases:
                                           [list(g) for g in frame.gates]]).encode())
         assert digest.hexdigest() == \
             "6146b34e27f20d943b56125cafbbd9587ef2a543c8914c767461daf991b4c379"
+
+    def test_frames_and_graph_flags_are_pinned(self):
+        # the frame's gate list and target rows over random_stabilizer(n, s)
+        # and over signed graph tableaux, and `is_graph_type` on those graph
+        # tableaux, on them with a Y on one qubit and on random stabilizers,
+        # n = 1..8: a reduction that picks other gates or flags changes these
+        frames, flags = hashlib.sha256(), hashlib.sha256()
+        for n in range(1, 9):
+            rng = np.random.default_rng([13, n])
+            tabs = [random_stabilizer(n, s) for s in (0, 1, 7, 12345)]
+            for _ in range(20):
+                graph = signed_graph_tableau(n, rng)[0]
+                y = apply_clifford(graph, CliffordOp(n, (("S", int(rng.integers(n))),)))
+                tabs.append(graph)
+                for tab in (graph, y, random_stabilizer(n, int(rng.integers(1 << 30)))):
+                    flags.update(json.dumps(is_graph_type(tab)).encode())
+            for tab in tabs:
+                frame, target = canonical_frame(tab)
+                frames.update(json.dumps([[list(g) for g in frame.gates], target.rows]).encode())
+        assert frames.hexdigest() == \
+            "402b22e65937e8e30086ed7001ba4e874eff5aa7d0f6dc1218d309734bcc4a6c"
+        assert flags.hexdigest() == \
+            "9d5cfee7103d3180c6a0e061220ad1542245645fe9f4e31cf036c9c638f2d3c6"
 
 
 class TestApplyClifford:

@@ -771,6 +771,30 @@ class TestCircuitFold:
         with pytest.raises(ValidationError, match="not on its n=2 qubits"):
             ParsedCircuit(2, plus_tableau(2), (layer,))
 
+    @pytest.mark.parametrize("layer", [
+        ("foo", make_gate("T", [1], 2)),
+        ("sqr", make_gate("T", [1], 2)),
+        ("clifford", RotationVector.continuous([0.1, 0.2])),
+        ("gate", RotationVector.continuous([0.1, 0.2])),
+        ("gate", CliffordOp(2, (("H", 0),))),
+        ("gate", make_gate("T", [1], 2), None),
+        "gate",
+    ], ids=["unknown", "sqr-gate", "clifford-sqr", "gate-sqr", "gate-clifford", "triple", "bare"])
+    def test_layer_of_the_wrong_kind_rejected(self, layer):
+        # the fold dispatches on the kind alone, so the circuit checks it when built
+        with pytest.raises(ValidationError, match="a layer is"):
+            ParsedCircuit(2, plus_tableau(2), (layer,))
+
+    @pytest.mark.parametrize("clifford, w", [
+        (RotationVector.continuous([0.1, 0.2]), None),
+        (None, CliffordOp(2, (("H", 0),))),
+        ((("H", 0),), None),
+        (None, (0.1, 0.2)),
+    ], ids=["clifford-sqr", "sqr-clifford", "clifford-gates", "sqr-angles"])
+    def test_block_field_of_the_wrong_type_rejected(self, clifford, w):
+        with pytest.raises(ValidationError, match="a layer is"):
+            LayerBlock(2, clifford, w)
+
     def test_empty_circuit_is_initial_spectrum(self):
         tab = random_stabilizer(3, 5)
         got = ParsedCircuit(3, tab, ()).spectrum().values
