@@ -28,7 +28,6 @@ from .diagonal_gates import (
     sqr_to_poly,
 )
 from .stabilizer import (
-    CanonicalTableau,
     StabilizerTableau,
     apply_clifford,
     canonical_frame,
@@ -36,7 +35,6 @@ from .stabilizer import (
     is_graph_type,
     plus_tableau,
     product_tableau,
-    pure_z_rank,
     random_stabilizer,
     tableau_expectation,
     zeros_tableau,
@@ -109,14 +107,12 @@ __all__ = [
     "sqr_to_poly",
     "random_polynomial",
     "StabilizerTableau",
-    "CanonicalTableau",
     "canonicalize",
     "canonical_frame",
     "apply_clifford",
     "zeros_tableau",
     "plus_tableau",
     "product_tableau",
-    "pure_z_rank",
     "is_graph_type",
     "tableau_expectation",
     "random_stabilizer",

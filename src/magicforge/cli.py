@@ -9,7 +9,7 @@ outputs are written atomically (temp file in the target directory, then
 rename).
 
 Exit codes: 0 success, 1 verification or search failure, 2 input/validation
-error.  Failures print a machine-readable JSON object on standard error.
+error or an unwritable -o path.  Failures print a JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -83,17 +83,24 @@ def _atomic_write(path: str | None, pieces: Iterable[str]) -> None:
     each from the iterable only when it is written; no joined copy of them
     is made.  The file gets the mode a plain ``open(path, "w")`` would give
     it, not `tempfile.mkstemp`'s 0600.  If drawing or writing a piece raises,
-    the temporary file goes and ``path`` keeps its old bytes."""
+    the temporary file goes and ``path`` keeps its old bytes.  A file that
+    cannot be created or renamed into place is bad input: ValidationError."""
     if path is None:
         sys.stdout.writelines(pieces)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".magicforge.", dir=directory)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=".magicforge.", dir=directory)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(pieces)
             os.fchmod(fh.fileno(), _new_file_mode())
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}") from exc
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -285,6 +292,9 @@ def _block_from_json(obj: dict) -> LayerBlock:
         n = whole_number(obj["n"], "block n")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"block JSON needs an integer 'n': {exc}") from exc
+    extra = set(obj) - {"n", "clifford", "sqr"}
+    if extra:
+        raise ValidationError(f"unknown block JSON keys: {sorted(extra)}")
     # an empty or null Clifford is no Clifford, an absent rotation is none
     kinds = (["clifford"] if obj.get("clifford") else []) + (["sqr"] if "sqr" in obj else [])
     parts = dict(_layer_from_json(n, "block", kind, obj[kind]) for kind in kinds)

@@ -6,7 +6,7 @@ P(x, z) = i^(x.z) X^x Z^z, so every entry of every spectrum is real.
 
 `shallow_spectrum` is the paper's ansatz 1, a stabilizer state followed by
 one diagonal gate: the circuit fold (`transfer.ParsedCircuit.spectrum`) of
-that one gate layer from the canonical tableau's rows.
+that one gate layer from the tableau's rows, canonical or not.
 
 `spectrum_csv_rows` formats a spectrum as CSV text: the distinct values
 are formatted once, up front, and the rows are then handed out in pieces
@@ -20,16 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .diagonal_gates import PhasePolynomial
 from .errors import CapacityError, ValidationError
+from .stabilizer import StabilizerTableau
 from .transfer import MAX_SPECTRUM_QUBITS, ParsedCircuit
-
-if TYPE_CHECKING:
-    from .stabilizer import CanonicalTableau
 
 
 @dataclass(frozen=True)
@@ -71,12 +69,11 @@ class PauliSpectrum:
         return self.values * self.values
 
 
-def shallow_spectrum(c: "CanonicalTableau", f: PhasePolynomial) -> PauliSpectrum:
-    """Exact spectrum of (diagonal gate) applied to the canonicalized state:
-    the circuit fold of one gate layer from its rows."""
-    if f.n != c.n:
-        raise ValidationError(f"gate on {f.n} qubits, state on {c.n}")
-    return ParsedCircuit(c.n, c, (("gate", f),)).spectrum()
+def shallow_spectrum(t: StabilizerTableau, f: PhasePolynomial) -> PauliSpectrum:
+    """Exact spectrum of (diagonal gate) applied to the stabilizer state: the
+    circuit fold of one gate layer from its rows."""
+    # a t that is no tableau fails the circuit's own check
+    return ParsedCircuit(getattr(t, "n", None), t, (("gate", f),)).spectrum()
 
 
 _SUPPORT_THRESHOLD = 1e-12

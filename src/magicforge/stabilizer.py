@@ -6,22 +6,21 @@ the operator ``(-1)^h * P(x, z)`` (Aaronson and Gottesman, PRA 70, 052328,
 the reductions start from ``t.rows`` as it is: a gate group is one fold of
 the work list, and a row product is one `pauli_mul`, in `_row_mul`.
 
-Canonical form: generators are re-chosen (row operations only, same group) so
-the x-parts of the mixed rows are in reduced row echelon form with pivots in
-ascending qubit order, followed by r pure-Z rows whose z-parts are in RREF.
-r is the pure-Z rank; the state's support has 2**(n - r) basis states.
-Every reduction starts with one x elimination of ``t.rows``, `_rref_rows`:
-`canonicalize` then z-reduces the pure rows, `is_graph_type` reads the graph
-off the mixed rows, and `canonical_frame` builds the affine Clifford taking
-the state to |0>^r |+>^(n-r) (Dehaene and De Moor, PRA 68, 042318, 2003),
-z-reducing the pure rows once, after it has moved them.
+``t.r`` is the pure-Z rank, n minus the rank of the rows' x parts: the
+support has 2**(n - r) basis states.  `canonicalize` re-chooses the rows
+(row operations only, same group): the mixed rows first, x-parts in reduced
+row echelon form with pivots in ascending qubit order, then the r pure-Z
+rows, z-parts in RREF.  Every reduction starts with one x elimination of
+``t.rows``, `_rref_rows`: `canonicalize` then z-reduces the pure rows,
+`is_graph_type` reads the graph off the mixed rows, and `canonical_frame`
+builds the affine Clifford taking the state to |0>^r |+>^(n-r) (Dehaene and
+De Moor, PRA 68, 042318, 2003), z-reducing the pure rows once, after it has
+moved them.
 
 `tableau_expectation` reads the whole group, all 2**n products of the rows
-from `transfer._group`, so it is capped at n = 16.  `canonicalize` only
-row-reduces, O(n**2) row products, but keeps that cap, since every consumer
-of a canonical tableau stops at or below it.  `is_graph_type`,
-`canonical_frame`, plain tableau construction and row validation, all
-O(n**2) row work, run to the 32-qubit mask cap.
+from `transfer._group`, so it alone is capped at n = 16.  `canonicalize`,
+`is_graph_type`, `canonical_frame`, plain tableau construction and row
+validation, all O(n**2) row work, run to the 32-qubit mask cap.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .pauli_core import (
 )
 from .transfer import CliffordOp, _fold, _group, random_clifford
 
-MAX_CANONICAL_QUBITS = 16
+MAX_GROUP_QUBITS = 16
 
 
 def _f2_rank(vectors: list[int]) -> int:
@@ -89,6 +88,12 @@ class StabilizerTableau:
         if _f2_rank([(x << n) | z for x, z, _ in rows]) != n:
             raise ValidationError("generator rows are not independent")
         object.__setattr__(self, "rows", tuple(rows))
+
+    @property
+    def r(self) -> int:
+        """Pure-Z rank: n minus the rank of the rows' x parts, so that the
+        support has 2**(n - r) basis states."""
+        return self.n - _f2_rank([x for x, _, _ in self.rows])
 
     def to_json(self) -> dict:
         gens = [pauli_to_text(PauliLabel(self.n, x, z, 2 * h)) for x, z, h in self.rows]
@@ -138,16 +143,6 @@ def product_tableau(n: int, frozen: Mapping[int, int]) -> StabilizerTableau:
                                       for j in range(n)))
 
 
-@dataclass(frozen=True)
-class CanonicalTableau:
-    """Canonicalized tableau: the re-chosen signed rows (x, z, h), mixed block
-    first (x-parts in RREF), then r pure-Z rows (z-parts in RREF)."""
-
-    n: int
-    r: int
-    rows: tuple[tuple[int, int, int], ...]
-
-
 def _row_mul(n: int, a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
     """The product of two commuting signed rows (x, z, h), as a signed row."""
     p = pauli_mul(PauliLabel(n, a[0], a[1], 2 * a[2]), PauliLabel(n, b[0], b[1], 2 * b[2]))
@@ -173,23 +168,15 @@ def _rref_rows(work: list[tuple[int, int, int]], n: int, start: int, part: str) 
     return count - start
 
 
-def canonicalize(t: StabilizerTableau) -> CanonicalTableau:
-    """Block-canonical generators of the same group, with the pure-Z rank."""
-    if t.n > MAX_CANONICAL_QUBITS:
-        raise CapacityError(f"canonicalize cap is n={MAX_CANONICAL_QUBITS}, got {t.n}")
+def canonicalize(t: StabilizerTableau) -> StabilizerTableau:
+    """Block-canonical generators of the same group, as a tableau."""
     n = t.n
     work = list(t.rows)
     n_mixed = _rref_rows(work, n, 0, "x")
     if any(x for x, _, _ in work[n_mixed:]):
         raise RuntimeError("x elimination left a mixed row below the block")
     _rref_rows(work, n, n_mixed, "z")
-    return CanonicalTableau(n, n - n_mixed, tuple(work))
-
-
-def pure_z_rank(t: StabilizerTableau) -> int:
-    """Rank r of the pure-Z part, the kernel of the rows' x parts, so n minus
-    their rank; n - r is the support dimension."""
-    return t.n - _f2_rank([x for x, _, _ in t.rows])
+    return StabilizerTableau(n, tuple(work))
 
 
 def is_graph_type(t: StabilizerTableau):
@@ -217,8 +204,8 @@ def tableau_expectation(t: StabilizerTableau, p: PauliLabel) -> int:
         raise ValidationError(f"label on {p.n} qubits, tableau on {t.n}")
     if p.phase_exp % 2 != 0:
         raise ValidationError("expectation of a non-Hermitian label is not a sign")
-    if t.n > MAX_CANONICAL_QUBITS:
-        raise CapacityError(f"tableau_expectation cap is n={MAX_CANONICAL_QUBITS}, got {t.n}")
+    if t.n > MAX_GROUP_QUBITS:
+        raise CapacityError(f"tableau_expectation cap is n={MAX_GROUP_QUBITS}, got {t.n}")
     label, sign = _group(t.n, t.rows)
     hit = np.flatnonzero(label == to_index(p))
     if not hit.size:

@@ -65,7 +65,7 @@ how the circuit fold and `stabilizer.tableau_expectation` read the group.
 A whole circuit is one fold over its layers (`ParsedCircuit.spectrum`), the
 only code that turns a stabilizer state into a spectrum: `initial_spectrum`
 is the fold of no layer, and `spectrum.shallow_spectrum` the fold of one
-gate layer from canonical rows.  Leading Clifford layers `_fold` the signed
+gate layer.  Leading Clifford layers `_fold` the signed
 initial rows, O(gates n); the rows were validated when the tableau was
 built, and a Clifford keeps them a valid tableau.  From their +-1 group
 vector, a later Clifford layer is a Heisenberg-table gather, ``sqr`` is
@@ -564,7 +564,8 @@ def _computed(n: int, values: np.ndarray) -> "PauliSpectrum":
 def initial_spectrum(t: "StabilizerTableau") -> "PauliSpectrum":
     """Exact signed spectrum of a stabilizer state, +-1 on the group and 0 off
     it: the circuit fold of no layer."""
-    return ParsedCircuit(t.n, t, ()).spectrum()
+    # a t that is no tableau fails the circuit's own check
+    return ParsedCircuit(getattr(t, "n", None), t, ()).spectrum()
 
 
 def apply_block(s: "PauliSpectrum", block: LayerBlock) -> "PauliSpectrum":
@@ -580,8 +581,8 @@ class ParsedCircuit:
 
     Layers are ("clifford", CliffordOp), ("sqr", RotationVector) or
     ("gate", PhasePolynomial), checked when the circuit is built.  The
-    initial state defaults to |+...+>.  The state and every layer must be on
-    the circuit's n qubits.
+    initial state, a `StabilizerTableau`, defaults to |+...+> in circuit
+    JSON.  The state and every layer must be on the circuit's n qubits.
     """
 
     n: int
@@ -589,6 +590,11 @@ class ParsedCircuit:
     layers: tuple[tuple, ...]
 
     def __post_init__(self) -> None:
+        from .stabilizer import StabilizerTableau
+
+        if not isinstance(self.initial, StabilizerTableau):
+            raise ValidationError("a circuit's initial state must be a StabilizerTableau, "
+                                  f"got {type(self.initial).__name__}")
         _check_kinds(self.layers)
         if {self.initial.n, *(obj.n for _, obj in self.layers)} != {self.n}:
             raise ValidationError(f"a circuit state or layer is not on its n={self.n} qubits")

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: files, manifests, exit codes."""
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from magicforge.diagonal_gates import RotationVector, random_polynomial
 from magicforge.oracle import oracle_spectrum
 from magicforge.optimizer import config_from_dict, run_pipeline
 from magicforge.spectrum import f_alpha, nullity, support_size
-from magicforge.stabilizer import StabilizerTableau, plus_tableau, pure_z_rank, random_stabilizer
+from magicforge.stabilizer import StabilizerTableau, plus_tableau, random_stabilizer
 from magicforge.transfer import CliffordOp, LayerBlock, circuit_from_json, random_clifford
 
 from helpers import csv_writer_text, graph_gate_circuit_json
@@ -469,6 +470,25 @@ class TestVerify:
         assert data["passed"] is True
         assert data["max_abs_deviation"] <= data["tolerance"]
 
+    def test_traced_sweep_counts_the_shallow_phase_evaluations(self, capsys):
+        # the benchmark's tracer reads r off the tableau that verify hands to
+        # shallow_spectrum, canonicalize's result: the one traced path that
+        # reads a canonical tableau, which no benchmark workload runs
+        path = Path(__file__).resolve().parents[1] / "magicbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("magicbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            tracer.begin_op(0)
+            code = magicforge.cli.run_command(["verify", "--n-max", "4", "--cases", "2"])
+        finally:
+            tracer.uninstall()
+        assert code == 0 and json.loads(capsys.readouterr().out)["passed"] is True
+        assert {"canonicalize", "shallow_spectrum"} <= {s.name for s in tracer.spans}
+        assert tracer.layer_metrics(1)["spectrum.phase_evals"] > 0
+
     def test_cap_checked_before_any_case(self, monkeypatch, capsys):
         def no_case(*args, **kwargs):
             raise AssertionError("a case ran before the cap check")
@@ -572,6 +592,17 @@ class TestNogo:
         assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
 
 
+    def test_unknown_block_key_exits_2(self, tmp_path, capsys):
+        # a circuit file is no block: its keys are named, not read as an
+        # empty, Clifford block
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n": 1, "layers": [{"sqr": {"w": [0.125]}}], "x": 1}))
+        assert main(["nogo", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "unknown block JSON keys: ['layers', 'x']",
+                       "kind": "ValidationError"}
+
+
 class TestSupport:
     def test_counts(self, tmp_path):
         path = tmp_path / "w.json"
@@ -616,6 +647,28 @@ class TestErrors:
         assert main([command, str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "ValidationError" and message in err["error"]
+
+    @pytest.mark.parametrize("command", ["magic", "spectrum"])
+    def test_output_into_a_missing_directory_exits_2(self, command, circuit_file, tmp_path,
+                                                      capsys):
+        out = tmp_path / "missing" / "out"
+        assert main([command, circuit_file, "-o", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "ValidationError"
+        assert err["error"].startswith(f"cannot write {out}: ")
+        assert not out.parent.exists()
+
+    def test_output_onto_a_directory_exits_2_and_leaves_no_temp_file(self, circuit_file,
+                                                                      tmp_path, capsys):
+        # the rename fails: the temporary file goes, the directory stays empty
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["magic", circuit_file, "-o", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "ValidationError"
+        assert err["error"].startswith(f"cannot write {out}: ")
+        assert sorted(tmp_path.iterdir()) == sorted([Path(circuit_file), out])
+        assert list(out.iterdir()) == []
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["magic", "/nonexistent/x.json"]) == 2
@@ -758,7 +811,7 @@ class TestErrors:
     def test_frame_reduction_fault_is_not_bad_input(self, tmp_path, monkeypatch):
         # a frame fold that moves nothing leaves the rows unreduced: a program fault
         tab = random_stabilizer(4, 0)
-        assert pure_z_rank(tab) == 2
+        assert tab.r == 2
         path = tmp_path / "tab4.json"
         path.write_text(json.dumps(tab.to_json()))
         monkeypatch.setattr("magicforge.stabilizer._fold", lambda n, rows, gates: list(rows))

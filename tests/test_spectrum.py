@@ -221,6 +221,21 @@ class TestGoldens:
 
 
 class TestClosedFormVsOracle:
+    def test_any_tableau_matches_its_canonical_form(self):
+        # the fold takes any rows of the group: bit for bit the same spectrum
+        rng = np.random.default_rng(19)
+        for n in range(1, 9):
+            for _ in range(3):
+                tab = random_stabilizer(n, int(rng.integers(1 << 30)))
+                f = random_polynomial(n, rng)
+                got = shallow_spectrum(tab, f).values
+                want = shallow_spectrum(canonicalize(tab), f).values
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
+
+    def test_gate_on_other_qubits_rejected(self):
+        with pytest.raises(ValidationError, match="not on its n=2 qubits"):
+            shallow_spectrum(plus_tableau(2), make_gate("T", [1], 3))
+
     def test_random_signed_sweep(self):
         rng = np.random.default_rng(10)
         for n in (1, 2, 3, 4):

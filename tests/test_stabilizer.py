@@ -17,7 +17,6 @@ from magicforge.stabilizer import (
     is_graph_type,
     plus_tableau,
     product_tableau,
-    pure_z_rank,
     random_stabilizer,
     tableau_expectation,
     zeros_tableau,
@@ -67,6 +66,39 @@ def signed_graph_tableau(n, rng):
     order = rng.permutation(n)
     tab = StabilizerTableau(n, [(rows[k].x, rows[k].z, rows[k].phase_exp // 2) for k in order])
     return tab, tuple(adj), tuple(signs)
+
+
+def row_in_group(t, row) -> bool:
+    """Whether the signed row (x, z, h) is a product of t's rows, sign
+    included: GF(2) elimination on the (x|z) bits, tracking which rows of t
+    make up each basis vector, then the product of those rows."""
+    basis = []  # (vector, mask of t's rows), one per leading bit
+    for i, (x, z, _) in enumerate(t.rows):
+        v, m = (x << t.n) | z, 1 << i
+        for b, bm in basis:
+            if v ^ b < v:
+                v, m = v ^ b, m ^ bm
+        basis.append((v, m))
+        basis.sort(reverse=True)
+    v, m = (row[0] << t.n) | row[1], 0
+    for b, bm in basis:
+        if v ^ b < v:
+            v, m = v ^ b, m ^ bm
+    if v:
+        return False
+    p = PauliLabel(t.n, 0, 0)
+    for i, (x, z, h) in enumerate(t.rows):
+        if (m >> i) & 1:
+            p = pauli_mul(p, PauliLabel(t.n, x, z, 2 * h))
+    return (p.x, p.z, p.phase_exp) == (row[0], row[1], 2 * row[2])
+
+
+def is_rref(vectors) -> bool:
+    """Whether the nonzero masks are in reduced row echelon form with their
+    pivots, the lowest set bits, ascending, each pivot set in its row alone."""
+    pivots = [v & -v for v in vectors]
+    return all(pivots) and pivots == sorted(set(pivots)) and all(
+        not (v & p) for i, v in enumerate(vectors) for j, p in enumerate(pivots) if i != j)
 
 
 class TestTableauBasics:
@@ -156,6 +188,15 @@ class TestCanonicalize:
         assert c.r == 2
         assert [x != 0 for x, _, _ in c.rows] == [True, False, False]
 
+    def test_a_tableau_of_the_same_group(self):
+        # canonical rows are a StabilizerTableau with the input's r, each row
+        # in the input's group, and a second canonicalize keeps them
+        for tab in random_cases():
+            c = canonicalize(tab)
+            assert type(c) is StabilizerTableau and c.r == tab.r
+            assert all(row_in_group(tab, row) for row in c.rows)
+            assert canonicalize(c) == c
+
     def test_mixed_x_parts_independent(self):
         for tab in random_cases():
             c = canonicalize(tab)
@@ -192,7 +233,7 @@ class TestGroupElements:
         for n in range(1, 9):
             tabs = [random_stabilizer(n, int(rng.integers(1 << 30))) for _ in range(4)]
             tabs += [product_tableau(n, {1: 1, n: 0}), zeros_tableau(n)]
-            assert any(pure_z_rank(tab) > 0 for tab in tabs)
+            assert any(tab.r > 0 for tab in tabs)
             for tab in tabs:
                 assert group_table(tab) == group_reference(tab), n
 
@@ -282,7 +323,7 @@ class TestGraphType:
         seen = 0
         for seed in range(40):
             tab = random_stabilizer(n, seed)
-            if pure_z_rank(tab) >= 1:
+            if tab.r >= 1:
                 seen += 1
                 assert is_graph_type(tab) == (False, None, None)
         assert seen
@@ -309,7 +350,7 @@ class TestCanonicalFrame:
     def test_target_shape(self):
         for tab in random_cases(per_n=4, seed=5):
             _, target = canonical_frame(tab)
-            r = pure_z_rank(tab)
+            r = tab.r
             gens = target.to_json()["generators"]
             for j, g in enumerate(gens):
                 body = g[1:]
@@ -320,14 +361,20 @@ class TestCanonicalFrame:
                     assert body == "I" * j + "X" + "I" * (tab.n - j - 1)
 
     @pytest.mark.parametrize("n", [17, 32])
-    def test_past_the_canonicalize_cap(self, n):
-        # the frame and the graph flag are O(n**2) row work and run to the
-        # 32-qubit masks; only canonicalize keeps the n = 16 cap
+    def test_canonicalize_frame_and_graph_flag_past_n16(self, n):
+        # canonicalize, the frame and the graph flag are O(n**2) row work and
+        # run to the 32-qubit masks; only tableau_expectation caps at n = 16
         tab = random_stabilizer(n, 3)
-        with pytest.raises(CapacityError):
-            canonicalize(tab)
+        r = tab.r
+        assert 0 < r < n
+        for t in (tab, zeros_tableau(n), plus_tableau(n)):
+            c = canonicalize(t)
+            assert c.r == t.r
+            assert all(row_in_group(t, row) for row in c.rows)
+            mixed, pure = c.rows[:n - c.r], c.rows[n - c.r:]
+            assert is_rref([x for x, _, _ in mixed])
+            assert all(x == 0 for x, _, _ in pure) and is_rref([z for _, z, _ in pure])
         frame, target = canonical_frame(tab)
-        r = pure_z_rank(tab)
         assert target == product_tableau(n, dict.fromkeys(range(1, r + 1), 0))
         # n independent moved rows in the target's group: +Z on qubits below r, +X above
         low = (1 << r) - 1
@@ -342,7 +389,7 @@ def frame_moves_to_target(tab):
     """The frame of tab, after checking against the oracle that it takes the
     state to the target |0>^r |+>^(n-r)."""
     frame, target = canonical_frame(tab)
-    r = pure_z_rank(tab)
+    r = tab.r
     assert target == product_tableau(tab.n, dict.fromkeys(range(1, r + 1), 0))
     moved = apply_gates(statevector(tab), frame.gates)
     assert overlap2(moved, statevector(target)) > 1 - 1e-10, tab.to_json()
@@ -374,7 +421,7 @@ class TestCanonicalFrameEdgeCases:
             tab = graph_tableau(n, rng)
             ys = {int(q) for q in rng.choice(n, size=1 + int(rng.integers(n)), replace=False)}
             tab = apply_clifford(tab, CliffordOp(n, tuple(("S", q) for q in sorted(ys))))
-            assert pure_z_rank(tab) == 0
+            assert tab.r == 0
             frame = frame_moves_to_target(tab)
             assert {g[1] for g in frame.gates if g[0] == "S"} == ys
             assert {g[1] for g in frame.gates if g[0] == "Z"} == ys
@@ -500,18 +547,21 @@ class TestRandomStabilizer:
 
 class TestPureZRank:
     def test_product_states(self):
-        assert pure_z_rank(zeros_tableau(3)) == 3
-        assert pure_z_rank(plus_tableau(3)) == 0
-        assert pure_z_rank(product_tableau(4, {1: 0, 3: 1})) == 2
+        assert zeros_tableau(3).r == 3
+        assert plus_tableau(3).r == 0
+        assert product_tableau(4, {1: 0, 3: 1}).r == 2
 
     def test_support_matches_the_oracle(self):
-        # the state has 2**(n - r) nonzero amplitudes
+        # the state has 2**(n - r) nonzero amplitudes; its canonical form,
+        # the same state, has the same r, and that many pure-Z rows
         for tab in random_cases(ns=range(1, 9), per_n=25, seed=9):
             support = np.count_nonzero(np.abs(statevector(tab).amplitudes) > 1e-9)
-            assert support == 1 << (tab.n - pure_z_rank(tab)), tab.to_json()
+            assert support == 1 << (tab.n - tab.r), tab.to_json()
+            c = canonicalize(tab)
+            assert c.r == tab.r == sum(x == 0 for x, _, _ in c.rows), tab.to_json()
 
     def test_invariant_under_diagonal_clifford(self):
         # CZ and S keep the support, hence the pure-Z rank
         tab = product_tableau(3, {2: 0})
         c = CliffordOp(3, (("CZ", 0, 1), ("S", 2), ("CZ", 1, 2)))
-        assert pure_z_rank(apply_clifford(tab, c)) == pure_z_rank(tab)
+        assert apply_clifford(tab, c).r == tab.r

@@ -23,7 +23,6 @@ from magicforge.stabilizer import (
     apply_clifford,
     canonicalize,
     plus_tableau,
-    pure_z_rank,
     random_stabilizer,
     zeros_tableau,
 )
@@ -709,7 +708,7 @@ class TestCircuitFold:
         rng = np.random.default_rng(16)
         for n in range(1, MAX_SPECTRUM_QUBITS + 1):
             tab = random_stabilizer(n, int(rng.integers(1 << 30)))
-            while pure_z_rank(tab) < 1:
+            while tab.r < 1:
                 tab = random_stabilizer(n, int(rng.integers(1 << 30)))
             c1, c2, c3 = (random_clifford(n, rng) for _ in range(3))
             w1, w2 = (RotationVector.continuous(rng.uniform(0.0, 1.0, n)) for _ in range(2))
@@ -794,6 +793,17 @@ class TestCircuitFold:
     def test_block_field_of_the_wrong_type_rejected(self, clifford, w):
         with pytest.raises(ValidationError, match="a layer is"):
             LayerBlock(2, clifford, w)
+
+    @pytest.mark.parametrize("initial", [None, {"n": 2, "rows": ()}, ("XI", "IX")],
+                             ids=["none", "dict", "texts"])
+    def test_initial_state_of_another_type_rejected(self, initial):
+        # the fold reads the initial rows as they are, so the circuit checks
+        # the state's type when built, and its wrappers inherit that check
+        for build in (lambda: ParsedCircuit(2, initial, ()),
+                      lambda: initial_spectrum(initial),
+                      lambda: shallow_spectrum(initial, make_gate("T", [1], 2))):
+            with pytest.raises(ValidationError, match="must be a StabilizerTableau"):
+                build()
 
     def test_empty_circuit_is_initial_spectrum(self):
         tab = random_stabilizer(3, 5)
