@@ -5,8 +5,9 @@ Every output (JSON or CSV) embeds the run manifest: tool version, command,
 input paths, the effective options and, for the commands that draw random
 numbers (optimize, verify, nogo), the seed.  Outputs contain no
 timestamps, so identical manifests produce byte-identical files.  File
-outputs are written atomically (temp file in the target directory, then
-rename).
+outputs are written atomically: all of a command's files go to temporary
+files in their target directories before any is renamed into place, and
+`spectrum -o FILE` renames FILE last.  `nogo` reads circuit JSON.
 
 Exit codes: 0 success, 1 verification or search failure, 2 input/validation
 error or an unwritable -o path.  Failures print a JSON object on stderr.
@@ -26,7 +27,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .diagonal_gates import RotationVector, random_polynomial, whole_number
+from .diagonal_gates import RotationVector, random_polynomial
 from .errors import CapacityError, MagicforgeError, SearchError, ValidationError
 from .oracle import apply_diagonal, apply_gates, apply_rotation, oracle_spectrum, statevector
 from .optimizer import config_from_dict, run_pipeline
@@ -47,7 +48,6 @@ from .theorems import construct_zero_magic, nogo_witness, support_ceiling
 from .transfer import (
     LayerBlock,
     ParsedCircuit,
-    _layer_from_json,
     _layer_to_json,
     apply_block,
     circuit_from_json,
@@ -78,32 +78,40 @@ def _new_file_mode() -> int:
     return 0o666 & ~umask
 
 
-def _atomic_write(path: str | None, pieces: Iterable[str]) -> None:
+def _atomic_write(path: str | None, pieces: Iterable[str], *more: tuple[str, Iterable]) -> None:
     """Write the pieces in order, to ``path`` or to standard output, drawing
     each from the iterable only when it is written; no joined copy of them
-    is made.  The file gets the mode a plain ``open(path, "w")`` would give
-    it, not `tempfile.mkstemp`'s 0600.  If drawing or writing a piece raises,
-    the temporary file goes and ``path`` keeps its old bytes.  A file that
-    cannot be created or renamed into place is bad input: ValidationError."""
+    is made.  The (path, pieces) pairs of ``more`` go to files too.  Every
+    file is written to a temporary file, and only then are they renamed into
+    place, ``path`` last.  Files get the mode a plain ``open(path, "w")``
+    gives, not `tempfile.mkstemp`'s 0600.  If anything raises, the temporary
+    files go and ``path`` keeps its old bytes.  A file that cannot be created
+    or renamed into place is bad input: ValidationError."""
     if path is None:
         sys.stdout.writelines(pieces)
         return
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    files = [(path, pieces), *more]
+    temps: list[str] = []
     try:
-        fd, tmp = tempfile.mkstemp(prefix=".magicforge.", dir=directory)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines(pieces)
-            os.fchmod(fh.fileno(), _new_file_mode())
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise ValidationError(f"cannot write {path}: {exc}") from exc
+        for target, body in files:
+            try:
+                fd, tmp = tempfile.mkstemp(prefix=".magicforge.",
+                                           dir=os.path.dirname(os.path.abspath(target)))
+            except OSError as exc:
+                raise ValidationError(f"cannot write {target}: {exc}") from exc
+            temps.append(tmp)
+            with os.fdopen(fd, "w") as fh:
+                fh.writelines(body)
+                os.fchmod(fh.fileno(), _new_file_mode())
+        for (target, _), tmp in reversed(list(zip(files, temps))):
+            try:
+                os.replace(tmp, target)
+            except OSError as exc:
+                raise ValidationError(f"cannot write {target}: {exc}") from exc
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -155,7 +163,8 @@ def _method(parsed: ParsedCircuit) -> str:
 
 
 def _spectrum_csv(s: PauliSpectrum, manifest: dict, comments: list[str]) -> Iterator[str]:
-    return _csv_pieces(
+    """The CSV pieces, built when the first is drawn: one spectrum's at a time."""
+    yield from _csv_pieces(
         manifest, ["x_bits", "z_bits", "re", "im", "abs2"], spectrum_csv_rows(s), comments
     )
 
@@ -168,10 +177,9 @@ def _cmd_spectrum(args) -> int:
     dev = float(np.max(np.abs(spec.values - oracle_spec.values)))
     comments = [f"source: {_method(parsed)}", f"max_abs_deviation_vs_oracle: {dev!r}"]
     # every check has run by here: the pieces below only format, block by block
-    _atomic_write(args.output, _spectrum_csv(spec, manifest, comments))
-    if args.output is not None:
-        oracle_csv = _spectrum_csv(oracle_spec, manifest, ["source: oracle"])
-        _atomic_write(args.output + ".oracle.csv", oracle_csv)
+    oracle = () if args.output is None else (
+        (args.output + ".oracle.csv", _spectrum_csv(oracle_spec, manifest, ["source: oracle"])),)
+    _atomic_write(args.output, _spectrum_csv(spec, manifest, comments), *oracle)
     return 0
 
 
@@ -287,38 +295,23 @@ def _cmd_zero_magic(args) -> int:
     return 0
 
 
-def _block_from_json(obj: dict) -> LayerBlock:
-    try:
-        n = whole_number(obj["n"], "block n")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"block JSON needs an integer 'n': {exc}") from exc
-    extra = set(obj) - {"n", "clifford", "sqr"}
-    if extra:
-        raise ValidationError(f"unknown block JSON keys: {sorted(extra)}")
-    # an empty or null Clifford is no Clifford, an absent rotation is none
-    kinds = (["clifford"] if obj.get("clifford") else []) + (["sqr"] if "sqr" in obj else [])
-    parts = dict(_layer_from_json(n, "block", kind, obj[kind]) for kind in kinds)
-    return LayerBlock(n, parts.get("clifford"), parts.get("sqr"))
-
-
-def _block_to_json(block: LayerBlock) -> dict:
-    out: dict = {"n": block.n}
-    for kind, obj in block.layers:
-        if kind == "sqr" or obj.gates:  # an empty Clifford is left out
-            out[kind] = _layer_to_json(kind, obj)
-    return out
-
-
 def _cmd_nogo(args) -> int:
-    block = _block_from_json(_load_json(args.block))
-    manifest = _manifest("nogo", [args.block], {"alpha": args.alpha, "trials": args.trials},
+    obj = _load_json(args.circuit)
+    if "initial" in obj:
+        raise ValidationError(f"{args.circuit}: nogo draws its own input states, "
+                              "so its circuit has no 'initial'")
+    parsed = circuit_from_json(obj)
+    manifest = _manifest("nogo", [args.circuit], {"alpha": args.alpha, "trials": args.trials},
                          args.seed)
-    wit = nogo_witness(block, alpha=args.alpha, trials=args.trials, seed=args.seed)
+    wit = nogo_witness(parsed.layers, alpha=args.alpha, trials=args.trials, seed=args.seed)
+
+    def layers_json(layers):
+        return [{kind: _layer_to_json(kind, obj)} for kind, obj in layers]
 
     def state_payload(ws):
         return {
             "tableau": ws.tableau.to_json(),
-            "pre_blocks": [_block_to_json(b) for b in ws.pre_blocks],
+            "pre_layers": layers_json(ws.pre_layers),
             "f_before": ws.f_before,
             "f_after": ws.f_after,
             "delta": ws.delta,
@@ -327,7 +320,8 @@ def _cmd_nogo(args) -> int:
     payload = {
         "manifest": manifest,
         "alpha": wit.alpha,
-        "block": _block_to_json(wit.block),
+        "n": parsed.n,
+        "layers": layers_json(wit.layers),
         "increase": state_payload(wit.increase),
         "decrease": state_payload(wit.decrease),
         "trials_used": wit.trials_used,
@@ -415,8 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_zero_magic)
 
-    p = sub.add_parser("nogo", help="witness that one block both raises and lowers F_alpha")
-    p.add_argument("block", help="block JSON path ({'n', 'clifford', 'sqr'})")
+    p = sub.add_parser("nogo", help="witness that one layer sequence raises and lowers F_alpha")
+    p.add_argument("circuit", help="circuit JSON path: 'clifford' and 'sqr' layers, no 'initial'")
     p.add_argument("--alpha", type=int, default=2)
     p.add_argument("--trials", type=_positive_int, default=200)
     common(p, seeded=True)

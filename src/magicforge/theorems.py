@@ -1,5 +1,5 @@
 """Constructive certificates: zero-magic gates, no-ordering pairs, no-go
-witnesses, and the rotation-layer support ceiling.
+witnesses for a layer sequence, and the rotation-layer support ceiling.
 
 Everything returned here is checked against the brute-force oracle before it
 leaves the function, so a certificate object is always a verified statement,
@@ -38,7 +38,7 @@ from .stabilizer import (
     product_tableau,
     random_stabilizer,
 )
-from .transfer import MAX_SPECTRUM_QUBITS, CliffordOp, LayerBlock, _fold
+from .transfer import MAX_SPECTRUM_QUBITS, CliffordOp, _check_kinds, _fold
 
 
 def conjugate_diagonal_by_frame(f: PhasePolynomial, frame: CliffordOp) -> PhasePolynomial:
@@ -156,8 +156,8 @@ def zero_magic_state_for_gate(f: PhasePolynomial) -> StabilizerTableau:
     )
 
 
-def _oracle_apply_block(st: DenseState, block: LayerBlock) -> DenseState:
-    for kind, obj in block.layers:
+def _oracle_apply(st: DenseState, layers) -> DenseState:
+    for kind, obj in layers:
         st = apply_gates(st, obj.gates) if kind == "clifford" else apply_rotation(st, obj)
     return st
 
@@ -168,11 +168,11 @@ def _is_clifford_angle(w: RotationVector, j: int) -> bool:
 
 @dataclass(frozen=True)
 class WitnessState:
-    """An input state (stabilizer seed plus preparation blocks) and the
-    functional change it exhibits across the probed block."""
+    """An input state (stabilizer seed plus preparation layers) and the
+    functional change it exhibits across the probed sequence."""
 
     tableau: StabilizerTableau
-    pre_blocks: tuple[LayerBlock, ...]
+    pre_layers: tuple[tuple, ...]
     f_before: float
     f_after: float
 
@@ -183,33 +183,42 @@ class WitnessState:
 
 @dataclass(frozen=True)
 class NoGoWitness:
-    block: LayerBlock
+    layers: tuple[tuple, ...]
     alpha: int
     increase: WitnessState
     decrease: WitnessState
     trials_used: int
 
 
-def nogo_witness(block: LayerBlock, alpha: int = 2, trials: int = 200,
-                 seed: int = 0) -> NoGoWitness:
-    """Exhibit inputs on which one non-Clifford block raises and lowers F_alpha.
+def nogo_witness(layers, alpha: int = 2, trials: int = 200, seed: int = 0) -> NoGoWitness:
+    """Exhibit inputs on which one fixed sequence of ("clifford", C) and
+    ("sqr", w) layers on one qubit count raises and lowers F_alpha.
 
     Candidates are oracle-evaluated: plain random stabilizer states (these
-    tend to lose magic), states dragged backwards through the block (these
-    must gain it back), and randomly pre-rotated stabilizer states.  Both
-    changes must clear 1e-6 in magnitude within the trial budget.
+    tend to lose magic), states dragged backwards through the inverse
+    sequence, reversed with C^dagger and -w (these must gain it back), and
+    randomly pre-rotated stabilizer states.  Both changes must clear 1e-6 in
+    magnitude within the trial budget.
     """
-    n = block.n
+    layers = tuple(layers)
+    _check_kinds(layers)
+    sizes = {obj.n for _, obj in layers}
+    if len(sizes) != 1 or any(kind == "gate" for kind, _ in layers):
+        raise ValidationError("a no-go sequence is one or more 'clifford' and 'sqr' layers on "
+                              f"one qubit count, got {[(k, obj.n) for k, obj in layers]}")
+    (n,) = sizes
     if n > MAX_SPECTRUM_QUBITS:
         raise CapacityError(f"witness search cap is n={MAX_SPECTRUM_QUBITS}, got {n}")
-    if block.w is None or all(_is_clifford_angle(block.w, j) for j in range(n)):
+    if all(kind == "clifford" or all(_is_clifford_angle(obj, j) for j in range(n))
+           for kind, obj in layers):
         raise ValidationError(
-            "block is Clifford (every angle has 4w integral); no witness exists"
+            "sequence is Clifford (every angle has 4w integral); no witness exists"
         )
     rng = np.random.default_rng([seed, 7])
-    inv_blocks = (
-        LayerBlock(n, None, RotationVector.continuous([-v for v in block.w.values])),
-        LayerBlock(n, block.clifford.inverse() if block.clifford else None, None),
+    inverse = tuple(
+        ("clifford", obj.inverse()) if kind == "clifford"
+        else ("sqr", RotationVector.continuous([-v for v in obj.values]))
+        for kind, obj in reversed(layers)
     )
     up: WitnessState | None = None
     down: WitnessState | None = None
@@ -219,16 +228,14 @@ def nogo_witness(block: LayerBlock, alpha: int = 2, trials: int = 200,
         used += 1
         tab = random_stabilizer(n, int(rng.integers(1 << 30)))
         if i % 3 == 1:
-            pre: tuple[LayerBlock, ...] = inv_blocks
+            pre = inverse
         elif i % 3 == 2:
-            pre = (LayerBlock(n, None, RotationVector.continuous(rng.uniform(0, 1, n))),)
+            pre = (("sqr", RotationVector.continuous(rng.uniform(0, 1, n))),)
         else:
             pre = ()
-        st = statevector(tab)
-        for pb in pre:
-            st = _oracle_apply_block(st, pb)
+        st = _oracle_apply(statevector(tab), pre)
         f_before = f_alpha(oracle_spectrum(st), alpha)
-        f_after = f_alpha(oracle_spectrum(_oracle_apply_block(st, block)), alpha)
+        f_after = f_alpha(oracle_spectrum(_oracle_apply(st, layers)), alpha)
         cand = WitnessState(tab, pre, f_before, f_after)
         if cand.delta > 1e-6 and up is None:
             up = cand
@@ -237,7 +244,7 @@ def nogo_witness(block: LayerBlock, alpha: int = 2, trials: int = 200,
     if up is None or down is None:
         missing = "increase" if up is None else "decrease"
         raise SearchError(f"no {missing} witness within {trials} trials")
-    return NoGoWitness(block, alpha, up, down, used)
+    return NoGoWitness(layers, alpha, up, down, used)
 
 
 @dataclass(frozen=True)

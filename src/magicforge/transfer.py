@@ -78,8 +78,10 @@ the result is checked once, at the end, by `_computed`: from checked input
 every layer keeps the norm, so a result that fails the `PauliSpectrum`
 check is a fault of the fold (RuntimeError), not bad input; `apply_block`
 ends the same way.  The dense oracle only checks.  One reader,
-`_layer_from_json`, parses the layer bodies of circuit JSON and of block
-JSON; `_layer_to_json` writes them back.
+`_layer_from_json`, parses the layer bodies of circuit JSON, and
+`_layer_to_json` writes them back (`nogo` echoes its layers with it).
+`circuit_from_json` names any key other than ``n``, ``initial`` and
+``layers``, and leaves every size check to `ParsedCircuit`.
 
 `random_clifford` keeps the stream of its Generator calls (``random``, then
 ``choice(n, 2, replace=False)`` and ``integers(2)``, or ``integers(4)`` and
@@ -616,16 +618,15 @@ class ParsedCircuit:
 def circuit_from_json(obj: Mapping) -> ParsedCircuit:
     from .stabilizer import StabilizerTableau, plus_tableau
 
+    if extra := set(obj) - {"n", "initial", "layers"}:
+        raise ValidationError(
+            f"unknown circuit JSON keys: {sorted(extra)}; a circuit has 'n', 'initial' and "
+            "'layers', each layer one of {'clifford': ...}, {'sqr': ...} and {'gate': ...}")
     try:
         n = whole_number(obj["n"], "circuit n")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"circuit JSON needs an integer 'n': {exc}") from exc
-    if "initial" in obj:
-        initial = StabilizerTableau.from_json(obj["initial"])
-        if initial.n != n:
-            raise ValidationError("initial tableau size disagrees with circuit n")
-    else:
-        initial = plus_tableau(n)
+    initial = StabilizerTableau.from_json(obj["initial"]) if "initial" in obj else plus_tableau(n)
     raw_layers = obj.get("layers", [])
     if not isinstance(raw_layers, list):
         raise ValidationError(f"circuit 'layers' must be a list, got {raw_layers!r}")
@@ -639,22 +640,18 @@ def circuit_from_json(obj: Mapping) -> ParsedCircuit:
 
 
 def _layer_from_json(n: int, where: str, kind: str, body) -> tuple:
-    """The layer (kind, obj) on n qubits of a ``clifford``, ``sqr`` or ``gate``
-    body; ``where`` names it in error messages."""
+    """The layer (kind, obj) of a ``clifford``, ``sqr`` or ``gate`` body; a
+    Clifford or a gate without its own ``n`` is on n qubits, and ``where``
+    names the layer in error messages."""
     if kind == "clifford":
         return "clifford", CliffordOp(n, body)
     if kind == "sqr":
-        w = RotationVector.from_json(body)
-        if w.n != n:
-            raise ValidationError(f"{where} rotation has {w.n} angles, not n={n}")
-        return "sqr", w
+        return "sqr", RotationVector.from_json(body)
     if kind == "gate":
         if not isinstance(body, Mapping):
             raise ValidationError(f"{where} gate must be an object, got {body!r}")
-        f = PhasePolynomial.from_json({"n": n, **body} if "terms" in body or "sqr" in body else body)
-        if f.n != n:
-            raise ValidationError(f"{where} gate is on {f.n} qubits, not n={n}")
-        return "gate", f
+        return "gate", PhasePolynomial.from_json(
+            {"n": n, **body} if "terms" in body or "sqr" in body else body)
     raise ValidationError(f"{where} has unknown kind {kind!r}")
 
 

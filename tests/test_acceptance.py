@@ -177,7 +177,7 @@ def test_criterion_09_nogo_witnesses_found():
             if any(k % 2 for k in ks):
                 break
         block = LayerBlock(n, random_clifford(n, rng), RotationVector.dyadic(ks, 3))
-        wit = nogo_witness(block, alpha=2, trials=200, seed=i)
+        wit = nogo_witness(block.layers, alpha=2, trials=200, seed=i)
         assert wit.increase.delta > 1e-6, i
         assert wit.decrease.delta < -1e-6, i
         assert wit.trials_used <= 200

@@ -17,8 +17,6 @@ import pytest
 import magicforge
 from magicforge.cli import (
     _atomic_write,
-    _block_from_json,
-    _block_to_json,
     _build_parser,
     _new_file_mode,
     _oracle_run,
@@ -29,7 +27,13 @@ from magicforge.oracle import oracle_spectrum
 from magicforge.optimizer import config_from_dict, run_pipeline
 from magicforge.spectrum import f_alpha, nullity, support_size
 from magicforge.stabilizer import StabilizerTableau, plus_tableau, random_stabilizer
-from magicforge.transfer import CliffordOp, LayerBlock, circuit_from_json, random_clifford
+from magicforge.transfer import (
+    CliffordOp,
+    LayerBlock,
+    _layer_to_json,
+    circuit_from_json,
+    random_clifford,
+)
 
 from helpers import csv_writer_text, graph_gate_circuit_json
 
@@ -52,10 +56,11 @@ def tableau_file(tmp_path):
 
 
 @pytest.fixture
-def block_file(tmp_path):
+def nogo_file(tmp_path):
+    # one Clifford + rotation block, as nogo reads it: a circuit without 'initial'
     path = tmp_path / "block.json"
     path.write_text(json.dumps({
-        "n": 1, "clifford": [["H", 0]], "sqr": {"m": 3, "k": [1]},
+        "n": 1, "layers": [{"clifford": [["H", 0]]}, {"sqr": {"m": 3, "k": [1]}}],
     }))
     return str(path)
 
@@ -350,7 +355,7 @@ class TestCapacity:
         n = 9
         path = tmp_path / "in.json"
         if command == "nogo":
-            block = {"n": n, "clifford": [["H", 0]], "sqr": {"m": 3, "k": [1] * n}}
+            block = {"n": n, "layers": [{"clifford": [["H", 0]]}, {"sqr": {"m": 3, "k": [1] * n}}]}
             path.write_text(json.dumps(block))
             argv = ["nogo", str(path)]
         else:
@@ -539,36 +544,43 @@ class TestZeroMagic:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _write_json(path: Path, obj) -> str:
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
 class TestNogo:
-    def test_witness_payload(self, block_file, tmp_path):
+    def test_witness_payload(self, nogo_file, tmp_path):
         out = str(tmp_path / "wit.json")
-        assert main(["nogo", block_file, "-o", out]) == 0
+        assert main(["nogo", nogo_file, "-o", out]) == 0
         data = json.loads(Path(out).read_text())
         assert data["increase"]["delta"] > 1e-6
         assert data["decrease"]["delta"] < -1e-6
-        assert data["block"]["sqr"] == {"w": [0.125]}
+        assert data["n"] == 1
+        assert data["layers"] == [{"clifford": [["H", 0]]}, {"sqr": {"w": [0.125]}}]
+        # the dragged-back state's preparation is the inverse sequence
+        assert data["increase"]["pre_layers"] == [{"sqr": {"w": [0.875]}},
+                                                  {"clifford": [["H", 0]]}]
 
     def test_clifford_block_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "b.json"
-        path.write_text(json.dumps({"n": 1, "clifford": [["H", 0]]}))
-        assert main(["nogo", str(path)]) == 2
+        path = _write_json(tmp_path / "b.json", {"n": 1, "layers": [{"clifford": [["H", 0]]}]})
+        assert main(["nogo", path]) == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_block_json_round_trip(self, n):
-        # every combination of parts; an empty Clifford is the same as none
+        # a block's layers, written with _layer_to_json, read back from
+        # circuit JSON as the same layers, an empty Clifford included
         rng = np.random.default_rng([5, n])
-        cliffords = [None, random_clifford(n, rng)]
+        cliffords = [None, CliffordOp(n, ()), random_clifford(n, rng)]
         rotations = [None, RotationVector.continuous(rng.uniform(0.0, 1.0, n)),
                      RotationVector.dyadic([int(k) for k in rng.integers(0, 16, n)], 4)]
         for cliff in cliffords:
             for w in rotations:
                 block = LayerBlock(n, cliff, w)
-                text = json.dumps(_block_to_json(block), sort_keys=True)
-                assert _block_from_json(json.loads(text)) == block
-        assert _block_to_json(LayerBlock(n, CliffordOp(n, ()), None)) == {"n": n}
-        for empty in ([], None):
-            assert _block_from_json({"n": n, "clifford": empty}) == LayerBlock(n)
+                layers = [{kind: _layer_to_json(kind, obj)} for kind, obj in block.layers]
+                text = json.dumps({"n": n, "layers": layers}, sort_keys=True)
+                assert circuit_from_json(json.loads(text)).layers == block.layers
 
     @pytest.mark.parametrize("block", [
         {"n": 2, "clifford": [["H", "a"]]},
@@ -583,24 +595,64 @@ class TestNogo:
     ], ids=["qubit-name", "qubit-float", "qubit-string", "qubit-bool", "qubit-second",
             "rotation-k", "rotation-m", "rotation-m-bool", "rotation-length"])
     def test_malformed_block_body_exits_2(self, block, tmp_path, capsys):
-        # the bodies that fail as circuit layers fail the same way in a block
+        # the bodies that fail in a magic circuit fail the same way in nogo's
+        layers = [{kind: block[kind]} for kind in ("clifford", "sqr") if kind in block]
         if "sqr" not in block:
-            block = {**block, "sqr": {"w": [0.125, 0.25]}}
-        path = tmp_path / "b.json"
-        path.write_text(json.dumps(block))
-        assert main(["nogo", str(path)]) == 2
+            layers.append({"sqr": {"w": [0.125, 0.25]}})
+        path = _write_json(tmp_path / "b.json", {"n": block["n"], "layers": layers})
+        assert main(["nogo", path]) == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
 
-
     def test_unknown_block_key_exits_2(self, tmp_path, capsys):
-        # a circuit file is no block: its keys are named, not read as an
-        # empty, Clifford block
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"n": 1, "layers": [{"sqr": {"w": [0.125]}}], "x": 1}))
-        assert main(["nogo", str(path)]) == 2
+        # an old block file is no circuit: its keys are named, with the new form
+        path = _write_json(tmp_path / "b.json",
+                           {"n": 1, "clifford": [["H", 0]], "sqr": {"m": 3, "k": [1]}})
+        assert main(["nogo", path]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "unknown block JSON keys: ['layers', 'x']",
+        assert err == {"error": "unknown circuit JSON keys: ['clifford', 'sqr']; a circuit has "
+                                "'n', 'initial' and 'layers', each layer one of "
+                                "{'clifford': ...}, {'sqr': ...} and {'gate': ...}",
                        "kind": "ValidationError"}
+
+    @pytest.mark.parametrize("body", [
+        {"n": 2, "layers": [{"sqr": {"w": [0.125, 0.25]}},
+                            {"gate": {"terms": [{"m": 3, "a": "10", "c": 1}]}}]},
+        {"n": 2, "initial": {"n": 2, "generators": ["+XI", "+IX"]},
+         "layers": [{"sqr": {"w": [0.125, 0.25]}}]},
+        {"n": 2, "layers": []},
+        {"n": 2},
+        {"n": 2, "layers": [{"clifford": [["H", 0]]}, {"sqr": {"w": [0.25, 0.5]}}]},
+    ], ids=["gate-layer", "initial", "no-layers", "layers-absent", "clifford-angles"])
+    def test_not_a_clifford_rotation_sequence_exits_2(self, body, tmp_path, capsys):
+        # an old block file and mixed sizes are the block tests' cases above
+        path = _write_json(tmp_path / "c.json", body)
+        assert main(["nogo", path]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
+
+    def test_two_block_sequence_replays_through_magic(self, tmp_path):
+        # n = 3, two Clifford + rotation blocks; magic on each witness state's
+        # circuit gives f_before, and with the sequence appended f_after
+        rng = np.random.default_rng([52, 3])
+        layers = [{"clifford": _layer_to_json("clifford", random_clifford(3, rng))},
+                  {"sqr": {"m": 3, "k": [1, 0, 3]}},
+                  {"clifford": _layer_to_json("clifford", random_clifford(3, rng))},
+                  {"sqr": {"w": [float(v) for v in rng.uniform(0, 1, 3)]}}]
+        path = _write_json(tmp_path / "seq.json", {"n": 3, "layers": layers})
+        out = tmp_path / "wit.json"
+        assert main(["nogo", path, "--seed", "4", "-o", str(out)]) == 0
+        wit = json.loads(out.read_text())
+        assert wit["n"] == 3 and len(wit["layers"]) == 4
+        assert wit["increase"]["delta"] > 1e-6 and wit["decrease"]["delta"] < -1e-6
+        for key in ("increase", "decrease"):
+            ws = wit[key]
+            for field, seq in (("f_before", ws["pre_layers"]),
+                               ("f_after", ws["pre_layers"] + wit["layers"])):
+                circ = _write_json(tmp_path / "replay.json",
+                                   {"n": 3, "initial": ws["tableau"], "layers": seq})
+                res = tmp_path / "magic.json"
+                assert main(["magic", circ, "-o", str(res)]) == 0
+                (result,) = json.loads(res.read_text())["results"]
+                assert abs(result["F_alpha"] - ws[field]) <= 1e-10, (key, field)
 
 
 class TestSupport:
@@ -670,6 +722,32 @@ class TestErrors:
         assert sorted(tmp_path.iterdir()) == sorted([Path(circuit_file), out])
         assert list(out.iterdir()) == []
 
+    def test_spectrum_oracle_path_onto_a_directory_keeps_the_primary(self, circuit_file,
+                                                                     tmp_path, capsys):
+        # both files are written before either is renamed, the oracle's
+        # first: its failed rename leaves the old primary and no temp file
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"old bytes\n")
+        (tmp_path / "out.csv.oracle.csv").mkdir()
+        assert main(["spectrum", circuit_file, "-o", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"].startswith(f"cannot write {out}.oracle.csv: ")
+        assert out.read_bytes() == b"old bytes\n"
+        assert not [p for p in tmp_path.rglob("*") if p.name.startswith(".magicforge.")]
+
+    @pytest.mark.parametrize("body, extra", [
+        ({"n": 1, "clifford": [["H", 0]], "sqr": {"m": 3, "k": [1]}}, ["clifford", "sqr"]),
+        ({"n": 2, "layer": [{"gate": {"terms": [{"m": 3, "a": "11", "c": 1}]}}]}, ["layer"]),
+    ], ids=["block-file", "misspelt-layers"])
+    def test_unknown_circuit_key_exits_2(self, body, extra, tmp_path, capsys):
+        # read with the key dropped, each would be the empty circuit, F_2 = 2^n
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(body))
+        assert main(["magic", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "ValidationError"
+        assert err["error"].startswith(f"unknown circuit JSON keys: {extra}; a circuit has ")
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["magic", "/nonexistent/x.json"]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -686,7 +764,7 @@ class TestErrors:
         ("magic", {"n": 1, "initial": {"n": "abc", "generators": ["+Z"]}, "layers": []}),
         ("magic", {"n": 1, "layers": [{"gate": {"terms": [{"m": "x", "a": "1", "c": 1}]}}]}),
         ("magic", {"n": 1, "layers": [{"clifford": [["H", "a"]]}]}),
-        ("nogo", {"n": "abc", "sqr": {"m": 3, "k": [1]}}),
+        ("nogo", {"n": "abc", "layers": [{"sqr": {"m": 3, "k": [1]}}]}),
     ])
     def test_non_integer_field_exits_2(self, command, body, tmp_path, capsys):
         path = tmp_path / "in.json"
@@ -703,12 +781,12 @@ class TestErrors:
         ("magic", {"n": 1, "layers": [{"gate": {"n": 1.5, "terms": [{"m": 2, "a": "1", "c": 1}]}}]}),
         ("magic", {"n": 1, "layers": [{"gate": {"terms": [{"m": 2.5, "a": "1", "c": 1}]}}]}),
         ("magic", {"n": 1, "layers": [{"gate": {"terms": [{"m": 2, "a": "1", "c": 1.7}]}}]}),
-        ("nogo", {"n": 1.5, "sqr": {"w": [0.125]}}),
+        ("nogo", {"n": 1.5, "layers": [{"sqr": {"w": [0.125]}}]}),
         ("magic", {"n": 2, "layers": [{"clifford": [["H", 1.9]]}]}),
         ("magic", {"n": 2, "layers": [{"clifford": [["H", "1"]]}]}),
         ("magic", {"n": 2, "layers": [{"clifford": [["CX", True, 0]]}]}),
         ("magic", {"n": 2, "layers": [{"clifford": [["CZ", 0, 1.5]]}]}),
-        ("nogo", {"n": 2, "clifford": [["H", 1.9]], "sqr": {"w": [0.125, 0.25]}}),
+        ("nogo", {"n": 2, "layers": [{"clifford": [["H", 1.9]]}, {"sqr": {"w": [0.125, 0.25]}}]}),
         ("magic", {"n": 1, "initial": {"n": 1.9, "generators": ["+X"]}, "layers": []}),
     ], ids=["rotation-k", "rotation-m", "rotation-m-bool", "circuit-n", "circuit-n-bool",
             "gate-n", "gate-m", "gate-c", "block-n", "qubit-float", "qubit-string",
@@ -765,9 +843,9 @@ class TestErrors:
         ["verify", "--cases", "-2"],
         ["nogo", "BLOCK", "--trials", "0"],
     ])
-    def test_non_positive_count_exits_2(self, argv, block_file, capsys):
+    def test_non_positive_count_exits_2(self, argv, nogo_file, capsys):
         with pytest.raises(SystemExit) as exc:
-            main([block_file if arg == "BLOCK" else arg for arg in argv])
+            main([nogo_file if arg == "BLOCK" else arg for arg in argv])
         assert exc.value.code == 2
         capsys.readouterr()
 
@@ -871,7 +949,7 @@ class TestParser:
         assert second["manifest"]["options"] == {"alpha": [2]}
 
     def test_only_commands_that_draw_random_numbers_record_a_seed(
-            self, circuit_file, tableau_file, block_file, tmp_path):
+            self, circuit_file, tableau_file, nogo_file, tmp_path):
         tab3 = tmp_path / "t3.json"
         tab3.write_text(json.dumps({"n": 3, "generators": ["+ZII", "+IXI", "+IIX"]}))
         rot = tmp_path / "w.json"
@@ -879,7 +957,7 @@ class TestParser:
         runs = {
             "spectrum": [circuit_file], "magic": [circuit_file], "support": [str(rot)],
             "zero-magic": [str(tab3), "--k", "3"], "optimize": [tableau_file, "--layers", "1"],
-            "verify": ["--n-max", "1", "--cases", "1"], "nogo": [block_file],
+            "verify": ["--n-max", "1", "--cases", "1"], "nogo": [nogo_file],
         }
         seeded = {}
         for command, args in runs.items():

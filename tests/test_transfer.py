@@ -762,13 +762,21 @@ class TestCircuitFold:
         with pytest.raises(AssertionError, match="heisenberg_table called"):
             ParsedCircuit(3, plus_tableau(3), layers).spectrum()
 
-    @pytest.mark.parametrize("layer", [("clifford", CliffordOp(3, (("H", 2),))),
-                                       ("sqr", RotationVector.continuous([0.1, 0.2, 0.3]))],
-                             ids=["clifford", "sqr"])
+    @pytest.mark.parametrize("layer", [
+        ("clifford", CliffordOp(3, (("H", 2),))),
+        ("sqr", RotationVector.continuous([0.1, 0.2, 0.3])),
+        {"n": 2, "initial": {"n": 3, "generators": ["+XII", "+IXI", "+IIX"]}, "layers": []},
+        {"n": 2, "layers": [{"sqr": {"w": [0.1, 0.2, 0.3]}}]},
+        {"n": 2, "layers": [{"gate": {"n": 3, "terms": [{"m": 3, "a": "111", "c": 1}]}}]},
+    ], ids=["clifford", "sqr", "json-initial", "json-sqr", "json-gate"])
     def test_layer_on_other_qubits_rejected(self, layer):
-        # the fold trusts its layers' sizes, so the circuit checks them when built
+        # the fold trusts its layers' sizes, so the circuit checks them when
+        # built; circuit JSON leaves its sizes to that one check
         with pytest.raises(ValidationError, match="not on its n=2 qubits"):
-            ParsedCircuit(2, plus_tableau(2), (layer,))
+            if isinstance(layer, dict):
+                circuit_from_json(layer)
+            else:
+                ParsedCircuit(2, plus_tableau(2), (layer,))
 
     @pytest.mark.parametrize("layer", [
         ("foo", make_gate("T", [1], 2)),
