@@ -25,7 +25,6 @@ from .diagonal_gates import (
     hierarchy_level,
     make_gate,
     random_polynomial,
-    sqr_to_poly,
 )
 from .stabilizer import (
     StabilizerTableau,
@@ -104,7 +103,6 @@ __all__ = [
     "RotationVector",
     "hierarchy_level",
     "make_gate",
-    "sqr_to_poly",
     "random_polynomial",
     "StabilizerTableau",
     "canonicalize",

@@ -331,9 +331,7 @@ def _cmd_nogo(args) -> int:
 
 
 def _cmd_support(args) -> int:
-    obj = _load_json(args.rotation)
-    body = obj.get("sqr", obj)
-    w = RotationVector.from_json(body)
+    w = RotationVector.from_json(_load_json(args.rotation))
     if w.n > MAX_SPECTRUM_QUBITS:
         raise CapacityError(f"support cap is n={MAX_SPECTRUM_QUBITS}, got n={w.n}")
     manifest = _manifest("support", [args.rotation], {})
@@ -417,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_nogo)
 
     p = sub.add_parser("support", help="rotation-layer support ceiling vs attained count")
-    p.add_argument("rotation", help="rotation JSON path ({'m','k'} or {'w'} or {'sqr': ...})")
+    p.add_argument("rotation", help="rotation JSON path ({'m','k'} or {'w'})")
     common(p)
     p.set_defaults(func=_cmd_support)
 

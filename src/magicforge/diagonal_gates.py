@@ -6,7 +6,7 @@ A diagonal gate acts on a computational basis state ``|b>`` as
     theta(b) = sum over terms (m, a, c) of  c / 2**m * prod_{j in a} b_j,
 
 ``a`` an n-bit monomial mask, ``c`` an integer numerator.  Phases are kept as
-exact dyadic fractions (``fractions.Fraction`` in units of full turns); no
+exact dyadic fractions (integer numerators over 2**m, in full turns); no
 complex number is formed here.
 
 Canonical form: at most one term per monomial ``a``, numerator odd, reduced
@@ -20,15 +20,14 @@ Resolution is capped at m = 30 so value-table numerators stay inside int64.
 
 A layer of single-qubit Z rotations (`RotationVector`) is one float angle
 per qubit, in turns.  float64 holds every k / 2**m with m <= 30 exactly, so
-a dyadic layer needs no second angle type: `sqr_to_poly` reads each angle
-back as an exact fraction and builds the layer's polynomial from it.
+a dyadic layer needs no second angle type.  A rotation layer is never read
+or built as a polynomial: it has its own kernel, `transfer.rotate_layer`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -91,8 +90,8 @@ class PhasePolynomial:
     def __post_init__(self) -> None:
         if type(self.n) is not int:
             object.__setattr__(self, "n", whole_number(self.n, "polynomial n"))
-        if not 1 <= self.n <= 62:
-            raise ValidationError(f"n={self.n} outside 1..62")
+        if not 1 <= self.n <= MAX_QUBITS:
+            raise ValidationError(f"n={self.n} outside 1..{MAX_QUBITS}")
         if isinstance(self.terms, Mapping):
             raw = [(m, a, c) for (m, a), c in self.terms.items()]
         else:
@@ -121,9 +120,10 @@ class PhasePolynomial:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "PhasePolynomial":
-        if "sqr" in obj:
-            w = RotationVector.from_json({"n": obj.get("n"), **obj["sqr"]})
-            return sqr_to_poly(w)
+        if extra := set(obj) - {"n", "terms"}:
+            raise ValidationError(
+                f"unknown gate JSON keys: {sorted(extra)}; a gate has 'n' and 'terms', and a "
+                "rotation is its own {'sqr': {...}} circuit layer")
         try:
             n = whole_number(obj["n"], "gate n")
             raw = []
@@ -191,8 +191,7 @@ class RotationVector:
     reduced into [0, 1): qubit j picks up ``exp(2*pi*i*w_j)`` on ``|1>``.
     Entry order follows qubits 1..n.  A float64 holds every dyadic angle
     k / 2**m with m <= MAX_RESOLUTION exactly, so `dyadic` stores into the
-    same field and `sqr_to_poly` reads the exact fractions back off
-    ``values``.
+    same field.
     """
 
     n: int
@@ -243,19 +242,6 @@ class RotationVector:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed rotation JSON: {exc}") from exc
         raise ValidationError("rotation JSON needs either {'m','k'} or {'w'}")
-
-
-def sqr_to_poly(w: RotationVector) -> PhasePolynomial:
-    """Rotation layer as a phase polynomial (weight-1 monomials only).
-
-    Each angle is read exactly as a fraction k / 2**m; the polynomial
-    rejects an angle with m > MAX_RESOLUTION, such as 0.1.
-    """
-    fracs = [Fraction(v) for v in w.values]
-    return PhasePolynomial(
-        w.n,
-        [(f.denominator.bit_length() - 1, 1 << j, f.numerator) for j, f in enumerate(fracs) if f],
-    )
 
 
 _GATE_RECIPES = {

@@ -273,5 +273,5 @@ def apply_clifford(t: StabilizerTableau, c: CliffordOp) -> StabilizerTableau:
 def random_stabilizer(n: int, seed: int) -> StabilizerTableau:
     """Random stabilizer state, built by conjugating |0...0> through a random
     Clifford circuit of 3n^2 + 2n gates.  Deterministic in the seed."""
-    circ = random_clifford(n, np.random.default_rng(seed), length=3 * n * n + 2 * n)
+    circ = random_clifford(n, np.random.default_rng(seed))
     return apply_clifford(zeros_tableau(n), circ)

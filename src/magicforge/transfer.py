@@ -34,10 +34,11 @@ sector x the spectrum is i^(x.z) times the Walsh-Hadamard transform over z
 of u_x[b] = conj(psi[b^x]) psi[b], and the gate multiplies u_x[b] by
 e^(2 pi i (theta(b) - theta(b^x))): one batched in-place transform
 (`_fwht`) there, the phase factors, and one back, O(n 4**n) work on any real
-vector.  Rotation layers keep the real `rotate_layer`,
-whose one-qubit pair turns the optimizer minimises in closed form; on
-dyadic angles the two kernels agree.  The i^(x.z) exponents of all 4**n
-labels (`_xz_phase`, one uint8 each) are built once per n.
+vector.  A rotation layer always goes through the real `rotate_layer`,
+whose one-qubit pair turns the optimizer minimises in closed form; no
+reader turns a rotation into a gate, and on dyadic angles the two kernels
+agree.  The i^(x.z) exponents of all 4**n labels (`_xz_phase`, one uint8
+each) are built once per n.
 
 Every Clifford conjugation goes through one kernel, `_fold`: it pushes
 signed Hermitian rows (-1)^h P(x, z) forward, C (.) C^dagger, as a
@@ -79,7 +80,8 @@ every layer keeps the norm, so a result that fails the `PauliSpectrum`
 check is a fault of the fold (RuntimeError), not bad input; `apply_block`
 ends the same way.  The dense oracle only checks.  One reader,
 `_layer_from_json`, parses the layer bodies of circuit JSON, and
-`_layer_to_json` writes them back (`nogo` echoes its layers with it).
+`_layer_to_json` writes them back (`nogo` echoes its layers with it); a
+``gate`` body has only ``terms`` and an optional ``n``.
 `circuit_from_json` names any key other than ``n``, ``initial`` and
 ``layers``, and leaves every size check to `ParsedCircuit`.
 
@@ -650,8 +652,7 @@ def _layer_from_json(n: int, where: str, kind: str, body) -> tuple:
     if kind == "gate":
         if not isinstance(body, Mapping):
             raise ValidationError(f"{where} gate must be an object, got {body!r}")
-        return "gate", PhasePolynomial.from_json(
-            {"n": n, **body} if "terms" in body or "sqr" in body else body)
+        return "gate", PhasePolynomial.from_json({"n": n, **body})
     raise ValidationError(f"{where} has unknown kind {kind!r}")
 
 

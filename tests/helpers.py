@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from magicforge.diagonal_gates import whole_number
+from magicforge.diagonal_gates import PhasePolynomial, whole_number
 from magicforge.errors import CapacityError, ValidationError
 from magicforge.optimizer import objective
 from magicforge.pauli_core import PauliLabel
@@ -166,6 +166,20 @@ def rotation_matrix(w) -> np.ndarray:
         theta = sum(angles[j] for j in range(w.n) if (b >> j) & 1)
         diag[b] = np.exp(2j * np.pi * theta)
     return np.diag(diag)
+
+
+def sqr_to_poly(w) -> PhasePolynomial:
+    """Rotation layer as a phase polynomial (weight-1 monomials only), the
+    gate that the dyadic cross-checks run through the diagonal-gate kernels.
+
+    Each angle is read exactly as a fraction k / 2**m; the polynomial
+    rejects an angle with m > MAX_RESOLUTION, such as 0.1.
+    """
+    fracs = [Fraction(v) for v in w.values]
+    return PhasePolynomial(
+        w.n,
+        [(f.denominator.bit_length() - 1, 1 << j, f.numerator) for j, f in enumerate(fracs) if f],
+    )
 
 
 def _gamma(x: int, u: int, angles, d: int | None) -> float:

@@ -682,6 +682,13 @@ class TestSupport:
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "CapacityError" and err["error"].startswith("support cap")
 
+    def test_wrapped_rotation_exits_2(self, tmp_path, capsys):
+        # one spelling: the rotation body itself, not a circuit layer's {'sqr': ...}
+        path = _write_json(tmp_path / "w.json", {"sqr": {"m": 3, "k": [1, 3]}})
+        assert main(["support", path]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "rotation JSON needs either {'m','k'} or {'w'}", "kind": "ValidationError"}
+
 
 class TestErrors:
     @pytest.mark.parametrize("command", ["support", "magic"])
@@ -826,6 +833,19 @@ class TestErrors:
         path.write_text(json.dumps(body))
         assert main(["magic", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "ValidationError"
+
+    @pytest.mark.parametrize("command", ["magic", "spectrum"])
+    def test_rotation_as_gate_exits_2(self, command, tmp_path, capsys):
+        # a rotation is its own 'sqr' layer; as a gate body it is named, not run
+        path = _write_json(tmp_path / "c.json",
+                           {"n": 2, "layers": [{"gate": {"sqr": {"w": [0.125, 0.5]}}}]})
+        out = tmp_path / "out"
+        assert main([command, path, "-o", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "unknown gate JSON keys: ['sqr']; a gate has 'n' and 'terms', and a "
+                     "rotation is its own {'sqr': {...}} circuit layer",
+            "kind": "ValidationError"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["support", "optimize"])
     def test_non_object_json_exits_2(self, command, tableau_file, tmp_path, capsys):

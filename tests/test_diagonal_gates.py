@@ -13,13 +13,12 @@ from magicforge.diagonal_gates import (
     hierarchy_level,
     make_gate,
     random_polynomial,
-    sqr_to_poly,
     value_numerators,
 )
 from magicforge.errors import ValidationError
 from magicforge.pauli_core import MAX_QUBITS
 
-from helpers import diagonal_matrix, rotation_matrix, theta, theta_diff
+from helpers import diagonal_matrix, rotation_matrix, sqr_to_poly, theta, theta_diff
 
 
 class TestNormalization:
@@ -30,6 +29,13 @@ class TestNormalization:
     def test_rejects_non_whole_fields(self, n, terms):
         with pytest.raises(ValidationError):
             PhasePolynomial(n, terms)
+
+    def test_qubit_cap(self):
+        # the cap of every n-qubit type: no tableau, Clifford or rotation goes past it
+        assert PhasePolynomial(MAX_QUBITS, [(1, 1 << (MAX_QUBITS - 1), 1)]).n == MAX_QUBITS
+        for n in (0, MAX_QUBITS + 1):
+            with pytest.raises(ValidationError, match=f"n={n} outside 1..{MAX_QUBITS}"):
+                PhasePolynomial(n, [])
 
     def test_reads_whole_floats(self):
         f = PhasePolynomial(2.0, [(2.0, 1.0, np.int64(1))])
@@ -267,6 +273,8 @@ class TestRotationVector:
 
 
 class TestSqrToPoly:
+    # the helper that the dyadic cross-checks of the two layer kernels rest on
+
     def test_linear_terms_only(self):
         f = sqr_to_poly(RotationVector.dyadic((1, 0, 3), 3))
         assert set(a for _, a in f.terms) <= {0b001, 0b100}
@@ -306,9 +314,13 @@ class TestPolynomialJson:
         f = PhasePolynomial.from_json({"n": 3, "terms": [{"m": 3, "a": "100", "c": 1}]})
         assert f.terms == {(3, 0b001): 1}
 
-    def test_embedded_rotation(self):
-        f = PhasePolynomial.from_json({"n": 2, "sqr": {"m": 3, "k": [1, 0]}})
-        assert f == sqr_to_poly(RotationVector.dyadic((1, 0), 3))
+    def test_embedded_rotation_rejected(self):
+        # a rotation is its own circuit layer, never a gate body, and no key is dropped
+        for extra in ({"sqr": {"m": 3, "k": [1, 0]}}, {"terms": [], "sqr": {"w": [0.5, 0.0]}},
+                      {"terms": [], "gate": 1}):
+            with pytest.raises(ValidationError,
+                               match=r"unknown gate JSON keys: \['(gate|sqr)'\].*\{'sqr'"):
+                PhasePolynomial.from_json({"n": 2, **extra})
 
     def test_bad_mask_length(self):
         with pytest.raises(ValidationError):

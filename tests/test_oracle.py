@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import magicforge.oracle
-from magicforge.diagonal_gates import RotationVector, make_gate, random_polynomial, sqr_to_poly
+from magicforge.diagonal_gates import RotationVector, make_gate, random_polynomial
 from magicforge.errors import CapacityError, ValidationError
 from magicforge.oracle import (
     DenseState,
@@ -30,6 +30,7 @@ from helpers import (
     overlap2,
     pauli_matrix,
     rotation_matrix,
+    sqr_to_poly,
     stabilizer_dense,
 )
 

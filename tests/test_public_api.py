@@ -1,13 +1,20 @@
-"""The public surface: README's Python example runs as written, and every
-exported name, and every function, method and class the package defines,
-has a caller in the package or is a listed entry point."""
+"""The public surface: README's Python example runs as written, its file
+formats are read by the package's readers, and every exported name, and
+every function, method and class the package defines, has a caller in the
+package or is a listed entry point."""
 
 import ast
+import dataclasses
+import json
 import math
 import re
 from pathlib import Path
 
 import magicforge
+from magicforge.diagonal_gates import PhasePolynomial, RotationVector
+from magicforge.optimizer import OptimizerConfig, config_from_dict
+from magicforge.stabilizer import StabilizerTableau
+from magicforge.transfer import circuit_from_json
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -116,3 +123,49 @@ def test_readme_example_states_its_values():
     assert abs(shown["mf.flat_bound(2, 2)"] - 1.75) <= 1e-12
     assert abs(shown["res[-1].f_after"] - 1.5) <= 1e-12
     assert shown["mf.apply_clifford(tab, c).to_json()"] == {"n": 2, "generators": ["+XX", "+IX"]}
+
+
+def file_format_examples() -> list[dict]:
+    """Every JSON object that README's "File formats" section shows, in a
+    ``json`` block or inline as code."""
+    section = readme_section("File formats")
+    decoder = json.JSONDecoder()
+    examples = []
+    for block in re.findall(r"```json\n(.*?)```", section, re.S):
+        pos = 0
+        while pos < len(block):  # one or more objects, blank space between them
+            obj, end = decoder.raw_decode(block, pos)
+            examples.append(obj)
+            pos = re.compile(r"\s*").match(block, end).end()
+    for span in re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", section, flags=re.S)):
+        try:
+            obj = json.loads(span)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(obj, dict):
+            examples.append(obj)
+    return examples
+
+
+def test_readme_file_formats_are_read():
+    # a spelling the readers dropped cannot stay in the docs
+    config_keys = {f.name for f in dataclasses.fields(OptimizerConfig)}
+    kinds = []
+    for obj in file_format_examples():
+        if "generators" in obj:
+            kinds.append("tableau")
+            StabilizerTableau.from_json(obj)
+        elif "layers" in obj:
+            kinds.append("circuit")
+            circuit_from_json(obj)
+        elif "terms" in obj:
+            kinds.append("gate")
+            PhasePolynomial.from_json({"n": len(obj["terms"][0]["a"]), **obj})
+        elif {"w", "k"} & set(obj):
+            kinds.append("rotation")
+            RotationVector.from_json(obj)
+        else:
+            assert set(obj) <= config_keys, f"README shows JSON that no reader takes: {obj}"
+            kinds.append("config")
+            config_from_dict(obj)
+    assert set(kinds) == {"tableau", "circuit", "gate", "rotation", "config"}, kinds

@@ -10,7 +10,6 @@ from magicforge.diagonal_gates import (
     RotationVector,
     make_gate,
     random_polynomial,
-    sqr_to_poly,
 )
 from magicforge.errors import ValidationError
 from magicforge.oracle import apply_diagonal, apply_rotation, oracle_spectrum, statevector
@@ -43,7 +42,7 @@ from magicforge.transfer import (
     random_clifford,
 )
 
-from helpers import coset_reference, spectrum_csv_reference, theta_diff
+from helpers import coset_reference, spectrum_csv_reference, sqr_to_poly, theta_diff
 
 
 def closed(tab, f):

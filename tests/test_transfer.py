@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from magicforge.diagonal_gates import RotationVector, make_gate, random_polynomial, sqr_to_poly
+from magicforge.diagonal_gates import RotationVector, make_gate, random_polynomial
 from magicforge.errors import CapacityError, ValidationError
 from magicforge.oracle import (
     apply_diagonal,
@@ -54,6 +54,7 @@ from helpers import (
     graph_gate_circuit_json,
     pauli_matrix,
     random_clifford_reference,
+    sqr_to_poly,
     submask_mix,
     transfer_orthogonality_check,
 )
@@ -641,13 +642,13 @@ class TestCircuitJson:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_dyadic_float_gate_matches_rotation_layer(self, n):
-        # a gate layer given as float angles k / 2**m is that rotation layer
+        # float angles k / 2**m as a gate layer give that rotation layer's spectrum
         rng = np.random.default_rng([31, n])
-        w = [int(k) / 64 for k in rng.integers(0, 64, n)]
-        clifford = {"clifford": [list(g) for g in random_clifford(n, rng).gates]}
+        w = RotationVector.continuous([int(k) / 64 for k in rng.integers(0, 64, n)])
+        clifford = ("clifford", random_clifford(n, rng))
         gate, sqr = (
-            circuit_from_json({"n": n, "layers": [clifford, layer]}).spectrum().values
-            for layer in ({"gate": {"sqr": {"w": w}}}, {"sqr": {"w": w}})
+            ParsedCircuit(n, plus_tableau(n), (clifford, layer)).spectrum().values
+            for layer in (("gate", sqr_to_poly(w)), ("sqr", w))
         )
         assert np.max(np.abs(gate - sqr)) < 1e-12
 
